@@ -8,7 +8,9 @@
 #  2. >= 95% of pass-2 requests are cache hits (here: all of them —
 #     the stream repeats pass 1 exactly),
 #  3. a second, fresh server process replaying the same stream produces
-#     byte-identical `result` lines (cross-process determinism).
+#     byte-identical `result` lines (cross-process determinism),
+#  4. hostile byte counts (negative, oversized) each get a structured
+#     `error service.bad_request ...` line and the server exits 0.
 #
 # Usage: scripts/check_service.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -125,5 +127,21 @@ if ! diff -u "$SMOKE_DIR/run1.results" "$SMOKE_DIR/run2.results"; then
     echo "check_service: results differ across server processes" >&2
     exit 1
 fi
+
+echo "== hostile byte counts (structured error, clean exit) =="
+# The oversized count reads to EOF in bounded chunks, so each case runs
+# in its own server.
+for hostile in 'schedule -5' 'register foo -5' 'schedule 99999999999'; do
+    if ! printf '%s\n' "$hostile" | "$SERVE" --threads 1 \
+            > "$SMOKE_DIR/hostile.out"; then
+        echo "check_service: '$hostile' crashed ims-serve" >&2
+        exit 1
+    fi
+    if ! grep -q '^error service\.bad_request ' "$SMOKE_DIR/hostile.out"; then
+        echo "check_service: '$hostile' got no service.bad_request error" >&2
+        exit 1
+    fi
+    echo "$hostile -> $(cat "$SMOKE_DIR/hostile.out")"
+done
 
 echo "service smoke: all checks passed"

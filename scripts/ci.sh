@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Full local CI: tier-1 tests, ThreadSanitizer concurrency checks, the
+# Full local CI: tier-1 tests, the tier-1 tests again under
+# AddressSanitizer + UBSan, ThreadSanitizer concurrency checks, the
 # scheduler hot-path performance gate, a differential-fuzz smoke run,
 # a whole-program equivalence smoke, and a schedule-service replay
 # smoke.
 #
 # Usage: scripts/ci.sh
+#   IMS_CI_SKIP_ASAN=1  skips the AddressSanitizer + UBSan stage.
 #   IMS_CI_SKIP_TSAN=1  skips the ThreadSanitizer stage (e.g. where the
 #                       toolchain lacks tsan runtime support).
 #   IMS_CI_SKIP_PERF=1  skips the performance gate (e.g. on loaded or
@@ -18,35 +20,48 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "==== stage 1/6: tier-1 tests ===="
+echo "==== stage 1/7: tier-1 tests ===="
 cmake -B build -S . >/dev/null
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
 # Schedule-identity check + quick hot-path smoke on the default build.
-# Unlike the Release-mode perf gate (stage 3, skippable on loaded
+# Unlike the Release-mode perf gate (stage 4, skippable on loaded
 # machines), identity is timing-independent and always runs: every
 # corpus kernel must still produce the bit-identical seed schedule.
 build/bench/bench_sched_hotpath --quick \
     --golden bench/data/sched_identity_seed.json \
     --out build/BENCH_sched_hotpath_quick.json
 
+if [ "${IMS_CI_SKIP_ASAN:-0}" != "1" ]; then
+    echo "==== stage 2/7: AddressSanitizer + UBSan ===="
+    # Only the test binaries ctest runs; any sanitizer report (an
+    # out-of-range index, signed overflow, ...) aborts its test.
+    cmake -B build-asan -S . -DIMS_SANITIZE=address >/dev/null
+    cmake --build build-asan -j --target ims_tests
+    (cd build-asan &&
+        UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+        ctest --output-on-failure -j)
+else
+    echo "==== stage 2/7: AddressSanitizer + UBSan (skipped) ===="
+fi
+
 if [ "${IMS_CI_SKIP_TSAN:-0}" != "1" ]; then
-    echo "==== stage 2/6: ThreadSanitizer ===="
+    echo "==== stage 3/7: ThreadSanitizer ===="
     scripts/check_tsan.sh
 else
-    echo "==== stage 2/6: ThreadSanitizer (skipped) ===="
+    echo "==== stage 3/7: ThreadSanitizer (skipped) ===="
 fi
 
 if [ "${IMS_CI_SKIP_PERF:-0}" != "1" ]; then
-    echo "==== stage 3/6: performance gate ===="
+    echo "==== stage 4/7: performance gate ===="
     scripts/check_perf.sh
 else
-    echo "==== stage 3/6: performance gate (skipped) ===="
+    echo "==== stage 4/7: performance gate (skipped) ===="
 fi
 
 if [ "${IMS_CI_SKIP_FUZZ:-0}" != "1" ]; then
-    echo "==== stage 4/6: differential fuzz smoke ===="
+    echo "==== stage 5/7: differential fuzz smoke ===="
     # Fixed seed so the stage is reproducible; any finding fails CI and
     # leaves its minimized reproducer under build/fuzz-repro/ for replay
     # with `build/tools/ims-fuzz --replay <file>`. The pipeline under
@@ -80,11 +95,11 @@ if [ "${IMS_CI_SKIP_FUZZ:-0}" != "1" ]; then
         exit 1
     fi
 else
-    echo "==== stage 4/6: differential fuzz smoke (skipped) ===="
+    echo "==== stage 5/7: differential fuzz smoke (skipped) ===="
 fi
 
 if [ "${IMS_CI_SKIP_PROGRAM:-0}" != "1" ]; then
-    echo "==== stage 5/6: whole-program equivalence smoke ===="
+    echo "==== stage 6/7: whole-program equivalence smoke ===="
     # Every corpus program through the program-level driver (EC/LC loop
     # control, stage predicates, pipeline compression) at trip counts
     # {0,1,2,5,17}, compiled execution vs the sequential reference with
@@ -98,14 +113,14 @@ if [ "${IMS_CI_SKIP_PROGRAM:-0}" != "1" ]; then
         --repro-dir build/fuzz-repro \
         --out build/fuzz-program-report.json
 else
-    echo "==== stage 5/6: whole-program equivalence smoke (skipped) ===="
+    echo "==== stage 6/7: whole-program equivalence smoke (skipped) ===="
 fi
 
 if [ "${IMS_CI_SKIP_SERVICE:-0}" != "1" ]; then
-    echo "==== stage 6/6: schedule-service replay smoke ===="
+    echo "==== stage 7/7: schedule-service replay smoke ===="
     scripts/check_service.sh build
 else
-    echo "==== stage 6/6: schedule-service replay smoke (skipped) ===="
+    echo "==== stage 7/7: schedule-service replay smoke (skipped) ===="
 fi
 
 echo "ci: all stages passed"

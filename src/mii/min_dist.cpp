@@ -17,6 +17,7 @@ MinDistMatrix::MinDistMatrix(const graph::DepGraph& graph,
         assert(indexOf_[vertices_[i]] == -1 && "duplicate vertex in subset");
         indexOf_[vertices_[i]] = static_cast<int>(i);
     }
+    finiteCols_.resize(vertices_.size());
 
     // Cache the subset-internal edges once; recompute() never needs the
     // graph again.
@@ -65,24 +66,40 @@ MinDistMatrix::recompute(int ii, support::Counters* counters)
         cell = std::max(cell, bound);
     }
 
-    // All-pairs longest path closure. The inner-step counter counts only
-    // productive (i, k, j) combinations — both path halves finite — per
-    // Table 4's "inner loop executions" (see docs/api.md).
+    // All-pairs longest path closure over finite cells only. During pivot
+    // k a cell [k][j] or [i][k] is only ever raised from a finite value
+    // (its update adds [k][k] to itself), so which cells of row k and
+    // column k are finite cannot change within the pivot: gather row k's
+    // finite columns once, then relax just those in every row with a
+    // finite [i][k]. The i-then-j order and the fresh read of [k][j] are
+    // the plain triple loop's, so every entry, a positive diagonal
+    // included, is bit-identical to it. The inner-step counter counts
+    // only productive (i, k, j) combinations — both path halves finite —
+    // per Table 4's "inner loop executions" (see docs/api.md): per pivot,
+    // |finite column k| x |finite row k|.
     for (std::size_t k = 0; k < n; ++k) {
+        const std::int64_t* row_k = &matrix_[k * n];
+        std::size_t cols = 0;
+        for (std::size_t j = 0; j < n; ++j) {
+            if (row_k[j] != kMinusInf)
+                finiteCols_[cols++] = static_cast<int>(j);
+        }
+        if (cols == 0)
+            continue;
+        std::uint64_t rows = 0;
         for (std::size_t i = 0; i < n; ++i) {
-            const std::int64_t ik = matrix_[i * n + k];
+            std::int64_t* row_i = &matrix_[i * n];
+            const std::int64_t ik = row_i[k];
             if (ik == kMinusInf)
                 continue;
-            for (std::size_t j = 0; j < n; ++j) {
-                const std::int64_t kj = matrix_[k * n + j];
-                if (kj == kMinusInf)
-                    continue;
-                support::bump(counters,
-                              &support::Counters::minDistInnerSteps);
-                auto& cell = matrix_[i * n + j];
-                cell = std::max(cell, ik + kj);
+            ++rows;
+            for (std::size_t c = 0; c < cols; ++c) {
+                const int j = finiteCols_[c];
+                row_i[j] = std::max(row_i[j], ik + row_k[j]);
             }
         }
+        support::bump(counters, &support::Counters::minDistInnerSteps,
+                      rows * cols);
     }
 }
 

@@ -19,15 +19,19 @@ namespace ims::mii {
  * Initialisation: for every edge e: i -> j,
  *   MinDist[i][j] >= Delay(e) - II * Distance(e),
  * then closure with the O(N^3) all-pairs longest-path (Floyd-Warshall)
- * step. A positive diagonal entry means an operation would have to be
- * scheduled after itself: the candidate II is infeasible.
+ * step. Each pivot k relaxes only the finite cells of row k against the
+ * finite cells of column k, so on sparse dependence graphs the closure
+ * costs O(N^2) scanning plus one step per productive (i, k, j), not N^3.
+ * A positive diagonal entry means an operation would have to be scheduled
+ * after itself: the candidate II is infeasible.
  *
  * The matrix is *reusable across candidate IIs*: construction caches the
- * vertex-subset index and the per-edge (i, j, delay, distance) tuples, and
- * `recompute(ii)` re-runs initialisation + closure in the existing buffer
- * without touching the graph or allocating. The RecMII doubling/binary
- * search and the per-II slack-priority computation call `recompute` once
- * per candidate instead of building a fresh matrix each time.
+ * vertex-subset index and the per-edge (i, j, delay, distance) tuples and
+ * sizes the closure's scratch row, and `recompute(ii)` re-runs
+ * initialisation + closure in the existing buffers without touching the
+ * graph or allocating. The per-II slack-priority computation and the
+ * exact backend call `recompute` once per candidate instead of building a
+ * fresh matrix each time.
  */
 class MinDistMatrix
 {
@@ -92,6 +96,7 @@ class MinDistMatrix
     int ii_;
     std::vector<std::int64_t> matrix_;
     std::vector<EdgeInit> edgeInits_; // cached across recomputes
+    std::vector<int> finiteCols_;     // closure scratch: one pivot row
 };
 
 } // namespace ims::mii

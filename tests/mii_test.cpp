@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "graph/graph_builder.hpp"
 #include "graph/scc.hpp"
 #include "machine/cydra5.hpp"
@@ -8,8 +15,12 @@
 #include "mii/min_dist.hpp"
 #include "mii/rec_mii.hpp"
 #include "mii/res_mii.hpp"
+#include "sched/schedule.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
+#include "transform/unroll.hpp"
 #include "workloads/kernels.hpp"
+#include "workloads/random_loops.hpp"
 
 namespace {
 
@@ -181,6 +192,176 @@ TEST(MinDistTest, RecomputeMatchesFreshConstruction)
                     << "ii " << ii << " at (" << i << "," << j << ")";
         }
         EXPECT_EQ(reused.feasible(), fresh.feasible()) << "ii " << ii;
+    }
+}
+
+/**
+ * Reference closure: the plain Floyd-Warshall triple loop, billing one
+ * inner step per (i, k, j) with both path halves finite. MinDistMatrix's
+ * gathered-pivot closure must reproduce its matrix and both counters bit
+ * for bit.
+ */
+struct ReferenceMinDist
+{
+    std::vector<std::int64_t> matrix;
+    support::Counters counters;
+};
+
+ReferenceMinDist
+referenceMinDist(const DepGraph& g,
+                 const std::vector<graph::VertexId>& vertices, int ii)
+{
+    constexpr std::int64_t kMinusInf = mii::MinDistMatrix::kMinusInf;
+    const std::size_t n = vertices.size();
+    std::vector<int> index(g.numVertices(), -1);
+    for (std::size_t i = 0; i < n; ++i)
+        index[vertices[i]] = static_cast<int>(i);
+
+    ReferenceMinDist ref;
+    ref.counters.minDistInvocations = 1;
+    auto& m = ref.matrix;
+    m.assign(n * n, kMinusInf);
+    for (const DepEdge& e : g.edges()) {
+        const int i = index[e.from];
+        const int j = index[e.to];
+        if (i < 0 || j < 0)
+            continue;
+        auto& cell = m[static_cast<std::size_t>(i) * n + j];
+        cell = std::max(cell, static_cast<std::int64_t>(e.delay) -
+                                  static_cast<std::int64_t>(ii) * e.distance);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::int64_t ik = m[i * n + k];
+            if (ik == kMinusInf)
+                continue;
+            for (std::size_t j = 0; j < n; ++j) {
+                const std::int64_t kj = m[k * n + j];
+                if (kj == kMinusInf)
+                    continue;
+                ++ref.counters.minDistInnerSteps;
+                auto& cell = m[i * n + j];
+                cell = std::max(cell, ik + kj);
+            }
+        }
+    }
+    return ref;
+}
+
+::testing::AssertionResult
+matchesReference(const mii::MinDistMatrix& got,
+                 const support::Counters& counters,
+                 const ReferenceMinDist& ref)
+{
+    const int n = got.size();
+    for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < n; ++j) {
+            const std::int64_t want =
+                ref.matrix[static_cast<std::size_t>(i) * n + j];
+            if (got.at(i, j) != want)
+                return ::testing::AssertionFailure()
+                       << "II " << got.ii() << " at (" << i << "," << j
+                       << "): " << got.at(i, j) << " vs " << want;
+        }
+    }
+    if (counters.minDistInnerSteps != ref.counters.minDistInnerSteps ||
+        counters.minDistInvocations != ref.counters.minDistInvocations)
+        return ::testing::AssertionFailure()
+               << "II " << got.ii() << " counters: inner steps "
+               << counters.minDistInnerSteps << " vs "
+               << ref.counters.minDistInnerSteps << ", invocations "
+               << counters.minDistInvocations << " vs "
+               << ref.counters.minDistInvocations;
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * The closure's property-test inputs on cydra5: the kernel library, 200
+ * generated loops, and daxpy/stencil3/hydro_frag unrolled to ~300 ops.
+ */
+std::vector<ir::Loop>
+closureTestLoops()
+{
+    std::vector<ir::Loop> loops;
+    for (auto& w : workloads::kernelLibrary())
+        loops.push_back(std::move(w.loop));
+    support::Rng rng(20261017);
+    for (int i = 0; i < 200; ++i)
+        loops.push_back(
+            workloads::generateLoop(rng, "closure_" + std::to_string(i)));
+    for (const char* kernel : {"daxpy", "stencil3", "hydro_frag"}) {
+        const ir::Loop base = workloads::kernelByName(kernel).loop;
+        const int factor = static_cast<int>(
+            std::lround(300.0 / static_cast<double>(base.size())));
+        loops.push_back(transform::unrollLoop(base, factor));
+    }
+    return loops;
+}
+
+TEST(MinDistTest, GatheredClosureMatchesReferenceTripleLoop)
+{
+    // At the achieved II and at the infeasible II - 1 and 1 (positive
+    // diagonal), over the whole graph and over every SCC subset.
+    const auto machine = machine::cydra5();
+    int infeasible = 0;
+    for (const ir::Loop& loop : closureTestLoops()) {
+        SCOPED_TRACE(loop.name());
+        const auto g = graph::buildDepGraph(loop, machine);
+        const auto sccs = graph::findSccs(g);
+        const int achieved =
+            sched::schedule(loop, machine, g, sccs).schedule.ii;
+        std::vector<graph::VertexId> all(g.numVertices());
+        std::iota(all.begin(), all.end(), 0);
+        for (const int ii : {achieved, achieved - 1, 1}) {
+            if (ii < 1)
+                continue;
+            support::Counters counters;
+            const mii::MinDistMatrix whole(g, ii, &counters);
+            ASSERT_TRUE(matchesReference(whole, counters,
+                                         referenceMinDist(g, all, ii)));
+            infeasible += !whole.feasible();
+            for (const auto& component : sccs.components()) {
+                support::Counters scc_counters;
+                const mii::MinDistMatrix subset(g, component, ii,
+                                                &scc_counters);
+                ASSERT_TRUE(matchesReference(
+                    subset, scc_counters, referenceMinDist(g, component, ii)));
+            }
+        }
+    }
+    // Dozens of the infeasible IIs really close a positive diagonal.
+    EXPECT_GE(infeasible, 50);
+}
+
+TEST(MinDistTest, RecomputeWalkingIiUpAndDownMatchesReference)
+{
+    // One object reused across an ascending then descending II walk, as
+    // the slack priority and the exact backend reuse theirs.
+    const auto machine = machine::cydra5();
+    const ir::Loop base = workloads::kernelByName("hydro_frag").loop;
+    for (const ir::Loop& loop : {base, transform::unrollLoop(base, 4)}) {
+        SCOPED_TRACE(loop.name());
+        const auto g = graph::buildDepGraph(loop, machine);
+        const int achieved = sched::schedule(loop, machine).schedule.ii;
+        std::vector<graph::VertexId> all(g.numVertices());
+        std::iota(all.begin(), all.end(), 0);
+
+        std::vector<int> walk;
+        for (int ii = 1; ii <= achieved + 2; ++ii)
+            walk.push_back(ii);
+        for (int ii = achieved + 1; ii >= 1; --ii)
+            walk.push_back(ii);
+
+        support::Counters counters;
+        mii::MinDistMatrix reused(g, walk.front(), &counters);
+        ASSERT_TRUE(matchesReference(reused, counters,
+                                     referenceMinDist(g, all, walk.front())));
+        for (std::size_t step = 1; step < walk.size(); ++step) {
+            support::Counters step_counters;
+            reused.recompute(walk[step], &step_counters);
+            ASSERT_TRUE(matchesReference(
+                reused, step_counters, referenceMinDist(g, all, walk[step])));
+        }
     }
 }
 

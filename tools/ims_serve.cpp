@@ -18,7 +18,8 @@
  *   --load-cache <path>   re-materialize a saved cache before serving
  *   --save-cache <path>   save the cache on quit/EOF
  *
- * Protocol (one request per line; multi-line payloads are byte-counted):
+ * Protocol (one request per line; multi-line payloads are byte-counted,
+ * the count in plain decimal digits):
  *   schedule <bytes> [client=<name>] [machine=<name>]
  *   <bytes of loop text in the mini-IR format>
  *       -> result <loop> ok ii=<n> mii=<n> length=<n> fingerprint=<hex>
@@ -36,6 +37,8 @@
  * the `meta` line — so replaying a request stream must reproduce every
  * result line byte-for-byte (scripts/ci.sh gates on exactly that).
  */
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <deque>
@@ -125,13 +128,35 @@ metaLine(const service::ServiceResponse& response)
     return out.str();
 }
 
-/** Read exactly `bytes` bytes (the payload of a byte-counted request). */
+/** Parse a payload byte count: plain decimal digits, nothing else. */
+bool
+parseByteCount(const std::string& text, std::size_t& bytes)
+{
+    const char* end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, bytes);
+    return error == std::errc() && stop == end;
+}
+
+/**
+ * Read exactly `bytes` bytes (the payload of a byte-counted request). The
+ * buffer grows in bounded chunks with the bytes actually received, so a
+ * hostile count costs no more memory than the input that follows it.
+ */
 bool
 readPayload(std::istream& in, std::size_t bytes, std::string& out)
 {
-    out.assign(bytes, '\0');
-    in.read(out.data(), static_cast<std::streamsize>(bytes));
-    return in.gcount() == static_cast<std::streamsize>(bytes);
+    constexpr std::size_t kChunk = 64 * 1024;
+    out.clear();
+    while (out.size() < bytes) {
+        const std::size_t have = out.size();
+        const std::size_t want = std::min(kChunk, bytes - have);
+        out.resize(have + want);
+        in.read(out.data() + have, static_cast<std::streamsize>(want));
+        out.resize(have + static_cast<std::size_t>(in.gcount()));
+        if (out.size() != have + want)
+            return false;
+    }
+    return true;
 }
 
 } // namespace
@@ -232,11 +257,17 @@ main(int argc, char** argv)
         request >> command;
 
         if (command == "schedule") {
+            std::string count;
             std::size_t bytes = 0;
-            request >> bytes;
-            if (request.fail()) {
+            if (!(request >> count)) {
                 flush_all();
                 std::cout << "error service.bad_request missing byte count\n"
+                          << std::flush;
+                continue;
+            }
+            if (!parseByteCount(count, bytes)) {
+                flush_all();
+                std::cout << "error service.bad_request bad byte count\n"
                           << std::flush;
                 continue;
             }
@@ -260,8 +291,14 @@ main(int argc, char** argv)
         } else if (command == "register") {
             flush_all();
             std::string name;
+            std::string count;
             std::size_t bytes = 0;
-            request >> name >> bytes;
+            request >> name >> count;
+            if (!request.fail() && !parseByteCount(count, bytes)) {
+                std::cout << "error service.bad_request bad byte count\n"
+                          << std::flush;
+                continue;
+            }
             std::string text;
             if (request.fail() || !readPayload(std::cin, bytes, text)) {
                 std::cout << "error service.bad_request malformed register\n"
