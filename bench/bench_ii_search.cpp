@@ -1,14 +1,16 @@
 /**
  * @file
- * Linear vs racing vs feedback II search on hard-II workloads.
+ * Linear vs feedback II search on hard-II workloads.
  *
  * "Hard II" means the lowest feasible II sits well above the MII, so the
  * linear search burns a full budget per failed candidate before reaching
- * the winner — exactly the sequential tail the racing strategy overlaps.
- * The workloads are self-calibrated: a fixed-seed stream of fuzz-profile
- * loops is scheduled on the scalar-toy machine (its contention pushes
- * feasible IIs above the MII) and the first loops needing >= 5 linear
- * attempts are kept and unrolled into multi-hundred-op bodies.
+ * the winner. The workloads are self-calibrated: a fixed-seed stream of
+ * fuzz-profile loops is scheduled on the scalar-toy machine (its
+ * contention pushes feasible IIs above the MII) and the first loops
+ * needing >= 5 linear attempts are kept and unrolled into
+ * multi-hundred-op bodies. Their (II, attempts, schedule hash) triples
+ * are the third identity oracle: scripts/check_perf.sh compares them
+ * with the checked-in BENCH_ii_search.json.
  *
  * The feedback strategy is measured on a second, *provable-gap* family:
  * a crafted machine whose kMul reservation table uses the `sparse`
@@ -18,28 +20,18 @@
  * walk to attempt (and fail) each divisor candidate the feedback probe
  * can skip with an exact infeasibility proof.
  *
- * Three gates:
+ * Two gates, both deterministic and always enforced:
  *
- *  1. **Identity** (always enforced): every racing run, at every thread
- *     count, must produce the same (II, schedule hash, attempts,
- *     totalSteps) as the linear search. A violation is a determinism bug
- *     and fails the bench regardless of timing. Feedback runs must match
- *     linear's (II, schedule hash, attempts) on every workload of both
- *     families — a skip is only sound on a candidate linear also failed.
- *  2. **Speedup** (hardware-gated): the geometric-mean racing speedup at
- *     the gated thread count must reach --min-speedup (default 1.5).
- *     Enforced only when std::thread::hardware_concurrency() covers the
- *     gated thread count — on smaller hosts the gate is reported as
- *     skipped (the JSON records the core count so readers can tell).
- *  3. **Feedback savings** (always enforced; deterministic): on every
- *     provable-gap workload the feedback search must skip at least one
- *     candidate and start strictly fewer attempts (started + wasted)
- *     than linear at the equal final II; billed scheduling steps must
- *     drop accordingly.
+ *  1. **Identity**: feedback runs must match linear's (II, schedule
+ *     hash, attempts) on every workload of both families — a skip is
+ *     only sound on a candidate linear also failed.
+ *  2. **Feedback savings**: on every provable-gap workload the feedback
+ *     search must skip at least one candidate and run strictly fewer
+ *     attempts than linear at the equal final II; billed scheduling
+ *     steps must drop accordingly.
  *
  * Usage:
- *   bench_ii_search [--out PATH] [--threads a,b,c] [--gate-threads N]
- *                   [--min-speedup X] [--repeats N] [--quick]
+ *   bench_ii_search [--out PATH] [--repeats N] [--quick]
  */
 #include <algorithm>
 #include <chrono>
@@ -90,29 +82,11 @@ scheduleHash(const sched::ScheduleResult& schedule)
     return h;
 }
 
-std::vector<int>
-parseThreadList(const std::string& text)
-{
-    std::vector<int> threads;
-    std::string item;
-    for (const char c : text + ",") {
-        if (c == ',') {
-            if (!item.empty()) {
-                threads.push_back(std::atoi(item.c_str()));
-                item.clear();
-            }
-        } else {
-            item += c;
-        }
-    }
-    return threads;
-}
-
 /**
  * Fixed-seed calibration: walk the fuzz-profile loop stream on the
  * scalar-toy machine and keep the first `want` loops whose linear search
  * needs at least `min_attempts` candidate IIs, then unroll them so every
- * failed attempt is worth overlapping.
+ * failed attempt is expensive.
  */
 std::vector<ir::Loop>
 calibrateWorkloads(const machine::MachineModel& machine, int want,
@@ -210,21 +184,13 @@ struct GapResult
     int mii = 0;
     int ii = 0;
     int attempts = 0;
+    /** Attempts actually run: candidates visited minus probe skips. */
     int linearAttemptsStarted = 0;
     int feedbackAttemptsStarted = 0;
     int skippedIis = 0;
     long long linearSteps = 0;
     long long feedbackSteps = 0;
     bool identical = false;
-};
-
-struct Measurement
-{
-    std::string strategy; // "linear" or "racing_tN"
-    int threads = 1;
-    double wallSeconds = 0.0;    // summed over repeats
-    double searchSeconds = 0.0;  // strategy-reported, summed
-    double speedup = 1.0;        // linear wall / this wall
 };
 
 struct WorkloadResult
@@ -236,7 +202,8 @@ struct WorkloadResult
     int attempts = 0;
     long long totalSteps = 0;
     std::uint64_t hash = 0;
-    std::vector<Measurement> measurements;
+    /** Wall time of the linear search, summed over the repeats. */
+    double linearSeconds = 0.0;
 };
 
 } // namespace
@@ -245,28 +212,18 @@ int
 main(int argc, char** argv)
 {
     std::string out_path = "BENCH_ii_search.json";
-    std::vector<int> thread_counts = {2, 4, 8};
-    int gate_threads = 8;
-    double min_speedup = 1.5;
     int repeats = 30;
     bool quick = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
             out_path = argv[++i];
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            thread_counts = parseThreadList(argv[++i]);
-        else if (std::strcmp(argv[i], "--gate-threads") == 0 && i + 1 < argc)
-            gate_threads = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc)
-            min_speedup = std::atof(argv[++i]);
         else if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc)
             repeats = std::atoi(argv[++i]);
         else if (std::strcmp(argv[i], "--quick") == 0)
             quick = true;
         else {
             std::cerr << "usage: bench_ii_search [--out PATH] "
-                         "[--threads a,b,c] [--gate-threads N] "
-                         "[--min-speedup X] [--repeats N] [--quick]\n";
+                         "[--repeats N] [--quick]\n";
             return 2;
         }
     }
@@ -294,58 +251,17 @@ main(int argc, char** argv)
         result.name = loop.name();
         result.ops = loop.size();
 
-        // Linear reference (also warms the allocator caches).
-        {
-            sched::ScheduleOptions options;
-            Measurement m;
-            m.strategy = "linear";
-            const auto start = Clock::now();
-            for (int r = 0; r < repeats; ++r) {
-                const auto outcome =
-                    sched::schedule(loop, machine, options);
-                m.searchSeconds += outcome.search.wallSeconds;
-                result.mii = outcome.mii;
-                result.ii = outcome.schedule.ii;
-                result.attempts = outcome.attempts;
-                result.totalSteps = outcome.totalSteps;
-                result.hash = scheduleHash(outcome.schedule);
-            }
-            m.wallSeconds = secondsSince(start);
-            result.measurements.push_back(std::move(m));
+        // Linear reference, timed over the repeats.
+        const auto start = Clock::now();
+        for (int r = 0; r < repeats; ++r) {
+            const auto outcome = sched::schedule(loop, machine);
+            result.mii = outcome.mii;
+            result.ii = outcome.schedule.ii;
+            result.attempts = outcome.attempts;
+            result.totalSteps = outcome.totalSteps;
+            result.hash = scheduleHash(outcome.schedule);
         }
-        const double linear_wall = result.measurements[0].wallSeconds;
-
-        for (const int threads : thread_counts) {
-            sched::ScheduleOptions options;
-            options.search.withKind(sched::IiSearchKind::kRacing)
-                .withThreads(threads);
-            Measurement m;
-            m.strategy = "racing_t" + std::to_string(threads);
-            m.threads = threads;
-            const auto start = Clock::now();
-            for (int r = 0; r < repeats; ++r) {
-                const auto outcome =
-                    sched::schedule(loop, machine, options);
-                m.searchSeconds += outcome.search.wallSeconds;
-                // Identity gate: bit-identical to the linear search, on
-                // every run, at every thread count.
-                if (outcome.schedule.ii != result.ii ||
-                    scheduleHash(outcome.schedule) != result.hash ||
-                    outcome.attempts != result.attempts ||
-                    outcome.totalSteps != result.totalSteps) {
-                    std::cerr << "identity violation: " << result.name
-                              << " with " << m.strategy << " run " << r
-                              << ": II " << outcome.schedule.ii << " vs "
-                              << result.ii << ", attempts "
-                              << outcome.attempts << " vs "
-                              << result.attempts << "\n";
-                    ++identity_violations;
-                }
-            }
-            m.wallSeconds = secondsSince(start);
-            m.speedup = linear_wall / std::max(m.wallSeconds, 1e-12);
-            result.measurements.push_back(std::move(m));
-        }
+        result.linearSeconds = secondsSince(start);
 
         // Feedback identity on the hard-II family: the winner and the
         // winning schedule must equal linear's (skips, when the probe
@@ -370,66 +286,21 @@ main(int argc, char** argv)
     }
 
     support::TextTable table(
-        "II search: linear vs racing on hard-II workloads (" +
-        machine.name() + ", " + std::to_string(repeats) + " repeats, " +
-        std::to_string(cores) + " cores)");
-    std::vector<std::string> header = {"workload", "ops", "MII", "II",
-                                       "attempts", "linear ms"};
-    for (const int threads : thread_counts)
-        header.push_back("racing t" + std::to_string(threads));
-    table.addHeader(header);
+        "II search: hard-II workloads (" + machine.name() + ", " +
+        std::to_string(repeats) + " repeats, " + std::to_string(cores) +
+        " cores)");
+    table.addHeader(
+        {"workload", "ops", "MII", "II", "attempts", "linear ms"});
     for (const auto& r : results) {
-        std::vector<std::string> row = {
-            r.name,
-            std::to_string(r.ops),
-            std::to_string(r.mii),
-            std::to_string(r.ii),
-            std::to_string(r.attempts),
-            support::formatDouble(1e3 * r.measurements[0].wallSeconds, 2)};
-        for (std::size_t i = 1; i < r.measurements.size(); ++i)
-            row.push_back(
-                support::formatDouble(r.measurements[i].speedup, 2) + "x");
-        table.addRow(row);
+        table.addRow({r.name, std::to_string(r.ops), std::to_string(r.mii),
+                      std::to_string(r.ii), std::to_string(r.attempts),
+                      support::formatDouble(1e3 * r.linearSeconds, 2)});
     }
     table.print(std::cout);
 
-    // Geometric-mean speedup per thread count.
-    std::vector<double> geomean(thread_counts.size(), 1.0);
-    for (std::size_t t = 0; t < thread_counts.size(); ++t) {
-        double log_sum = 0.0;
-        for (const auto& r : results)
-            log_sum += std::log(r.measurements[t + 1].speedup);
-        geomean[t] = std::exp(log_sum / results.size());
-        std::cout << "geomean speedup at " << thread_counts[t]
-                  << " threads: "
-                  << support::formatDouble(geomean[t], 2) << "x\n";
-    }
-
-    // Speedup gate, hardware-permitting.
-    bool gate_enforced = false;
-    bool gate_passed = true;
-    for (std::size_t t = 0; t < thread_counts.size(); ++t) {
-        if (thread_counts[t] != gate_threads)
-            continue;
-        if (cores >= static_cast<unsigned>(gate_threads)) {
-            gate_enforced = true;
-            gate_passed = geomean[t] >= min_speedup;
-            std::cout << "speedup gate at " << gate_threads << " threads: "
-                      << support::formatDouble(geomean[t], 2) << "x vs "
-                      << support::formatDouble(min_speedup, 2)
-                      << "x floor: "
-                      << (gate_passed ? "passed" : "FAILED") << "\n";
-        } else {
-            std::cout << "speedup gate skipped (" << cores
-                      << " cores < " << gate_threads
-                      << " gated threads; identity still enforced)\n";
-        }
-    }
-
     // ----------------------------------------------------------------
     // Provable-gap family: linear vs feedback, both heuristic backends.
-    // Everything here is deterministic (single-worker strategies, no
-    // timing dependence), so the gate always enforces.
+    // Everything here is deterministic, so the gate always enforces.
     const std::vector<int> gap_cs = {90, 360, 1980, 2520};
     std::vector<GapResult> gaps;
     bool feedback_gate_passed = true;
@@ -452,10 +323,8 @@ main(int argc, char** argv)
             g.mii = base.mii;
             g.ii = base.schedule.ii;
             g.attempts = base.attempts;
-            g.linearAttemptsStarted = base.search.attemptsStarted +
-                                      base.search.attemptsWasted;
-            g.feedbackAttemptsStarted = got.search.attemptsStarted +
-                                        got.search.attemptsWasted;
+            g.linearAttemptsStarted = base.attempts - base.search.skippedIis;
+            g.feedbackAttemptsStarted = got.attempts - got.search.skippedIis;
             g.skippedIis = got.search.skippedIis;
             g.linearSteps = base.totalSteps;
             g.feedbackSteps = got.totalSteps;
@@ -464,9 +333,9 @@ main(int argc, char** argv)
                 scheduleHash(got.schedule) == scheduleHash(base.schedule) &&
                 got.attempts == base.attempts;
 
-            // The tentpole gate: equal final II and schedule, at least
-            // one proven skip, strictly fewer started+wasted attempts,
-            // and a strictly smaller step bill.
+            // The feedback gate: equal final II and schedule, at least
+            // one proven skip, strictly fewer attempts run, and a
+            // strictly smaller step bill.
             if (!g.identical || g.skippedIis < 1 ||
                 g.feedbackAttemptsStarted >= g.linearAttemptsStarted ||
                 g.feedbackSteps >= g.linearSteps) {
@@ -486,7 +355,7 @@ main(int argc, char** argv)
 
     support::TextTable gap_table(
         "feedback search: provable-gap family (linear vs feedback, "
-        "started+wasted attempts and billed steps)");
+        "attempts run and billed steps)");
     gap_table.addHeader({"workload", "backend", "MII", "II", "skipped",
                          "attempts lin", "attempts fb", "steps lin",
                          "steps fb"});
@@ -514,7 +383,7 @@ main(int argc, char** argv)
         gaps.empty() ? 1.0 : std::exp(step_log_sum / gaps.size());
     std::cout << "feedback geomean savings: "
               << support::formatDouble(attempt_savings, 2)
-              << "x fewer started attempts, "
+              << "x fewer attempts run, "
               << support::formatDouble(step_savings, 2)
               << "x fewer billed steps\n"
               << "feedback gate (>=1 skip, strictly fewer attempts and "
@@ -523,14 +392,10 @@ main(int argc, char** argv)
 
     {
         std::ofstream out(out_path);
-        out << "{\n  \"schema\": \"ims.bench_ii_search.v2\",\n"
+        out << "{\n  \"schema\": \"ims.bench_ii_search.v3\",\n"
             << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
             << "  \"cores\": " << cores << ",\n"
             << "  \"repeats\": " << repeats << ",\n"
-            << "  \"min_speedup\": " << min_speedup << ",\n"
-            << "  \"gate_threads\": " << gate_threads << ",\n"
-            << "  \"gate_enforced\": " << (gate_enforced ? "true" : "false")
-            << ",\n"
             << "  \"identity_violations\": " << identity_violations
             << ",\n  \"workloads\": [\n";
         for (std::size_t i = 0; i < results.size(); ++i) {
@@ -538,15 +403,9 @@ main(int argc, char** argv)
             out << "    {\"name\": \"" << r.name << "\", \"ops\": "
                 << r.ops << ", \"mii\": " << r.mii << ", \"ii\": " << r.ii
                 << ", \"attempts\": " << r.attempts << ", \"hash\": \""
-                << r.hash << "\", \"measurements\": [";
-            for (std::size_t m = 0; m < r.measurements.size(); ++m) {
-                const auto& s = r.measurements[m];
-                out << (m == 0 ? "" : ", ") << "{\"strategy\": \""
-                    << s.strategy << "\", \"threads\": " << s.threads
-                    << ", \"wall_seconds\": " << s.wallSeconds
-                    << ", \"speedup\": " << s.speedup << "}";
-            }
-            out << "]}" << (i + 1 < results.size() ? "," : "") << "\n";
+                << r.hash << "\", \"linear_wall_seconds\": "
+                << r.linearSeconds << "}"
+                << (i + 1 < results.size() ? "," : "") << "\n";
         }
         out << "  ],\n";
         out << "  \"feedback_gate_passed\": "
@@ -574,7 +433,7 @@ main(int argc, char** argv)
 
     if (identity_violations != 0) {
         std::cerr << "bench_ii_search: " << identity_violations
-                  << " identity violations (racing/feedback != linear)\n";
+                  << " identity violations (feedback != linear)\n";
         return 1;
     }
     if (!feedback_gate_passed) {
@@ -582,7 +441,5 @@ main(int argc, char** argv)
                      "provable-gap family\n";
         return 1;
     }
-    if (gate_enforced && !gate_passed)
-        return 1;
     return 0;
 }

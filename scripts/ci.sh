@@ -64,12 +64,8 @@ if [ "${IMS_CI_SKIP_FUZZ:-0}" != "1" ]; then
     echo "==== stage 5/7: differential fuzz smoke ===="
     # Fixed seed so the stage is reproducible; any finding fails CI and
     # leaves its minimized reproducer under build/fuzz-repro/ for replay
-    # with `build/tools/ims-fuzz --replay <file>`. The pipeline under
-    # test uses the racing II search, so the campaign's sim-equivalence
-    # and thread-invariance oracles double as a determinism check for
-    # the race (racing must be bit-identical to linear).
+    # with `build/tools/ims-fuzz --replay <file>`.
     build/tools/ims-fuzz --seed 20260806 --cases "${FUZZ_BUDGET:-500}" \
-        --ii-search racing --ii-threads 2 \
         --repro-dir build/fuzz-repro --out build/fuzz-report.json
     # Feedback-search smoke: same oracle stack with the feedback-guided
     # II search, so the sim-equivalence oracles double as a soundness

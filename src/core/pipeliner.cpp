@@ -184,15 +184,10 @@ SoftwarePipeliner::pipeline(const PipelineRequest& request) const
         result.telemetry.scheduler = outcome.scheduler;
         result.telemetry.iiStrategy = outcome.search.strategy;
         result.telemetry.iiWorkers = outcome.search.workers;
-        result.telemetry.iiAttemptsStarted = outcome.search.attemptsStarted;
-        result.telemetry.iiAttemptsCancelled =
-            outcome.search.attemptsCancelled;
-        result.telemetry.iiAttemptsWasted = outcome.search.attemptsWasted;
         result.telemetry.iiAttemptsProvenInfeasible =
             outcome.search.attemptsProvenInfeasible;
         result.telemetry.iiSkipped = outcome.search.skippedIis;
         result.telemetry.iiSearchWallSeconds = outcome.search.wallSeconds;
-        result.telemetry.iiSearchCpuSeconds = outcome.search.cpuSeconds;
 
         phase = support::phaseName(support::Phase::kVerify);
         if (options.verify) {

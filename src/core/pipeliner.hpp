@@ -27,8 +27,8 @@ namespace ims::core {
  *    the exact backend; see sched/schedule.hpp);
  *  - priority: HeightR, forward-progress rule on;
  *  - BudgetRatio 2.0 (the paper's recommendation), maxIiIncrease 4096;
- *  - II search: linear (withIiSearch selects the deterministic racing
- *    or the feedback-guided strategy; see sched/ii_search.hpp);
+ *  - II search: linear (withIiSearch selects the feedback-guided
+ *    strategy; see sched/ii_search.hpp);
  *  - independent schedule verification on;
  *  - no telemetry sink.
  *
@@ -87,7 +87,7 @@ struct PipelinerOptions
 
     /**
      * Replace the II-search policy wholesale (strategy kind, BudgetRatio,
-     * maxIiIncrease, racing worker count).
+     * maxIiIncrease, feedback knobs).
      */
     PipelinerOptions&
     withIiSearch(sched::IiSearchOptions search)
@@ -98,18 +98,15 @@ struct PipelinerOptions
 
     /**
      * Select the II-search strategy, keeping the budget knobs: e.g.
-     * `withIiSearch(sched::IiSearchKind::kRacing, 8)`. `threads` <= 0
-     * means hardware concurrency (racing only). Both the racing and the
-     * feedback-guided strategy are deterministic: the winning II and
-     * schedule are bit-identical to the linear search at any thread
-     * count (see docs/ALGORITHM.md, "II search strategies" and
+     * `withIiSearch(sched::IiSearchKind::kFeedback)`. The feedback-guided
+     * strategy's winning II and schedule are bit-identical to the linear
+     * search (see docs/ALGORITHM.md, "II search strategies" and
      * "Feedback-guided search").
      */
     PipelinerOptions&
-    withIiSearch(sched::IiSearchKind kind, int threads = 0)
+    withIiSearch(sched::IiSearchKind kind)
     {
         schedule.search.kind = kind;
-        schedule.search.threads = threads;
         return *this;
     }
 

@@ -81,8 +81,8 @@ struct Dep
  * contiguous 12-byte entries instead of chasing per-vertex vectors into
  * the edge table. The CSR buffers are built lazily on first query and
  * invalidated by addEdge; the build is guarded by double-checked locking
- * so concurrent readers (the racing II search) are safe, while graph
- * *construction* remains single-threaded as before.
+ * so concurrent readers are safe, while graph *construction* remains
+ * single-threaded as before.
  */
 class DepGraph
 {

@@ -544,7 +544,7 @@ ProgramCompiler::compile(const Program& program) const
     const bool is_while = program.loop.hasEarlyExit();
 
     // (b) The loop section through the full SchedulerStrategy /
-    // IiSearchStrategy stack.
+    // IiSearchKind stack.
     const core::SoftwarePipeliner pipeliner(machine_, options_.pipeline);
     core::PipelineResult loop_result =
         pipeliner.pipeline(core::PipelineRequest(program.loop.body));

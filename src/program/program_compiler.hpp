@@ -82,7 +82,8 @@ struct ControlVars
     std::string scratch = "$t0";
 };
 
-/** One fully compiled program, executable by program::ProgramExecutor. */
+/** One fully compiled program, executable by program::runProgramCompiled
+ *  (program/program_executor.hpp). */
 struct CompiledProgram
 {
     explicit CompiledProgram(Program program)
@@ -186,7 +187,7 @@ struct ProgramCompileResult
 /**
  * The end-to-end driver (the compilation flow of §1): list-schedule the
  * straight-line sections, modulo-schedule the loop through the full
- * SchedulerStrategy / IiSearchStrategy stack, lower the counted-loop
+ * SchedulerStrategy / IiSearchKind stack, lower the counted-loop
  * control to EC/LC initialization statements in the pre-loop block,
  * assign stage predicates for ramp-up/ramp-down, and compress the
  * pipeline into the adjacent blocks where the reservation tables and the

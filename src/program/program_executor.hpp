@@ -98,33 +98,4 @@ programEquivalenceDiagnostics(const Program& program,
 
 } // namespace ims::program
 
-namespace ims::sim {
-
-/**
- * Program-level simulator facade over the section executors: one
- * compiled program, run at any spec. Thin wrapper over
- * program::runProgramCompiled for call sites that want an object.
- */
-class ProgramExecutor
-{
-  public:
-    explicit ProgramExecutor(program::CompiledProgram compiled)
-        : compiled_(std::move(compiled))
-    {
-    }
-
-    const program::CompiledProgram& compiled() const { return compiled_; }
-
-    program::ProgramState
-    run(const program::ProgramSpec& spec) const
-    {
-        return program::runProgramCompiled(compiled_, spec);
-    }
-
-  private:
-    program::CompiledProgram compiled_;
-};
-
-} // namespace ims::sim
-
 #endif // IMS_PROGRAM_PROGRAM_EXECUTOR_HPP

@@ -19,9 +19,7 @@ class ModuloReservationTable;
  * backend (iterative, slack, exact) and every II-search strategy: why an
  * attempt ended, the per-step trace events, the batched hot-path
  * counters, and the AttemptFeedback report the feedback-guided II search
- * mines after a failed attempt. These types used to live in
- * iterative_scheduler.hpp / attempt_state.hpp; the old spellings remain
- * as one-release [[deprecated]] aliases below.
+ * mines after a failed attempt.
  */
 
 /** Why one schedule attempt ended the way it did. */
@@ -155,12 +153,6 @@ struct AttemptFeedback
     /** Reset to the empty (inconclusive) report. */
     void clear();
 };
-
-/** Deprecated spelling of AttemptCounters (moved from
- *  sched/attempt_state.hpp); will be removed next release. */
-using AttemptStats [[deprecated("use sched::AttemptCounters from "
-                                "sched/attempt_feedback.hpp")]] =
-    AttemptCounters;
 
 } // namespace ims::sched
 

@@ -13,10 +13,6 @@
 
 namespace ims::sched {
 
-// The per-attempt instrumentation struct (formerly AttemptStats) moved
-// to sched/attempt_feedback.hpp as AttemptCounters, next to the rest of
-// the strategy-neutral attempt vocabulary.
-
 /**
  * Incremental Estart maintenance for Figure 5(b): per-op cached Estart
  * values updated by delta instead of re-walking every in-edge on each

@@ -409,14 +409,6 @@ runExactSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
                                                counters, options.telemetry);
     const std::int64_t budget = options.exactNodeBudget;
 
-    // Per-worker scheduler instances, exactly as for the iterative
-    // backend: trySchedule reuses the MinDist matrix and compiled-table
-    // cache across candidate IIs, so concurrent attempts must not share
-    // an ExactScheduler.
-    const auto strategy = makeIiSearchStrategy(options.search);
-    const int workers =
-        strategy->plannedWorkers(options.search.maxIiIncrease + 1);
-
     // Feedback strategy plumbing. The exact backend tracks no
     // displacement storm — its failures are exhaustive-search proofs —
     // so its reports carry only the operations with no usable
@@ -436,51 +428,38 @@ runExactSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
         };
     }
 
-    struct WorkerState
-    {
-        support::Counters counters;
-        std::optional<ExactScheduler> scheduler;
+    // One scheduler for the whole walk: trySchedule reuses the MinDist
+    // matrix and compiled-table cache across candidate IIs.
+    support::Counters attempt_counters;
+    ExactScheduler scheduler(loop, machine, graph, sccs, &attempt_counters);
+    const IiAttemptFn attempt = [&](int ii) {
+        attempt_counters = {};
+        IiAttemptOutcome out;
+        out.schedule =
+            scheduler.trySchedule(ii, budget, nullptr, &out.status);
+        out.counters = attempt_counters;
+        if (wants_feedback) {
+            out.feedback.ii = ii;
+            out.feedback.status = out.status;
+            if (out.status == AttemptStatus::kInfeasible) {
+                out.feedback.unplaceable =
+                    collectUnplaceableOps(loop, machine, ii);
+            }
+        }
+        if (out.status == AttemptStatus::kBudgetExhausted) {
+            // An undecided candidate breaks the optimality chain: the
+            // first feasible II is provably optimal only while every II
+            // below it is *proven* infeasible.
+            throw support::CodedError(
+                "exact.budget_exhausted",
+                "exact scheduler exhausted its node budget (" +
+                    std::to_string(budget) + ") at II " +
+                    std::to_string(ii) + " for loop '" + loop.name() +
+                    "' — optimality cannot be proven; raise "
+                    "exactNodeBudget or use the iterative backend");
+        }
+        return out;
     };
-    std::vector<WorkerState> states(static_cast<std::size_t>(workers));
-
-    const IiAttemptFn attempt =
-        [&](int ii, int worker, const support::CancellationToken& cancel) {
-            WorkerState& state = states[static_cast<std::size_t>(worker)];
-            state.counters = {};
-            if (!state.scheduler.has_value()) {
-                state.scheduler.emplace(loop, machine, graph, sccs,
-                                        &state.counters);
-            }
-            IiAttemptOutcome out;
-            AttemptStatus status = AttemptStatus::kBudgetExhausted;
-            out.schedule =
-                state.scheduler->trySchedule(ii, budget, &cancel, &status);
-            out.status = status;
-            out.counters = state.counters;
-            if (wants_feedback) {
-                out.feedback.ii = ii;
-                out.feedback.status = status;
-                if (status == AttemptStatus::kInfeasible) {
-                    out.feedback.unplaceable =
-                        collectUnplaceableOps(loop, machine, ii);
-                }
-            }
-            if (status == AttemptStatus::kBudgetExhausted) {
-                // An undecided candidate breaks the optimality chain: the
-                // first feasible II is provably optimal only while every
-                // II below it is *proven* infeasible. The race engine
-                // parks this and rethrows it iff the linear search would
-                // have reached this II, keeping the failure deterministic.
-                throw support::CodedError(
-                    "exact.budget_exhausted",
-                    "exact scheduler exhausted its node budget (" +
-                        std::to_string(budget) + ") at II " +
-                        std::to_string(ii) + " for loop '" + loop.name() +
-                        "' — optimality cannot be proven; raise "
-                        "exactNodeBudget or use the iterative backend");
-            }
-            return out;
-        };
 
     ModuloScheduleOutcome outcome = runIiSearch(
         options.search, mii.resMii, mii.mii, budget, attempt, probe,

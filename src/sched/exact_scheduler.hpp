@@ -69,8 +69,7 @@ inline constexpr std::int64_t kDefaultExactNodeBudget = 4'000'000;
  *
  * Like IterativeScheduler, an instance reuses buffers (MinDist matrix,
  * compiled-table cache) across candidate IIs and is not safe for
- * concurrent trySchedule calls; the racing II search gives each worker
- * its own instance.
+ * concurrent trySchedule calls.
  */
 class ExactScheduler
 {

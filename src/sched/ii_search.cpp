@@ -1,14 +1,9 @@
 #include "sched/ii_search.hpp"
 
-#include <atomic>
-#include <cassert>
 #include <chrono>
-#include <exception>
-#include <mutex>
-#include <thread>
+#include <utility>
 
 #include "support/error.hpp"
-#include "support/parallel.hpp"
 
 namespace ims::sched {
 
@@ -21,344 +16,6 @@ secondsSince(std::chrono::steady_clock::time_point start)
                                          start)
         .count();
 }
-
-/**
- * The race engine both strategies share. Workers claim candidate IIs off
- * an atomic cursor in increasing order; a successful attempt lowers the
- * cancellation ceiling to its II, which (a) stops further claims above
- * it and (b) cooperatively aborts in-flight attempts above it. The
- * linear strategy is the same engine with one worker run inline — the
- * single worker claims minIi, minIi+1, ... and stops at the first claim
- * above the ceiling, i.e. right after its first success — so the two
- * strategies cannot drift apart behaviourally.
- *
- * Determinism: an attempt at `ii` can be skipped or cancelled only when
- * the ceiling is below `ii`, i.e. only when some attempt at ii' < ii
- * succeeded. The winner is the lowest successful II, so for every
- * ii <= winner no such ii' exists: attempts at ii < winner always run
- * to (deterministic) failure, and the winner's attempt always runs to
- * success. The prefix [minIi, winner] therefore reproduces the linear
- * search exactly; everything at higher IIs is discarded speculation.
- *
- * The feedback strategy adds a pre-claim skip: with a non-null `probe`
- * (single worker only — a probe decision depends on the full attempt
- * history, which concurrent claims would make timing-dependent), each
- * claimed candidate is first offered to the probe together with the most
- * recent failed attempt's feedback report; a proven-infeasible candidate
- * is marked skipped and never attempted. Soundness of the proof is the
- * probe's contract, and it is what preserves the determinism argument:
- * a skipped II is exactly one the linear walk would have attempted and
- * failed, so the winner and everything derived from it are unchanged.
- */
-IiSearchResult
-runRace(int min_ii, int max_ii, int workers, const IiAttemptFn& attempt,
-        const IiInfeasibilityProbe* probe = nullptr)
-{
-    assert(min_ii <= max_ii);
-    assert((probe == nullptr || workers == 1) &&
-           "feedback skipping requires the single-worker walk");
-    const int candidates = max_ii - min_ii + 1;
-
-    struct Slot
-    {
-        bool started = false;
-        bool skipped = false;
-        double seconds = 0.0;
-        IiAttemptOutcome outcome;
-        std::exception_ptr error;
-    };
-
-    /**
-     * Chunked, lazily allocated slot store. The candidate range is
-     * maxIiIncrease+1 wide (4097 by default) but a search normally
-     * touches only [minIi, winner] — a handful of slots — so
-     * value-initialising a flat vector of ~200-byte Slots burned tens of
-     * microseconds per schedule() call on zeroing memory nobody reads.
-     * Chunks materialise on first touch behind a double-checked atomic
-     * pointer (publish with release, read with acquire), so concurrent
-     * workers may allocate distinct chunks race-free while untouched
-     * chunks stay null; a null chunk at assembly time means "no attempt
-     * in this range started".
-     */
-    constexpr int kSlotChunk = 16;
-    const int num_chunks = (candidates + kSlotChunk - 1) / kSlotChunk;
-    struct SlotStore
-    {
-        explicit SlotStore(int num_chunks) : chunks(num_chunks) {}
-        ~SlotStore()
-        {
-            for (auto& chunk : chunks)
-                delete[] chunk.load(std::memory_order_relaxed);
-        }
-        std::vector<std::atomic<Slot*>> chunks;
-        std::mutex allocMutex;
-    };
-    SlotStore store(num_chunks);
-    const auto slot_at = [&](int index) -> Slot& {
-        auto& entry = store.chunks[index / kSlotChunk];
-        Slot* chunk = entry.load(std::memory_order_acquire);
-        if (chunk == nullptr) {
-            std::lock_guard<std::mutex> lock(store.allocMutex);
-            chunk = entry.load(std::memory_order_relaxed);
-            if (chunk == nullptr) {
-                chunk = new Slot[kSlotChunk];
-                entry.store(chunk, std::memory_order_release);
-            }
-        }
-        return chunk[index % kSlotChunk];
-    };
-    /** The slot for `index`, or nullptr when its chunk was never touched
-        (single-threaded assembly use only). */
-    const auto peek_slot = [&](int index) -> Slot* {
-        Slot* chunk = store.chunks[index / kSlotChunk].load(
-            std::memory_order_acquire);
-        return chunk == nullptr ? nullptr : chunk + index % kSlotChunk;
-    };
-
-    support::CancellationToken token;
-    std::atomic<int> cursor{min_ii};
-
-    // Feedback state (single-worker only): the report of the most recent
-    // failed attempt, offered to the probe before each claim is run.
-    const AttemptFeedback* last_feedback = nullptr;
-
-    const auto search_start = std::chrono::steady_clock::now();
-    const auto body = [&](int worker) {
-        while (true) {
-            const int ii = cursor.fetch_add(1, std::memory_order_relaxed);
-            // Claims arrive in increasing II order, so once one claim is
-            // above the ceiling every later claim of this worker would be
-            // too: return instead of spinning through the tail.
-            if (ii > max_ii || token.cancelled(ii))
-                return;
-            Slot& slot = slot_at(ii - min_ii);
-            if (probe != nullptr && last_feedback != nullptr &&
-                last_feedback->conclusive()) {
-                const auto probe_start = std::chrono::steady_clock::now();
-                bool proven = false;
-                try {
-                    proven = (*probe)(ii, *last_feedback);
-                } catch (...) {
-                    slot.error = std::current_exception();
-                    slot.seconds = secondsSince(probe_start);
-                    slot.started = true;
-                    return;
-                }
-                if (proven) {
-                    slot.skipped = true;
-                    slot.seconds = secondsSince(probe_start);
-                    slot.outcome.status = AttemptStatus::kInfeasible;
-                    continue;
-                }
-            }
-            slot.started = true;
-            const auto attempt_start = std::chrono::steady_clock::now();
-            try {
-                slot.outcome = attempt(ii, worker, token);
-            } catch (...) {
-                // Park the exception (threaded bodies must not throw);
-                // the assembly step below rethrows it iff the linear
-                // search would have reached this II. An exception is not
-                // speculation — the deterministic search dies at this II
-                // — so this worker stops claiming candidates instead of
-                // burning through the rest of the range.
-                slot.error = std::current_exception();
-                slot.seconds = secondsSince(attempt_start);
-                return;
-            }
-            slot.seconds = secondsSince(attempt_start);
-            if (slot.outcome.schedule.has_value()) {
-                token.lowerCeiling(ii);
-            } else if (probe != nullptr &&
-                       slot.outcome.status != AttemptStatus::kCancelled) {
-                last_feedback = &slot.outcome.feedback;
-            }
-        }
-    };
-
-    if (workers <= 1) {
-        body(0);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(workers));
-        for (int w = 0; w < workers; ++w)
-            pool.emplace_back(body, w);
-        for (auto& thread : pool)
-            thread.join();
-    }
-
-    IiSearchResult result;
-    result.workers = workers < 1 ? 1 : workers;
-    result.wallSeconds = secondsSince(search_start);
-
-    // The winner is the lowest successful II; a parked exception below it
-    // takes precedence (the linear search would have thrown there before
-    // ever reaching the winner). Exceptions parked *above* the winner
-    // belong to speculative attempts the linear search never runs — they
-    // are discarded with the rest of the speculation.
-    int winner = -1;
-    for (int i = 0; i < candidates; ++i) {
-        Slot* slot = peek_slot(i);
-        if (slot == nullptr) {
-            i += kSlotChunk - 1 - i % kSlotChunk; // skip untouched chunk
-            continue;
-        }
-        if (slot->error != nullptr)
-            std::rethrow_exception(slot->error);
-        if (slot->outcome.schedule.has_value()) {
-            winner = i;
-            break;
-        }
-    }
-
-    const int prefix = winner >= 0 ? winner + 1 : candidates;
-    result.searchedIis = prefix;
-    result.records.reserve(static_cast<std::size_t>(prefix));
-    for (int i = 0; i < prefix; ++i) {
-        // Deterministic-prefix invariant (see the engine comment): every
-        // prefix attempt was claimed and ran to completion, uncancelled,
-        // so its chunk exists; the null/unstarted skips are defensive.
-        Slot* slot = peek_slot(i);
-        if (slot == nullptr) {
-            i += kSlotChunk - 1 - i % kSlotChunk;
-            continue;
-        }
-        if (slot->skipped) {
-            // A probe-proven skip: record it (status kInfeasible, seconds
-            // = probe time) but fold no counters and count no attempt —
-            // the whole point is that no attempt ran. It does not count
-            // toward attemptsProvenInfeasible either, which stays "prefix
-            // *attempts* that ended kInfeasible" across strategies.
-            ++result.skippedIis;
-            result.records.push_back({min_ii + i, false,
-                                      AttemptStatus::kInfeasible,
-                                      slot->seconds, /*skipped=*/true});
-            continue;
-        }
-        if (!slot->started)
-            continue;
-        assert(slot->outcome.status != AttemptStatus::kCancelled);
-        result.counters += slot->outcome.counters;
-        if (slot->outcome.status == AttemptStatus::kInfeasible)
-            ++result.attemptsProvenInfeasible;
-        result.records.push_back({min_ii + i,
-                                  slot->outcome.schedule.has_value(),
-                                  slot->outcome.status, slot->seconds,
-                                  /*skipped=*/false});
-    }
-    if (winner >= 0)
-        result.schedule = std::move(peek_slot(winner)->outcome.schedule);
-
-    for (int i = 0; i < candidates; ++i) {
-        Slot* slot = peek_slot(i);
-        if (slot == nullptr) {
-            i += kSlotChunk - 1 - i % kSlotChunk;
-            continue;
-        }
-        if (!slot->started)
-            continue;
-        ++result.attemptsStarted;
-        result.cpuSeconds += slot->seconds;
-        if (slot->outcome.status == AttemptStatus::kCancelled)
-            ++result.attemptsCancelled;
-        if (winner >= 0 && i > winner)
-            ++result.attemptsWasted;
-    }
-    return result;
-}
-
-class LinearIiSearch final : public IiSearchStrategy
-{
-  public:
-    std::string
-    name() const override
-    {
-        return "linear";
-    }
-
-    int
-    plannedWorkers(int /*candidates*/) const override
-    {
-        return 1;
-    }
-
-    IiSearchResult
-    search(int min_ii, int max_ii, const IiAttemptFn& attempt,
-           const IiInfeasibilityProbe& /*probe*/) const override
-    {
-        return runRace(min_ii, max_ii, 1, attempt);
-    }
-};
-
-class RacingIiSearch final : public IiSearchStrategy
-{
-  public:
-    explicit RacingIiSearch(int threads) : threads_(threads) {}
-
-    std::string
-    name() const override
-    {
-        return "racing";
-    }
-
-    int
-    plannedWorkers(int candidates) const override
-    {
-        return support::resolveThreads(threads_,
-                                       static_cast<std::size_t>(
-                                           candidates < 1 ? 1 : candidates));
-    }
-
-    IiSearchResult
-    search(int min_ii, int max_ii, const IiAttemptFn& attempt,
-           const IiInfeasibilityProbe& /*probe*/) const override
-    {
-        return runRace(min_ii, max_ii,
-                       plannedWorkers(max_ii - min_ii + 1), attempt);
-    }
-
-  private:
-    int threads_;
-};
-
-/**
- * The linear walk plus probe-driven skipping (see the engine comment and
- * ii_search.hpp). Single-worker by design: a skip decision reads the
- * full attempt history, which concurrent claims would make
- * timing-dependent and break the deterministic-prefix contract.
- */
-class FeedbackIiSearch final : public IiSearchStrategy
-{
-  public:
-    explicit FeedbackIiSearch(bool skip_infeasible)
-        : skipInfeasible_(skip_infeasible)
-    {
-    }
-
-    std::string
-    name() const override
-    {
-        return "feedback";
-    }
-
-    int
-    plannedWorkers(int /*candidates*/) const override
-    {
-        return 1;
-    }
-
-    IiSearchResult
-    search(int min_ii, int max_ii, const IiAttemptFn& attempt,
-           const IiInfeasibilityProbe& probe) const override
-    {
-        const bool use_probe = skipInfeasible_ && probe != nullptr;
-        return runRace(min_ii, max_ii, 1, attempt,
-                       use_probe ? &probe : nullptr);
-    }
-
-  private:
-    bool skipInfeasible_;
-};
 
 } // namespace
 
@@ -384,8 +41,6 @@ iiSearchKindName(IiSearchKind kind)
     switch (kind) {
       case IiSearchKind::kLinear:
         return "linear";
-      case IiSearchKind::kRacing:
-        return "racing";
       case IiSearchKind::kFeedback:
         return "feedback";
     }
@@ -397,33 +52,100 @@ iiSearchKindByName(std::string_view name)
 {
     if (name == "linear")
         return IiSearchKind::kLinear;
-    if (name == "racing")
-        return IiSearchKind::kRacing;
     if (name == "feedback")
         return IiSearchKind::kFeedback;
     return std::nullopt;
 }
 
-std::unique_ptr<IiSearchStrategy>
-makeIiSearchStrategy(const IiSearchOptions& options)
+ModuloScheduleOutcome
+runIiSearch(const IiSearchOptions& options, int res_mii, int mii,
+            std::int64_t budget, const IiAttemptFn& attempt,
+            const IiInfeasibilityProbe& probe, support::Counters* counters,
+            support::TelemetrySink* telemetry,
+            const std::function<std::string()>& exhausted_message)
 {
-    support::check(options.budgetRatio > 0, "BudgetRatio must be positive");
-    support::check(options.maxIiIncrease >= 0,
-                   "maxIiIncrease must be non-negative");
-    support::check(options.feedbackSubgraphCap > 0,
-                   "feedbackSubgraphCap must be positive");
-    support::check(options.feedbackProbeBudget > 0,
-                   "feedbackProbeBudget must be positive");
-    switch (options.kind) {
-      case IiSearchKind::kLinear:
-        return std::make_unique<LinearIiSearch>();
-      case IiSearchKind::kRacing:
-        return std::make_unique<RacingIiSearch>(options.threads);
-      case IiSearchKind::kFeedback:
-        return std::make_unique<FeedbackIiSearch>(
-            options.feedbackSkipInfeasible);
+    const bool use_probe = options.kind == IiSearchKind::kFeedback &&
+                           options.feedbackSkipInfeasible && probe != nullptr;
+
+    ModuloScheduleOutcome outcome;
+    outcome.resMii = res_mii;
+    outcome.mii = mii;
+    outcome.budget = budget;
+    IiSearchStats& search = outcome.search;
+    search.strategy = iiSearchKindName(options.kind);
+
+    // Everything the walk learns is held here and published only after
+    // it ends, so an exception from an attempt or the probe leaves the
+    // caller's counters and sink untouched.
+    support::Counters walked;
+    std::optional<ScheduleResult> winner;
+    // The report of the most recent failed attempt, offered to the probe
+    // before the next candidate is attempted. A skip does not replace it.
+    std::optional<AttemptFeedback> last_feedback;
+
+    const auto search_start = std::chrono::steady_clock::now();
+    for (int ii = mii; ii <= mii + options.maxIiIncrease; ++ii) {
+        if (use_probe && last_feedback && last_feedback->conclusive()) {
+            const auto probe_start = std::chrono::steady_clock::now();
+            if (probe(ii, *last_feedback)) {
+                // A probe-proven skip: record it (status kInfeasible,
+                // seconds = probe time) but fold no counters and count
+                // no attempt — the point is that no attempt ran.
+                ++search.skippedIis;
+                search.records.push_back({ii, false,
+                                          AttemptStatus::kInfeasible,
+                                          secondsSince(probe_start),
+                                          /*skipped=*/true});
+                continue;
+            }
+        }
+        const auto attempt_start = std::chrono::steady_clock::now();
+        IiAttemptOutcome out = attempt(ii);
+        const double seconds = secondsSince(attempt_start);
+        walked += out.counters;
+        if (out.status == AttemptStatus::kInfeasible)
+            ++search.attemptsProvenInfeasible;
+        search.records.push_back({ii, out.schedule.has_value(), out.status,
+                                  seconds, /*skipped=*/false});
+        if (out.schedule.has_value()) {
+            winner = std::move(out.schedule);
+            break;
+        }
+        if (use_probe)
+            last_feedback = std::move(out.feedback);
     }
-    throw support::Error("unknown II search kind");
+    search.wallSeconds = secondsSince(search_start);
+    outcome.attempts = static_cast<int>(search.records.size());
+
+    if (counters != nullptr)
+        *counters += walked;
+    if (telemetry != nullptr) {
+        for (const IiAttemptRecord& record : search.records) {
+            support::PhaseSample sample;
+            sample.phase = support::Phase::kIiAttempt;
+            sample.detail = record.ii;
+            sample.seconds = record.seconds;
+            sample.succeeded = record.feasible;
+            telemetry->onPhase(sample);
+        }
+    }
+
+    if (!winner.has_value()) {
+        // The message is built only on this cold path; the code gives
+        // the pipeliner's Diagnostic a stable machine-readable identity.
+        throw support::CodedError("sched.ii_exhausted", exhausted_message());
+    }
+
+    // §4.3: "IterativeSchedule, on all but the last, successful
+    // invocation, expends its entire budget each time." Probe-skipped
+    // candidates never invoked the scheduler, so they bill nothing —
+    // the step saving the feedback strategy exists to deliver.
+    outcome.totalSteps =
+        budget * (outcome.attempts - 1 - search.skippedIis) +
+        winner->stepsUsed;
+    outcome.totalUnschedules = winner->unschedules;
+    outcome.schedule = std::move(*winner);
+    return outcome;
 }
 
 } // namespace ims::sched

@@ -3,35 +3,24 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "sched/iterative_scheduler.hpp"
-#include "support/cancellation.hpp"
 #include "support/counters.hpp"
+#include "support/telemetry.hpp"
 
 namespace ims::sched {
 
 /**
  * How the outer loop of Figure 2 walks the candidate IIs. Both policies
- * return the *lowest feasible* II: linear tries mii, mii+1, ... strictly
- * sequentially; racing launches attempts for several candidate IIs
- * concurrently and cancels in-flight attempts above the lowest success.
+ * walk mii, mii+1, ... one candidate at a time and return the *lowest
+ * feasible* II.
  *
- * Racing is deterministic by construction — see docs/ALGORITHM.md, "II
- * search strategies": an attempt at a candidate II is a pure function of
- * the immutable inputs and the II itself (per-worker scheduler state,
- * per-attempt (seed, ii) RNG derivation), and no attempt below the
- * eventual winner can ever be cancelled, so the returned (ii, schedule)
- * — and every statistic derived from the deterministic prefix
- * [mii, winner] — is bit-identical to the linear search regardless of
- * thread count or timing.
- *
- * Feedback walks the candidates sequentially like linear, but mines each
- * failed attempt's AttemptFeedback report: before attempting the next
+ * Feedback walks the candidates like linear, but mines each failed
+ * attempt's AttemptFeedback report: before attempting the next
  * candidate it asks an infeasibility probe (the exact backend run on the
  * bottleneck subgraph of the failed attempts) whether the candidate is
  * *provably* impossible, and skips it without attempting when so. A
@@ -44,20 +33,19 @@ namespace ims::sched {
 enum class IiSearchKind
 {
     kLinear,
-    kRacing,
     kFeedback,
 };
 
-/** Stable lowercase name ("linear", "racing", "feedback"). */
+/** Stable lowercase name ("linear", "feedback"). */
 std::string iiSearchKindName(IiSearchKind kind);
 
 /** Inverse of iiSearchKindName; nullopt for unknown names. */
 std::optional<IiSearchKind> iiSearchKindByName(std::string_view name);
 
 /**
- * The II-search policy shared by the iterative and the slack modulo
- * schedulers (both consume it through their respective options structs,
- * so the budget/maxIiIncrease knobs exist exactly once).
+ * The II-search policy shared by every scheduling backend (all consume
+ * it through ScheduleOptions::search, so the budget/maxIiIncrease knobs
+ * exist exactly once).
  */
 struct IiSearchOptions
 {
@@ -72,10 +60,6 @@ struct IiSearchOptions
     double budgetRatio = 2.0;
     /** Safety bound on II above the MII before giving up entirely. */
     int maxIiIncrease = 4096;
-    /** Racing worker count; <= 0 means hardware concurrency. Ignored by
-     *  the linear and feedback strategies (both are single-worker; see
-     *  docs/ALGORITHM.md on why feedback skipping cannot race). */
-    int threads = 0;
     /**
      * Feedback strategy: at most this many operations in the bottleneck
      * subgraph handed to the infeasibility probe. Unplaceable operations
@@ -114,13 +98,6 @@ struct IiSearchOptions
     }
 
     IiSearchOptions&
-    withThreads(int t)
-    {
-        threads = t;
-        return *this;
-    }
-
-    IiSearchOptions&
     withFeedbackSubgraphCap(int cap)
     {
         feedbackSubgraphCap = cap;
@@ -146,14 +123,11 @@ struct IiSearchOptions
 std::string attemptStatusName(AttemptStatus status);
 
 /**
- * One schedule attempt at a fixed candidate II, as seen by the search
- * strategy. `counters` is the attempt's *own* batched counter delta (the
- * strategy folds only the deterministic prefix into the search result);
- * `status` reports *why* the attempt ended — in particular it
- * distinguishes kInfeasible (this II is proven impossible; re-trying
- * with a larger budget is pointless) from kBudgetExhausted (undecided),
- * and kCancelled marks an attempt that abandoned work because the
- * token's ceiling dropped below its II mid-run.
+ * One schedule attempt at a fixed candidate II, as seen by the walk.
+ * `counters` is the attempt's *own* batched counter delta; `status`
+ * reports *why* the attempt ended — in particular it distinguishes
+ * kInfeasible (this II is proven impossible; re-trying with a larger
+ * budget is pointless) from kBudgetExhausted (undecided).
  */
 struct IiAttemptOutcome
 {
@@ -162,23 +136,14 @@ struct IiAttemptOutcome
     support::Counters counters;
     /**
      * The attempt's bottleneck report (sched/attempt_feedback.hpp). Every
-     * backend populates it when the search strategy consumes feedback
-     * (the driver passes the backend a sink iff the strategy asks);
-     * otherwise it stays empty and costs nothing.
+     * backend populates it under the feedback strategy; otherwise it
+     * stays empty and costs nothing.
      */
     AttemptFeedback feedback;
 };
 
-/**
- * Callback scheduling one candidate II. `worker` is in
- * [0, plannedWorkers()); the strategy guarantees at most one concurrent
- * invocation per worker index, so per-worker mutable state (scheduler
- * buffers, counters) needs no locking. The token must be polled
- * cooperatively (IterativeScheduler::trySchedule does, once per
- * budget-loop iteration).
- */
-using IiAttemptFn = std::function<IiAttemptOutcome(
-    int ii, int worker, const support::CancellationToken& cancel)>;
+/** Callback scheduling one candidate II. */
+using IiAttemptFn = std::function<IiAttemptOutcome(int ii)>;
 
 /**
  * Infeasibility probe for the feedback strategy: given the next
@@ -186,123 +151,115 @@ using IiAttemptFn = std::function<IiAttemptOutcome(
  * return true iff the candidate is *proven* infeasible (so the search
  * may skip it without attempting). Soundness is the caller's obligation
  * — a skip without a proof would desynchronise the feedback search from
- * linear. The probe is invoked sequentially from the single feedback
- * worker, so it may keep mutable state (the accumulated bottleneck
- * subgraph) without locking.
+ * linear. The walk calls it in II order, so it may keep mutable state
+ * (the accumulated bottleneck subgraph).
  */
 using IiInfeasibilityProbe =
     std::function<bool(int ii, const AttemptFeedback& feedback)>;
 
-/** One candidate II of the deterministic prefix, for telemetry. */
+/** One candidate II the walk visited, for telemetry. */
 struct IiAttemptRecord
 {
     int ii = 0;
     bool feasible = false;
-    /** Why the attempt ended (kScheduled iff `feasible`). Deterministic:
-     *  prefix attempts are never cancelled. */
+    /** Why the attempt ended (kScheduled iff `feasible`). */
     AttemptStatus status = AttemptStatus::kBudgetExhausted;
     /** Wall time of the attempt (nondeterministic; observability only). */
     double seconds = 0.0;
     /** True when the feedback strategy skipped this candidate: the probe
      *  proved it infeasible and no attempt ran (`status` is kInfeasible,
-     *  `seconds` is the probe time). Always false for linear/racing. */
+     *  `seconds` is the probe time). Always false for linear. */
     bool skipped = false;
 };
 
-/** What a strategy's search() returns. */
-struct IiSearchResult
+/**
+ * How the II search went. Everything except `wallSeconds` and the
+ * per-record `seconds` is deterministic.
+ */
+struct IiSearchStats
 {
-    /** The winning schedule; nullopt when every candidate failed. */
-    std::optional<ScheduleResult> schedule;
+    /** "linear" or "feedback". */
+    std::string strategy = "linear";
+    /** Workers the search ran with; always 1 (the walk is sequential). */
+    int workers = 1;
     /**
-     * Length of the deterministic prefix: the number of candidate IIs
-     * the equivalent linear search would have attempted
-     * (winner - minIi + 1, or the whole range on exhaustion). This, the
-     * schedule, `counters` and `records` are bit-identical across
-     * strategies and thread counts.
-     */
-    int searchedIis = 0;
-    /** Counter deltas summed over the deterministic prefix only. */
-    support::Counters counters;
-    /** Per-candidate records for the deterministic prefix, in II order. */
-    std::vector<IiAttemptRecord> records;
-    /**
-     * Prefix attempts that ended with AttemptStatus::kInfeasible — the
-     * candidate II was *proven* impossible (as opposed to merely running
-     * out of budget). Deterministic, like everything derived from the
-     * prefix. Always the case for the exact backend's failed prefix
-     * attempts; the heuristic backends prove it only when some operation
-     * has no usable alternative at that II.
+     * Attempts whose candidate II was *proven* infeasible
+     * (AttemptStatus::kInfeasible), as opposed to running out of budget.
+     * For the exact backend this counts actual optimality proofs (see
+     * sched/exact_scheduler.hpp).
      */
     int attemptsProvenInfeasible = 0;
     /**
-     * Prefix candidates the feedback strategy skipped because the probe
-     * proved them infeasible (subset of searchedIis; their records carry
-     * `skipped`). Deterministic — the single feedback worker's skip
-     * decisions are a pure function of the attempt history. Always 0 for
-     * linear/racing.
+     * Candidates the feedback strategy skipped because its probe proved
+     * them infeasible without attempting them (their records carry
+     * `skipped`; no budget is billed for them). Always 0 for linear.
      */
     int skippedIis = 0;
-
-    // Everything below is observability for the race itself and is NOT
-    // deterministic (it depends on thread scheduling): speculative
-    // attempts above the winner may or may not have started.
-    /** Attempts actually launched (>= searchedIis under racing). */
-    int attemptsStarted = 0;
-    /** Attempts that aborted mid-run via the cancellation token. */
-    int attemptsCancelled = 0;
-    /** Attempts launched above the winning II (their work is discarded). */
-    int attemptsWasted = 0;
-    /** Workers the strategy ran with. */
-    int workers = 1;
     /** End-to-end wall time of the search. */
     double wallSeconds = 0.0;
-    /** Sum of per-attempt wall times — with racing, cpuSeconds >
-     *  wallSeconds measures the achieved overlap. */
-    double cpuSeconds = 0.0;
+    /** One record per visited candidate, in II order. */
+    std::vector<IiAttemptRecord> records;
+};
+
+/** Outcome of modulo scheduling a loop. */
+struct ModuloScheduleOutcome
+{
+    ScheduleResult schedule;
+    /**
+     * Stable name of the backend that produced the schedule
+     * ("iterative", "slack", "exact" — see sched::SchedulerStrategy), so
+     * downstream consumers (telemetry JSON, benches, scripts/check_perf)
+     * can assert which scheduler actually ran.
+     */
+    std::string scheduler = "iterative";
+    /** Resource-constrained lower bound. */
+    int resMii = 1;
+    /** MII = max(ResMII, RecMII) as computed by the production protocol. */
+    int mii = 1;
+    /** Candidate IIs visited, winner included (>= 1): winner - MII + 1,
+     *  probe-skipped candidates included. */
+    int attempts = 0;
+    /** Per-attempt step budget (BudgetRatio * NumberOfOperations). */
+    std::int64_t budget = 0;
+    /** Scheduling steps summed over all attempts, failed ones included. */
+    std::int64_t totalSteps = 0;
+    /** Unschedule steps summed over all attempts. */
+    std::int64_t totalUnschedules = 0;
+    /** II-search strategy identity and per-candidate records. */
+    IiSearchStats search;
 };
 
 /**
- * Strategy interface for the outer II loop. Implementations must return
- * the lowest feasible II in [minIi, maxIi] with deterministic results
- * (see IiSearchKind).
+ * The shared Figure-2 outer loop: walk the candidate IIs mii, mii+1, ...,
+ * mii + options.maxIiIncrease, calling `attempt` on each until one
+ * succeeds. Under IiSearchKind::kFeedback (with feedbackSkipInfeasible
+ * and a non-empty `probe`), each candidate after a failed attempt with a
+ * conclusive report is first offered to `probe`; a proven candidate is
+ * skipped without attempting it.
+ *
+ * When the walk ends — on success or on exhaustion — the attempts'
+ * counter deltas are flushed into `counters`, one Phase::kIiAttempt
+ * sample per visited candidate is replayed into `telemetry` in II order,
+ * and §4.3 budget accounting is applied (every attempted failure bills
+ * its full budget, probe-skipped candidates bill nothing, the winner
+ * bills the steps it used). An exception from `attempt` or `probe`
+ * propagates at once, and then neither `counters` nor `telemetry` has
+ * seen anything of the walk.
+ *
+ * Every backend behind sched::schedule() (iterative, slack, exact) is a
+ * thin wrapper over this walk; they differ only in the attempt callback,
+ * the infeasibility probe they can offer the feedback strategy, and the
+ * exhaustion message.
+ *
+ * @throws support::CodedError (code "sched.ii_exhausted", message built
+ *         lazily from `exhausted_message`) when every candidate fails.
  */
-class IiSearchStrategy
-{
-  public:
-    virtual ~IiSearchStrategy() = default;
-
-    /** Stable strategy name ("linear", "racing", "feedback"). */
-    virtual std::string name() const = 0;
-
-    /**
-     * Worker indices the strategy will use for a range of `candidates`
-     * IIs; the attempt callback sees `worker` < this value. Callers
-     * pre-size per-worker state with it.
-     */
-    virtual int plannedWorkers(int candidates) const = 0;
-
-    /**
-     * Search [minIi, maxIi] (inclusive) for the lowest feasible II.
-     * `probe` is consumed by the feedback strategy only (linear and
-     * racing ignore it); an empty probe makes feedback degenerate to the
-     * linear walk.
-     */
-    virtual IiSearchResult search(int minIi, int maxIi,
-                                  const IiAttemptFn& attempt,
-                                  const IiInfeasibilityProbe& probe) const = 0;
-
-    /** Convenience overload without a probe. */
-    IiSearchResult
-    search(int min_ii, int max_ii, const IiAttemptFn& attempt) const
-    {
-        return search(min_ii, max_ii, attempt, IiInfeasibilityProbe{});
-    }
-};
-
-/** Build the strategy selected by `options`. */
-std::unique_ptr<IiSearchStrategy>
-makeIiSearchStrategy(const IiSearchOptions& options);
+ModuloScheduleOutcome
+runIiSearch(const IiSearchOptions& options, int res_mii, int mii,
+            std::int64_t budget, const IiAttemptFn& attempt,
+            const IiInfeasibilityProbe& probe, support::Counters* counters,
+            support::TelemetrySink* telemetry,
+            const std::function<std::string()>& exhausted_message);
 
 } // namespace ims::sched
 

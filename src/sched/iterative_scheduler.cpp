@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
+#include "mii/mii.hpp"
 #include "sched/attempt_state.hpp"
+#include "sched/feedback_probe.hpp"
 #include "sched/partial_schedule.hpp"
 #include "sched/ready_queue.hpp"
+#include "sched/schedule.hpp"
 
 namespace ims::sched {
 
@@ -68,10 +72,9 @@ class Attempt
         ++stats_.scheduleSteps;
 
         while (!ready_.empty() && budget > 0) {
-            // Cooperative cancellation: when a racing search has already
-            // accepted a lower II, this attempt's remaining work cannot
-            // affect the (deterministic) result — stop within one
-            // budget-loop check. One relaxed load per scheduling step.
+            // Cooperative cancellation: once the token cancels this II,
+            // stop within one budget-loop check. One relaxed load per
+            // scheduling step.
             if (cancel_ != nullptr && cancel_->cancelled(ii_)) {
                 status_ = AttemptStatus::kCancelled;
                 return false;
@@ -344,5 +347,79 @@ IterativeScheduler::trySchedule(int ii, std::int64_t budget,
                                  attempt.stepsUsed(),
                                  attempt.unschedules());
 }
+
+namespace detail {
+
+ModuloScheduleOutcome
+runIterativeSchedule(const ir::Loop& loop,
+                     const machine::MachineModel& machine,
+                     const graph::DepGraph& graph,
+                     const graph::SccResult& sccs,
+                     const ScheduleOptions& options,
+                     support::Counters* counters)
+{
+    const mii::MiiResult mii = mii::computeMii(loop, machine, graph, sccs,
+                                               counters, options.telemetry);
+
+    // NumberOfOperations in Figure 2/3 counts the dependence-graph
+    // operations including the START/STOP pseudo-ops (operation 1 is
+    // START), so a BudgetRatio of 1 affords exactly one scheduling step
+    // per vertex.
+    const std::int64_t budget = std::max<std::int64_t>(
+        1, static_cast<std::int64_t>(std::llround(
+               options.search.budgetRatio * (loop.size() + 2))));
+
+    IterativeScheduleOptions inner = options.inner();
+    inner.telemetry = nullptr; // kIiAttempt samples are replayed by the
+                               // walk once it ends
+
+    // Feedback strategy plumbing: each failed attempt writes its
+    // bottleneck report into the sink; the probe accumulates the
+    // bottleneck subgraph and decides candidates with the exact backend.
+    const bool wants_feedback =
+        options.search.kind == IiSearchKind::kFeedback;
+    AttemptFeedback feedback_sink;
+    if (wants_feedback)
+        inner.feedback = &feedback_sink;
+    std::optional<FeedbackProbe> prober;
+    IiInfeasibilityProbe probe;
+    if (wants_feedback && options.search.feedbackSkipInfeasible) {
+        prober.emplace(loop, machine, graph, sccs,
+                       options.search.feedbackSubgraphCap,
+                       options.search.feedbackProbeBudget);
+        probe = [&prober](int ii, const AttemptFeedback& feedback) {
+            return (*prober)(ii, feedback);
+        };
+    }
+
+    // One scheduler for the whole walk: trySchedule reuses its priority
+    // and compiled-reservation buffers across candidate IIs.
+    support::Counters attempt_counters;
+    IterativeScheduler scheduler(loop, machine, graph, sccs, inner,
+                                 &attempt_counters);
+    const IiAttemptFn attempt = [&](int ii) {
+        attempt_counters = {};
+        IiAttemptOutcome out;
+        out.schedule =
+            scheduler.trySchedule(ii, budget, nullptr, &out.status);
+        out.counters = attempt_counters;
+        if (wants_feedback)
+            out.feedback = feedback_sink;
+        return out;
+    };
+
+    ModuloScheduleOutcome outcome = runIiSearch(
+        options.search, mii.resMii, mii.mii, budget, attempt, probe,
+        counters, options.telemetry, [&] {
+            return "no modulo schedule found for loop '" + loop.name() +
+                   "' within " +
+                   std::to_string(options.search.maxIiIncrease) +
+                   " IIs above the MII";
+        });
+    outcome.scheduler = schedulerStrategyName(SchedulerStrategy::kIterative);
+    return outcome;
+}
+
+} // namespace detail
 
 } // namespace ims::sched

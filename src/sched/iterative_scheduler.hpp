@@ -18,11 +18,6 @@
 
 namespace ims::sched {
 
-// TraceEvent, AttemptStatus and the per-attempt counters moved to
-// sched/attempt_feedback.hpp (the strategy-neutral attempt vocabulary
-// shared by every backend); this header re-exports them via the include
-// above, so existing includers keep compiling unchanged.
-
 /** Options for one iterative-scheduling attempt. */
 struct IterativeScheduleOptions
 {
@@ -50,11 +45,8 @@ struct IterativeScheduleOptions
     AttemptFeedback* feedback = nullptr;
     /**
      * Sink receiving the phases surrounding scheduling (MII bounds, and
-     * the Phase::kIiAttempt samples the II-search driver replays for the
-     * deterministic prefix of candidate IIs — see sched/ii_search.hpp).
-     * trySchedule itself emits nothing: under a racing search the sink
-     * would otherwise observe speculative attempts in a nondeterministic
-     * order.
+     * the Phase::kIiAttempt samples the II walk replays once it ends —
+     * see sched/ii_search.hpp). trySchedule itself emits nothing.
      */
     support::TelemetrySink* telemetry = nullptr;
 };
@@ -86,8 +78,7 @@ struct ScheduleResult
  *
  * A scheduler instance reuses its priority/reservation-table buffers
  * across candidate IIs and is therefore NOT safe for concurrent
- * trySchedule calls; the racing II search gives every worker its own
- * instance (see sched/ii_search.hpp).
+ * trySchedule calls.
  */
 class IterativeScheduler
 {

@@ -15,9 +15,8 @@ namespace {
  * Per-attempt RNG derivation for PriorityScheme::kRandom: a SplitMix64
  * finalizer over (seed, ii), so the permutation is a pure function of
  * the user seed and the candidate II. Every candidate II draws an
- * independent permutation, and — crucially for the racing II search —
- * the draw depends on no shared scheduler state, so concurrent attempts
- * at different IIs reproduce the sequential search bit-for-bit.
+ * independent permutation, and the draw depends on no shared scheduler
+ * state, so an attempt's result depends only on its inputs and its II.
  */
 std::uint64_t
 mixSeedWithIi(std::uint64_t seed, int ii)

@@ -28,8 +28,7 @@ enum class PriorityScheme
     /** Program order (earlier operations first). */
     kSourceOrder,
     /** A random permutation drawn per candidate II from (seed, ii) —
-     *  deterministic with no shared RNG state, so the racing II search
-     *  reproduces it exactly (worst-case baseline). */
+     *  deterministic with no shared RNG state (worst-case baseline). */
     kRandom,
 };
 

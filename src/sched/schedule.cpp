@@ -38,6 +38,12 @@ schedule(const ir::Loop& loop, const machine::MachineModel& machine,
 {
     support::check(options.search.budgetRatio > 0,
                    "BudgetRatio must be positive");
+    support::check(options.search.maxIiIncrease >= 0,
+                   "maxIiIncrease must be non-negative");
+    support::check(options.search.feedbackSubgraphCap > 0,
+                   "feedbackSubgraphCap must be positive");
+    support::check(options.search.feedbackProbeBudget > 0,
+                   "feedbackProbeBudget must be positive");
     support::check(options.trace == nullptr ||
                        (options.search.kind == IiSearchKind::kLinear &&
                         options.strategy == SchedulerStrategy::kIterative),

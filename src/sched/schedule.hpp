@@ -12,7 +12,7 @@
 #include "ir/loop.hpp"
 #include "machine/machine_model.hpp"
 #include "sched/exact_scheduler.hpp"
-#include "sched/modulo_scheduler.hpp"
+#include "sched/ii_search.hpp"
 #include "support/counters.hpp"
 
 namespace ims::sched {
@@ -20,8 +20,8 @@ namespace ims::sched {
 /**
  * Which scheduling backend decides feasibility at each candidate II.
  * All three run under the same Figure-2 outer loop (runIiSearch): the
- * same II-search strategies (linear/racing), cancellation tokens,
- * deterministic-prefix accounting and ii_* telemetry.
+ * same II-search strategies (linear/feedback), budget accounting and
+ * ii_* telemetry.
  */
 enum class SchedulerStrategy
 {
@@ -177,9 +177,10 @@ runExactSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
  *
  * @throws support::CodedError "sched.ii_exhausted" when every candidate
  *         II fails, and "exact.budget_exhausted" when the exact backend
- *         runs out of nodes at a candidate the linear search would have
- *         reached (so results stay bit-identical across strategies and
- *         thread counts).
+ *         runs out of nodes at a candidate the walk reaches.
+ * @throws support::Error before any backend work when `options` is
+ *         invalid (non-positive BudgetRatio, feedback cap or probe
+ *         budget; negative maxIiIncrease).
  */
 ModuloScheduleOutcome schedule(const ir::Loop& loop,
                                const machine::MachineModel& machine,

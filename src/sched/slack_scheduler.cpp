@@ -73,8 +73,7 @@ class SlackAttempt
 
         while (numUnplaced() > 0 && budget > 0) {
             // Same cooperative check as the iterative scheduler's budget
-            // loop: once a racing search accepts a lower II this
-            // attempt's result is dead, stop within one step.
+            // loop: once the token cancels this II, stop within one step.
             if (cancel_ != nullptr && cancel_->cancelled(ii_)) {
                 cancelled_ = true;
                 return false;
@@ -306,10 +305,10 @@ runSlackSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
         2, static_cast<std::int64_t>(std::llround(
                options.search.budgetRatio * (loop.size() + 2))));
 
-    // Feedback strategy plumbing, as in runIterativeSchedule: the
-    // single feedback worker writes each failed attempt's bottleneck
-    // report into the outcome, and the probe decides skips with the
-    // exact backend on the accumulated bottleneck subgraph.
+    // Feedback strategy plumbing, as in runIterativeSchedule: each
+    // failed attempt writes its bottleneck report into the outcome, and
+    // the probe decides skips with the exact backend on the accumulated
+    // bottleneck subgraph.
     const bool wants_feedback =
         options.search.kind == IiSearchKind::kFeedback;
     std::optional<FeedbackProbe> prober;
@@ -324,36 +323,31 @@ runSlackSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
     }
 
     // Every slack attempt builds its state (MinDist matrix, partial
-    // schedule) from scratch, so unlike the iterative scheduler no
-    // per-worker reuse is needed: the attempt callback is already safe
-    // for any worker index.
-    const IiAttemptFn attempt =
-        [&](int ii, int /*worker*/,
-            const support::CancellationToken& cancel) {
-            IiAttemptOutcome out;
-            SlackAttempt attempt(loop, machine, graph, ii, &out.counters,
-                                 &cancel,
-                                 wants_feedback ? &out.feedback : nullptr);
-            std::int64_t steps = 0;
-            std::int64_t unschedules = 0;
-            const bool scheduled = attempt.run(budget, steps, unschedules);
-            if (scheduled)
-                out.status = AttemptStatus::kScheduled;
-            else if (attempt.cancelled())
-                out.status = AttemptStatus::kCancelled;
-            else if (attempt.provenInfeasible())
-                out.status = AttemptStatus::kInfeasible;
-            else
-                out.status = AttemptStatus::kBudgetExhausted;
-            attempt.stats().flushInto(out.counters,
-                                      attempt.schedule().mrt());
-            attempt.flushFeedback(out.status);
-            if (scheduled) {
-                out.schedule = extractScheduleResult(
-                    attempt.schedule(), graph, ii, steps, unschedules);
-            }
-            return out;
-        };
+    // schedule) from scratch, so nothing is reused across candidate IIs.
+    const IiAttemptFn attempt = [&](int ii) {
+        IiAttemptOutcome out;
+        SlackAttempt attempt(loop, machine, graph, ii, &out.counters,
+                             nullptr,
+                             wants_feedback ? &out.feedback : nullptr);
+        std::int64_t steps = 0;
+        std::int64_t unschedules = 0;
+        const bool scheduled = attempt.run(budget, steps, unschedules);
+        if (scheduled)
+            out.status = AttemptStatus::kScheduled;
+        else if (attempt.cancelled())
+            out.status = AttemptStatus::kCancelled;
+        else if (attempt.provenInfeasible())
+            out.status = AttemptStatus::kInfeasible;
+        else
+            out.status = AttemptStatus::kBudgetExhausted;
+        attempt.stats().flushInto(out.counters, attempt.schedule().mrt());
+        attempt.flushFeedback(out.status);
+        if (scheduled) {
+            out.schedule = extractScheduleResult(attempt.schedule(), graph,
+                                                 ii, steps, unschedules);
+        }
+        return out;
+    };
 
     ModuloScheduleOutcome outcome = runIiSearch(
         options.search, mii.resMii, mii.mii, budget, attempt, probe,

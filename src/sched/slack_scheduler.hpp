@@ -5,7 +5,7 @@
 #include "graph/scc.hpp"
 #include "ir/loop.hpp"
 #include "machine/machine_model.hpp"
-#include "sched/modulo_scheduler.hpp"
+#include "sched/ii_search.hpp"
 #include "support/counters.hpp"
 
 namespace ims::sched {

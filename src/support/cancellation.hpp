@@ -7,16 +7,16 @@
 namespace ims::support {
 
 /**
- * Cooperative cancellation for a race between keyed speculative tasks.
+ * Cooperative cancellation for keyed tasks.
  *
  * The token holds a monotonically decreasing *ceiling*; a task whose key
- * lies strictly above the ceiling is cancelled. The intended protocol
- * (used by the racing II search, sched/ii_search.hpp) is:
+ * lies strictly above the ceiling is cancelled. The schedulers'
+ * trySchedule take one (keyed by the candidate II) and poll it once per
+ * scheduling step, returning AttemptStatus::kCancelled once it fires:
  *
- *  - every concurrent task has an integer key (its candidate II);
- *  - when the task with key `k` completes successfully, it calls
- *    `lowerCeiling(k)` — tasks with keys above `k` are now pointless,
- *    tasks at or below `k` keep running (one of them may still beat `k`);
+ *  - every task has an integer key (its candidate II);
+ *  - `lowerCeiling(k)` cancels every task with a key above `k`;
+ *    `cancelAll()` cancels every task (e.g. a request deadline);
  *  - long-running tasks poll `cancelled(my_key)` at their natural
  *    iteration boundary and abandon work when it turns true.
  *

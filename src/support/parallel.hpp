@@ -17,7 +17,7 @@ namespace ims::support {
  * hardware concurrency", and the result is always >= 1 —
  * std::thread::hardware_concurrency() is allowed to return 0 ("not
  * computable") and a zero-thread pool would never make progress. This is
- * the single clamp shared by BatchPipeliner, the racing II search and the
+ * the single clamp shared by BatchPipeliner, the fuzz campaign and the
  * schedule service's persistent worker queue.
  */
 inline int

@@ -376,17 +376,11 @@ PipelineTelemetry::toJson() const
     out += ",\"ii_strategy\":";
     appendJsonString(out, iiStrategy);
     out += ",\"ii_workers\":" + std::to_string(iiWorkers);
-    out += ",\"ii_attempts_started\":" + std::to_string(iiAttemptsStarted);
-    out += ",\"ii_attempts_cancelled\":" +
-           std::to_string(iiAttemptsCancelled);
-    out += ",\"ii_attempts_wasted\":" + std::to_string(iiAttemptsWasted);
     out += ",\"ii_attempts_proven_infeasible\":" +
            std::to_string(iiAttemptsProvenInfeasible);
     out += ",\"ii_skipped\":" + std::to_string(iiSkipped);
     out += ",\"ii_search_wall_seconds\":" +
            formatJsonDouble(iiSearchWallSeconds);
-    out += ",\"ii_search_cpu_seconds\":" +
-           formatJsonDouble(iiSearchCpuSeconds);
     out += ",\"wall_seconds\":" + formatJsonDouble(wallSeconds);
     out += ",\"phases\":[";
     for (std::size_t i = 0; i < phases.size(); ++i) {
@@ -452,20 +446,12 @@ parseTelemetryJson(const std::string& json)
             t.iiStrategy = p.parseString();
         } else if (key == "ii_workers") {
             t.iiWorkers = static_cast<int>(p.parseNumber());
-        } else if (key == "ii_attempts_started") {
-            t.iiAttemptsStarted = static_cast<int>(p.parseNumber());
-        } else if (key == "ii_attempts_cancelled") {
-            t.iiAttemptsCancelled = static_cast<int>(p.parseNumber());
-        } else if (key == "ii_attempts_wasted") {
-            t.iiAttemptsWasted = static_cast<int>(p.parseNumber());
         } else if (key == "ii_attempts_proven_infeasible") {
             t.iiAttemptsProvenInfeasible = static_cast<int>(p.parseNumber());
         } else if (key == "ii_skipped") {
             t.iiSkipped = static_cast<int>(p.parseNumber());
         } else if (key == "ii_search_wall_seconds") {
             t.iiSearchWallSeconds = p.parseNumber();
-        } else if (key == "ii_search_cpu_seconds") {
-            t.iiSearchCpuSeconds = p.parseNumber();
         } else if (key == "wall_seconds") {
             t.wallSeconds = p.parseNumber();
         } else if (key == "phases") {

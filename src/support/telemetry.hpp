@@ -136,33 +136,22 @@ struct PipelineTelemetry
     /** Scheduling backend the run used ("iterative", "slack", "exact";
      *  "" when the run failed before scheduling). */
     std::string scheduler;
-    /** II-search strategy the run used ("linear", "racing"; "" when the
-     *  run failed before scheduling). */
+    /** II-search strategy the run used ("linear", "feedback"; "" when
+     *  the run failed before scheduling). */
     std::string iiStrategy;
-    /** Workers the II search ran with (1 for linear). */
+    /** Workers the II search ran with (always 1: the walk is
+     *  sequential; 0 when the run failed before scheduling). */
     int iiWorkers = 0;
-    /**
-     * Race observability: attempts actually launched / aborted via the
-     * cancellation token / launched above the winning II. Unlike
-     * `attempts` (the deterministic prefix), these depend on thread
-     * timing and are NOT stable across runs.
-     */
-    int iiAttemptsStarted = 0;
-    int iiAttemptsCancelled = 0;
-    int iiAttemptsWasted = 0;
-    /** Attempts in the deterministic prefix that PROVED no schedule
-     *  exists at their II (exact backend; 0 for heuristic backends,
-     *  whose failures are budget exhaustions, not proofs). Stable
-     *  across runs and thread counts. */
+    /** Attempts that PROVED no schedule exists at their II (exact
+     *  backend, or a heuristic backend with an unplaceable operation;
+     *  budget exhaustions are not proofs). Stable across runs. */
     int iiAttemptsProvenInfeasible = 0;
     /** Candidate IIs the feedback search skipped after its probe proved
      *  them infeasible (no attempt ran, no budget billed). Stable across
-     *  runs; 0 for the linear and racing strategies. */
+     *  runs; 0 for the linear strategy. */
     int iiSkipped = 0;
-    /** Wall-clock vs summed per-attempt time of the II search — their
-     *  ratio is the overlap the racing strategy achieved. */
+    /** Wall-clock time of the II search. */
     double iiSearchWallSeconds = 0.0;
-    double iiSearchCpuSeconds = 0.0;
     /** End-to-end wall time of the run. */
     double wallSeconds = 0.0;
     /** Every reported phase, in execution order. */

@@ -194,7 +194,7 @@ TEST(EstartTest, DisplacementStormKeepsCacheAndOracleInAgreement)
     EXPECT_GT(counters.unscheduleSteps, 0u);
 }
 
-TEST(EstartTest, FuzzLoopsMatchOracleAndStayThreadInvariant)
+TEST(EstartTest, FuzzLoopsMatchOracle)
 {
     const auto machine = machine::cydra5();
     support::Rng rng(20260808);
@@ -204,36 +204,6 @@ TEST(EstartTest, FuzzLoopsMatchOracleAndStayThreadInvariant)
         const auto loop = workloads::generateLoop(
             rng, "estart_fuzz_" + std::to_string(i), profile);
         checkKernelAgainstOracle(loop, machine, oracle_counters);
-
-        // The incremental-hit counter is part of the deterministic
-        // prefix, so racing searches must reproduce it bit-for-bit at
-        // every thread count (alongside the schedule itself).
-        sched::ScheduleOptions linear;
-        support::Counters linear_counters;
-        const auto expected =
-            sched::schedule(loop, machine, linear, &linear_counters);
-        for (const int threads : {1, 4, 8}) {
-            sched::ScheduleOptions racing;
-            racing.search.withKind(sched::IiSearchKind::kRacing)
-                .withThreads(threads);
-            support::Counters racing_counters;
-            const auto got =
-                sched::schedule(loop, machine, racing, &racing_counters);
-            const std::string context =
-                loop.name() + " threads=" + std::to_string(threads);
-            EXPECT_EQ(expected.schedule.ii, got.schedule.ii) << context;
-            EXPECT_EQ(expected.schedule.times, got.schedule.times)
-                << context;
-            EXPECT_EQ(expected.schedule.alternatives,
-                      got.schedule.alternatives)
-                << context;
-            EXPECT_EQ(linear_counters.estartIncrementalHits,
-                      racing_counters.estartIncrementalHits)
-                << context;
-            EXPECT_EQ(linear_counters.estartPredecessorVisits,
-                      racing_counters.estartPredecessorVisits)
-                << context;
-        }
     }
     EXPECT_GT(oracle_counters.estartIncrementalHits, 0u);
 }

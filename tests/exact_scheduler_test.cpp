@@ -130,47 +130,6 @@ TEST(ExactSchedulerTest, ProvesMiiInfeasibleOnAdversarialMachine)
         sched::verifySchedule(loop, machine, g, outcome.schedule).empty());
 }
 
-/** The racing II search must produce bit-identical deterministic results
- *  for the exact backend at any worker count, including the
- *  proven-infeasible accounting. */
-TEST(ExactSchedulerTest, RacingMatchesLinearBitIdentically)
-{
-    support::Rng rng(777013);
-    const auto machine = fuzz::generateMachine(rng, "m13");
-    const auto loop =
-        workloads::generateLoop(rng, "gap_13", workloads::fuzzProfile());
-    const auto g = graph::buildDepGraph(loop, machine);
-    const auto sccs = graph::findSccs(g);
-
-    const auto linear =
-        sched::schedule(loop, machine, g, sccs, exactOptions());
-    for (const int threads : {2, 4}) {
-        auto options = exactOptions();
-        options.search.kind = sched::IiSearchKind::kRacing;
-        options.search.threads = threads;
-        const auto racing =
-            sched::schedule(loop, machine, g, sccs, options);
-        EXPECT_EQ(racing.schedule.ii, linear.schedule.ii);
-        EXPECT_EQ(racing.schedule.times, linear.schedule.times);
-        EXPECT_EQ(racing.schedule.alternatives,
-                  linear.schedule.alternatives);
-        EXPECT_EQ(racing.mii, linear.mii);
-        EXPECT_EQ(racing.attempts, linear.attempts);
-        EXPECT_EQ(racing.totalSteps, linear.totalSteps);
-        EXPECT_EQ(racing.scheduler, "exact");
-        EXPECT_EQ(racing.search.attemptsProvenInfeasible,
-                  linear.search.attemptsProvenInfeasible);
-        ASSERT_EQ(racing.search.records.size(),
-                  linear.search.records.size());
-        for (std::size_t i = 0; i < linear.search.records.size(); ++i) {
-            EXPECT_EQ(racing.search.records[i].ii,
-                      linear.search.records[i].ii);
-            EXPECT_EQ(racing.search.records[i].status,
-                      linear.search.records[i].status);
-        }
-    }
-}
-
 /** Direct unit test of the decision statuses: an II below feasibility is
  *  *proven* infeasible, and a tiny budget reports exhaustion, not
  *  infeasibility. */

@@ -1,14 +1,13 @@
 /**
  * @file
- * Tests for the feedback-guided II search: strategy mechanics with
+ * Tests for the feedback-guided II search: walk mechanics with
  * synthetic attempts/probes, bit-identity of the winning schedule
  * against the linear search (kernel corpus + fuzz loops, iterative and
- * slack backends, thread counts that must be ignored), the soundness
- * property that every skipped candidate II is confirmed infeasible by
- * the exact full-loop backend, AttemptFeedback population by the
- * schedulers, accounting of skipped candidates, and the options-codec
- * normalization that lets feedback requests share cache lines with
- * linear ones.
+ * slack backends), the soundness property that every skipped candidate
+ * II is confirmed infeasible by the exact full-loop backend,
+ * AttemptFeedback population by the schedulers, accounting of skipped
+ * candidates, and the options-codec normalization that lets feedback
+ * requests share cache lines with linear ones.
  */
 #include <gtest/gtest.h>
 
@@ -119,40 +118,16 @@ gapOpIndex(const ir::Loop& loop)
     return -1;
 }
 
-// ---------------------------------------------------------------------------
-// Naming, validation, worker planning.
-
 TEST(FeedbackSearchTest, KindNameRoundTrips)
 {
     EXPECT_EQ(sched::iiSearchKindName(sched::IiSearchKind::kFeedback),
               "feedback");
     EXPECT_EQ(sched::iiSearchKindByName("feedback"),
               sched::IiSearchKind::kFeedback);
-
-    const auto strategy = sched::makeIiSearchStrategy(
-        sched::IiSearchOptions{}.withKind(sched::IiSearchKind::kFeedback));
-    EXPECT_EQ(strategy->name(), "feedback");
-    // Skip decisions depend on the full attempt history, so the strategy
-    // is single-worker regardless of the requested thread count.
-    EXPECT_EQ(strategy->plannedWorkers(100), 1);
-}
-
-TEST(FeedbackSearchTest, MakeStrategyRejectsBadFeedbackKnobs)
-{
-    EXPECT_THROW(sched::makeIiSearchStrategy(
-                     sched::IiSearchOptions{}
-                         .withKind(sched::IiSearchKind::kFeedback)
-                         .withFeedbackSubgraphCap(0)),
-                 support::Error);
-    EXPECT_THROW(sched::makeIiSearchStrategy(
-                     sched::IiSearchOptions{}
-                         .withKind(sched::IiSearchKind::kFeedback)
-                         .withFeedbackProbeBudget(0)),
-                 support::Error);
 }
 
 // ---------------------------------------------------------------------------
-// Strategy mechanics with synthetic attempts and probes.
+// Walk mechanics with synthetic attempts and probes.
 
 /** Fails below `first_feasible` with a conclusive feedback report. */
 sched::IiAttemptOutcome
@@ -173,11 +148,17 @@ fakeAttempt(int ii, int first_feasible)
     return out;
 }
 
+const sched::IiSearchOptions kFeedbackSearch =
+    sched::IiSearchOptions{}.withKind(sched::IiSearchKind::kFeedback);
+
+std::string
+noLuck()
+{
+    return "no luck";
+}
+
 TEST(FeedbackSearchTest, ProbeProvenCandidatesAreSkipped)
 {
-    const auto strategy = sched::makeIiSearchStrategy(
-        sched::IiSearchOptions{}.withKind(sched::IiSearchKind::kFeedback));
-
     // The probe sees (candidate II, latest *attempted* failure's report):
     // a skip must not advance the report the next probe call receives.
     std::vector<std::pair<int, int>> probed;
@@ -186,29 +167,30 @@ TEST(FeedbackSearchTest, ProbeProvenCandidatesAreSkipped)
         return ii == 5 || ii == 7;
     };
 
-    const auto result = strategy->search(
-        3, 40,
-        [&](int ii, int worker, const support::CancellationToken&) {
-            EXPECT_EQ(worker, 0);
+    std::vector<int> attempted;
+    support::Counters counters;
+    const auto outcome = sched::runIiSearch(
+        kFeedbackSearch, 3, 3, /*budget=*/10,
+        [&](int ii) {
+            attempted.push_back(ii);
             return fakeAttempt(ii, /*first_feasible=*/10);
         },
-        probe);
+        probe, &counters, nullptr, noLuck);
 
-    ASSERT_TRUE(result.schedule.has_value());
-    EXPECT_EQ(result.schedule->ii, 10);
-    // The deterministic prefix is the full linear range 3..10; 5 and 7
-    // were skipped inside it.
-    EXPECT_EQ(result.searchedIis, 8);
-    EXPECT_EQ(result.skippedIis, 2);
-    EXPECT_EQ(result.attemptsStarted, 6);
-    EXPECT_EQ(result.attemptsWasted, 0);
-    EXPECT_EQ(result.workers, 1);
-    // Counters fold attempted candidates only: 3,4,6,8,9,10.
-    EXPECT_EQ(result.counters.scheduleSteps, 6u * 10u);
+    EXPECT_EQ(outcome.schedule.ii, 10);
+    EXPECT_EQ(outcome.search.strategy, "feedback");
+    // The walk visits the full linear range 3..10; 5 and 7 were skipped
+    // inside it.
+    EXPECT_EQ(outcome.attempts, 8);
+    EXPECT_EQ(outcome.search.skippedIis, 2);
+    EXPECT_EQ(attempted, (std::vector<int>{3, 4, 6, 8, 9, 10}));
+    // Counters fold attempted candidates only; skips bill no budget.
+    EXPECT_EQ(counters.scheduleSteps, 6u * 10u);
+    EXPECT_EQ(outcome.totalSteps, 5 * 10 + 7);
 
-    ASSERT_EQ(result.records.size(), 8u);
+    ASSERT_EQ(outcome.search.records.size(), 8u);
     for (int i = 0; i < 8; ++i) {
-        const auto& record = result.records[i];
+        const auto& record = outcome.search.records[i];
         EXPECT_EQ(record.ii, 3 + i);
         EXPECT_EQ(record.skipped, record.ii == 5 || record.ii == 7);
         EXPECT_EQ(record.feasible, record.ii == 10);
@@ -227,12 +209,12 @@ TEST(FeedbackSearchTest, ProbeProvenCandidatesAreSkipped)
 
 TEST(FeedbackSearchTest, InconclusiveFeedbackNeverConsultsTheProbe)
 {
-    const auto strategy = sched::makeIiSearchStrategy(
-        sched::IiSearchOptions{}.withKind(sched::IiSearchKind::kFeedback));
     int probes = 0;
-    const auto result = strategy->search(
-        3, 40,
-        [&](int ii, int, const support::CancellationToken&) {
+    int attempts = 0;
+    const auto outcome = sched::runIiSearch(
+        kFeedbackSearch, 3, 3, 10,
+        [&](int ii) {
+            ++attempts;
             auto out = fakeAttempt(ii, /*first_feasible=*/6);
             out.feedback.clear(); // nothing usable to mine
             return out;
@@ -240,38 +222,39 @@ TEST(FeedbackSearchTest, InconclusiveFeedbackNeverConsultsTheProbe)
         [&](int, const sched::AttemptFeedback&) {
             ++probes;
             return true;
-        });
-    ASSERT_TRUE(result.schedule.has_value());
-    EXPECT_EQ(result.schedule->ii, 6);
+        },
+        nullptr, nullptr, noLuck);
+    EXPECT_EQ(outcome.schedule.ii, 6);
     EXPECT_EQ(probes, 0);
-    EXPECT_EQ(result.skippedIis, 0);
-    EXPECT_EQ(result.attemptsStarted, 4);
+    EXPECT_EQ(outcome.search.skippedIis, 0);
+    EXPECT_EQ(attempts, 4);
 }
 
 TEST(FeedbackSearchTest, SkippingCanBeDisabled)
 {
     // withFeedbackSkipInfeasible(false) must reduce to the plain linear
     // walk even when a probe is supplied and would prove everything.
-    const auto strategy = sched::makeIiSearchStrategy(
-        sched::IiSearchOptions{}
-            .withKind(sched::IiSearchKind::kFeedback)
-            .withFeedbackSkipInfeasible(false));
     int probes = 0;
-    const auto result = strategy->search(
-        3, 40,
-        [&](int ii, int, const support::CancellationToken&) {
+    int attempts = 0;
+    support::Counters counters;
+    const auto outcome = sched::runIiSearch(
+        sched::IiSearchOptions{kFeedbackSearch}.withFeedbackSkipInfeasible(
+            false),
+        3, 3, 10,
+        [&](int ii) {
+            ++attempts;
             return fakeAttempt(ii, /*first_feasible=*/6);
         },
         [&](int, const sched::AttemptFeedback&) {
             ++probes;
             return true;
-        });
-    ASSERT_TRUE(result.schedule.has_value());
-    EXPECT_EQ(result.schedule->ii, 6);
+        },
+        &counters, nullptr, noLuck);
+    EXPECT_EQ(outcome.schedule.ii, 6);
     EXPECT_EQ(probes, 0);
-    EXPECT_EQ(result.skippedIis, 0);
-    EXPECT_EQ(result.attemptsStarted, 4);
-    EXPECT_EQ(result.counters.scheduleSteps, 4u * 10u);
+    EXPECT_EQ(outcome.search.skippedIis, 0);
+    EXPECT_EQ(attempts, 4);
+    EXPECT_EQ(counters.scheduleSteps, 4u * 10u);
 }
 
 // ---------------------------------------------------------------------------
@@ -380,21 +363,13 @@ TEST(FeedbackSearchTest, MatchesLinearOnKernelCorpus)
             sched::ScheduleOptions linear;
             const auto expected = sched::schedule(w.loop, machine, linear);
 
-            // The feedback strategy is single-worker; the thread knob
-            // must be ignored, not change results.
-            for (const int threads : {1, 4, 8}) {
-                sched::ScheduleOptions fb;
-                fb.search.withKind(sched::IiSearchKind::kFeedback)
-                    .withThreads(threads);
-                const auto got = sched::schedule(w.loop, machine, fb);
-                const std::string context =
-                    machine.name() + "/" + w.loop.name() + " threads=" +
-                    std::to_string(threads);
-                expectFeedbackMatchesLinear(expected, got, context);
-                if (got.search.skippedIis > 0)
-                    expectSkipsProvenInfeasible(w.loop, machine, got,
-                                                context);
-            }
+            sched::ScheduleOptions fb;
+            fb.search.withKind(sched::IiSearchKind::kFeedback);
+            const auto got = sched::schedule(w.loop, machine, fb);
+            const std::string context = machine.name() + "/" + w.loop.name();
+            expectFeedbackMatchesLinear(expected, got, context);
+            if (got.search.skippedIis > 0)
+                expectSkipsProvenInfeasible(w.loop, machine, got, context);
         }
     }
 }

@@ -93,30 +93,6 @@ TEST(Campaign, ReportIsDeterministicAcrossRunsAndThreadCounts)
     EXPECT_EQ(first.toJson(), serial.toJson());
 }
 
-// The racing II search must be invisible in the report: same cases under
-// linear and racing pipelines, at different campaign and race thread
-// counts, produce byte-identical JSON (the thread-invariance oracle from
-// ISSUE.md, exercised through the campaign's sim-equivalence stack).
-TEST(Campaign, RacingIiSearchIsThreadInvariant)
-{
-    fuzz::CampaignOptions options;
-    options.seed = 20260806;
-    options.cases = 30;
-    options.reproDir = "";
-
-    options.threads = 1;
-    const auto linear = fuzz::runCampaign(options);
-
-    options.pipeline = core::PipelinerOptions{}.withIiSearch(
-        sched::IiSearchKind::kRacing, 2);
-    const auto racing_serial = fuzz::runCampaign(options);
-    options.threads = 4;
-    const auto racing_parallel = fuzz::runCampaign(options);
-
-    EXPECT_EQ(linear.toJson(), racing_serial.toJson());
-    EXPECT_EQ(linear.toJson(), racing_parallel.toJson());
-}
-
 TEST(Campaign, SmokeRunIsClean)
 {
     fuzz::CampaignOptions options;

@@ -1,107 +1,64 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "graph/graph_builder.hpp"
 #include "graph/scc.hpp"
 #include "machine/cydra5.hpp"
-#include "machine/machines.hpp"
-#include "sched/ii_search.hpp"
 #include "sched/attempt_feedback.hpp"
+#include "sched/ii_search.hpp"
 #include "sched/iterative_scheduler.hpp"
 #include "sched/schedule.hpp"
 #include "support/cancellation.hpp"
 #include "support/error.hpp"
-#include "support/rng.hpp"
+#include "support/telemetry.hpp"
 #include "workloads/kernels.hpp"
-#include "workloads/random_loops.hpp"
 
 namespace {
 
 using namespace ims;
 
-void
-expectCountersEqual(const support::Counters& a, const support::Counters& b,
-                    const std::string& context)
-{
-    EXPECT_EQ(a.sccEdgeVisits, b.sccEdgeVisits) << context;
-    EXPECT_EQ(a.resMiiInspections, b.resMiiInspections) << context;
-    EXPECT_EQ(a.minDistInnerSteps, b.minDistInnerSteps) << context;
-    EXPECT_EQ(a.minDistInvocations, b.minDistInvocations) << context;
-    EXPECT_EQ(a.heightRInnerSteps, b.heightRInnerSteps) << context;
-    EXPECT_EQ(a.estartPredecessorVisits, b.estartPredecessorVisits)
-        << context;
-    EXPECT_EQ(a.estartIncrementalHits, b.estartIncrementalHits) << context;
-    EXPECT_EQ(a.findTimeSlotProbes, b.findTimeSlotProbes) << context;
-    EXPECT_EQ(a.scheduleSteps, b.scheduleSteps) << context;
-    EXPECT_EQ(a.unscheduleSteps, b.unscheduleSteps) << context;
-    EXPECT_EQ(a.mrtMaskProbes, b.mrtMaskProbes) << context;
-    EXPECT_EQ(a.mrtSlotScans, b.mrtSlotScans) << context;
-}
-
-/** Everything a bit-identity claim covers: the schedule itself, the MII
- *  facts, and every statistic derived from the deterministic prefix. */
-void
-expectOutcomesIdentical(const sched::ModuloScheduleOutcome& a,
-                        const sched::ModuloScheduleOutcome& b,
-                        const std::string& context)
-{
-    EXPECT_EQ(a.schedule.ii, b.schedule.ii) << context;
-    EXPECT_EQ(a.schedule.times, b.schedule.times) << context;
-    EXPECT_EQ(a.schedule.alternatives, b.schedule.alternatives) << context;
-    EXPECT_EQ(a.schedule.scheduleLength, b.schedule.scheduleLength)
-        << context;
-    EXPECT_EQ(a.schedule.stepsUsed, b.schedule.stepsUsed) << context;
-    EXPECT_EQ(a.schedule.unschedules, b.schedule.unschedules) << context;
-    EXPECT_EQ(a.resMii, b.resMii) << context;
-    EXPECT_EQ(a.mii, b.mii) << context;
-    EXPECT_EQ(a.attempts, b.attempts) << context;
-    EXPECT_EQ(a.budget, b.budget) << context;
-    EXPECT_EQ(a.totalSteps, b.totalSteps) << context;
-    EXPECT_EQ(a.totalUnschedules, b.totalUnschedules) << context;
-    EXPECT_EQ(a.scheduler, b.scheduler) << context;
-    EXPECT_EQ(a.search.attemptsProvenInfeasible,
-              b.search.attemptsProvenInfeasible)
-        << context;
-    ASSERT_EQ(a.search.records.size(), b.search.records.size()) << context;
-    for (std::size_t i = 0; i < a.search.records.size(); ++i) {
-        EXPECT_EQ(a.search.records[i].ii, b.search.records[i].ii)
-            << context;
-        EXPECT_EQ(a.search.records[i].feasible,
-                  b.search.records[i].feasible)
-            << context;
-        EXPECT_EQ(a.search.records[i].status, b.search.records[i].status)
-            << context;
-    }
-}
-
 TEST(IiSearchTest, KindNamesRoundTrip)
 {
     EXPECT_EQ(sched::iiSearchKindName(sched::IiSearchKind::kLinear),
               "linear");
-    EXPECT_EQ(sched::iiSearchKindName(sched::IiSearchKind::kRacing),
-              "racing");
     EXPECT_EQ(sched::iiSearchKindByName("linear"),
               sched::IiSearchKind::kLinear);
-    EXPECT_EQ(sched::iiSearchKindByName("racing"),
-              sched::IiSearchKind::kRacing);
+    EXPECT_FALSE(sched::iiSearchKindByName("racing").has_value());
     EXPECT_FALSE(sched::iiSearchKindByName("bogus").has_value());
 }
 
-TEST(IiSearchTest, MakeStrategyRejectsBadOptions)
+TEST(IiSearchTest, ScheduleRejectsBadOptionsBeforeAnyBackendWork)
 {
-    EXPECT_THROW(sched::makeIiSearchStrategy(
-                     sched::IiSearchOptions{}.withBudgetRatio(0.0)),
-                 support::Error);
-    EXPECT_THROW(sched::makeIiSearchStrategy(
-                     sched::IiSearchOptions{}.withMaxIiIncrease(-1)),
-                 support::Error);
+    const auto machine = machine::cydra5();
+    const auto w = workloads::kernelByName("daxpy");
+    const auto bad = {
+        sched::IiSearchOptions{}.withBudgetRatio(0.0),
+        sched::IiSearchOptions{}.withMaxIiIncrease(-1),
+        sched::IiSearchOptions{}
+            .withKind(sched::IiSearchKind::kFeedback)
+            .withFeedbackSubgraphCap(0),
+        sched::IiSearchOptions{}
+            .withKind(sched::IiSearchKind::kFeedback)
+            .withFeedbackProbeBudget(0),
+    };
+    for (const auto& search : bad) {
+        support::TelemetryRecorder recorder;
+        sched::ScheduleOptions options;
+        options.withSearch(search).withTelemetry(&recorder);
+        support::Counters counters;
+        EXPECT_THROW(sched::schedule(w.loop, machine, options, &counters),
+                     support::Error);
+        // The check precedes the MII computation: no phase ran.
+        EXPECT_TRUE(recorder.record().phases.empty());
+        EXPECT_EQ(counters.minDistInvocations, 0u);
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Strategy-level behaviour with synthetic attempt callbacks.
+// The walk with synthetic attempt callbacks.
 
 sched::IiAttemptOutcome
 fakeAttempt(int ii, int first_feasible)
@@ -118,49 +75,43 @@ fakeAttempt(int ii, int first_feasible)
     return out;
 }
 
-TEST(IiSearchTest, RacingReturnsLowestFeasibleIiWithDeterministicPrefix)
+std::string
+noLuck()
 {
-    const auto strategy = sched::makeIiSearchStrategy(
-        sched::IiSearchOptions{}.withKind(sched::IiSearchKind::kRacing)
-            .withThreads(4));
-    const auto result = strategy->search(
-        3, 40, [&](int ii, int, const support::CancellationToken&) {
-            return fakeAttempt(ii, /*first_feasible=*/7);
-        });
-
-    ASSERT_TRUE(result.schedule.has_value());
-    EXPECT_EQ(result.schedule->ii, 7);
-    EXPECT_EQ(result.searchedIis, 5); // 3,4,5,6 fail; 7 wins
-    // Counter folds cover exactly the deterministic prefix, even if
-    // speculative attempts above 7 also ran.
-    EXPECT_EQ(result.counters.scheduleSteps, 5u * 10u);
-    ASSERT_EQ(result.records.size(), 5u);
-    for (int i = 0; i < 5; ++i) {
-        EXPECT_EQ(result.records[i].ii, 3 + i);
-        EXPECT_EQ(result.records[i].feasible, 3 + i == 7);
-    }
-    EXPECT_GE(result.attemptsStarted, result.searchedIis);
-    EXPECT_EQ(result.attemptsWasted,
-              result.attemptsStarted - result.searchedIis);
+    return "no luck";
 }
 
-TEST(IiSearchTest, LinearStrategyStopsAtTheWinner)
+TEST(IiSearchTest, LinearWalkStopsAtTheWinner)
 {
-    const auto strategy =
-        sched::makeIiSearchStrategy(sched::IiSearchOptions{});
-    std::atomic<int> calls{0};
-    const auto result = strategy->search(
-        2, 100, [&](int ii, int worker, const support::CancellationToken&) {
-            ++calls;
-            EXPECT_EQ(worker, 0);
+    std::vector<int> visited;
+    support::Counters counters;
+    support::TelemetryRecorder recorder;
+    const auto outcome = sched::runIiSearch(
+        sched::IiSearchOptions{}, 1, 2, /*budget=*/10,
+        [&](int ii) {
+            visited.push_back(ii);
             return fakeAttempt(ii, /*first_feasible=*/5);
-        });
-    ASSERT_TRUE(result.schedule.has_value());
-    EXPECT_EQ(result.schedule->ii, 5);
-    EXPECT_EQ(calls.load(), 4);
-    EXPECT_EQ(result.attemptsStarted, 4);
-    EXPECT_EQ(result.attemptsWasted, 0);
-    EXPECT_EQ(result.workers, 1);
+        },
+        {}, &counters, &recorder, noLuck);
+
+    EXPECT_EQ(visited, (std::vector<int>{2, 3, 4, 5}));
+    EXPECT_EQ(outcome.schedule.ii, 5);
+    EXPECT_EQ(outcome.attempts, 4);
+    EXPECT_EQ(outcome.search.strategy, "linear");
+    EXPECT_EQ(outcome.search.workers, 1);
+    // §4.3 billing: three failures at the full budget, then the winner.
+    EXPECT_EQ(outcome.totalSteps, 3 * 10 + 7);
+    EXPECT_EQ(counters.scheduleSteps, 4u * 10u);
+    ASSERT_EQ(outcome.search.records.size(), 4u);
+    ASSERT_EQ(recorder.record().phases.size(), 4u);
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(outcome.search.records[i].ii, 2 + i);
+        EXPECT_EQ(outcome.search.records[i].feasible, i == 3);
+        EXPECT_EQ(recorder.record().phases[i].phase,
+                  support::Phase::kIiAttempt);
+        EXPECT_EQ(recorder.record().phases[i].detail, 2 + i);
+        EXPECT_EQ(recorder.record().phases[i].succeeded, i == 3);
+    }
 }
 
 TEST(IiSearchTest, ExhaustedSearchThrowsCodedError)
@@ -169,18 +120,40 @@ TEST(IiSearchTest, ExhaustedSearchThrowsCodedError)
     try {
         sched::runIiSearch(
             sched::IiSearchOptions{}.withMaxIiIncrease(3), 2, 2, 10,
-            [&](int ii, int, const support::CancellationToken&) {
-                return fakeAttempt(ii, /*first_feasible=*/1000);
-            },
-            &counters, nullptr, [] { return std::string("no luck"); });
+            [&](int ii) { return fakeAttempt(ii, /*first_feasible=*/1000); },
+            {}, &counters, nullptr, noLuck);
         FAIL() << "runIiSearch must throw on exhaustion";
     } catch (const support::CodedError& error) {
         EXPECT_EQ(error.code(), "sched.ii_exhausted");
         EXPECT_NE(std::string(error.what()).find("no luck"),
                   std::string::npos);
     }
-    // The whole exhausted range is the deterministic prefix.
+    // Exhaustion still publishes the whole walk before throwing.
     EXPECT_EQ(counters.scheduleSteps, 4u * 10u);
+}
+
+TEST(IiSearchTest, ThrowingAttemptLeavesCountersAndSinkUntouched)
+{
+    // The walk publishes counters and ii_attempt samples only once it
+    // ends: an attempt that throws after an earlier failure (with a
+    // nonzero counter delta) must leave the caller's accounting exactly
+    // as it was.
+    support::Counters counters;
+    counters.scheduleSteps = 3;
+    support::TelemetryRecorder recorder;
+    int calls = 0;
+    EXPECT_THROW(sched::runIiSearch(
+                     sched::IiSearchOptions{}, 4, 4, 10,
+                     [&](int ii) {
+                         if (++calls == 2)
+                             throw std::runtime_error("attempt failed");
+                         return fakeAttempt(ii, /*first_feasible=*/100);
+                     },
+                     {}, &counters, &recorder, noLuck),
+                 std::runtime_error);
+    EXPECT_EQ(calls, 2);
+    EXPECT_EQ(counters.scheduleSteps, 3u);
+    EXPECT_TRUE(recorder.record().phases.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -194,7 +167,7 @@ TEST(IiSearchTest, CancelledAttemptStopsBeforeSpendingBudget)
     const auto sccs = graph::findSccs(graph);
 
     support::CancellationToken token;
-    token.lowerCeiling(5); // a success at II 5 cancels any attempt above
+    token.lowerCeiling(5); // cancels every attempt above II 5
 
     support::Counters counters;
     sched::IterativeScheduler scheduler(w.loop, machine, graph, sccs, {},
@@ -210,7 +183,7 @@ TEST(IiSearchTest, CancelledAttemptStopsBeforeSpendingBudget)
     EXPECT_EQ(status, sched::AttemptStatus::kCancelled);
     EXPECT_LE(counters.scheduleSteps, 1u);
 
-    // At or below the ceiling the same scheduler still succeeds.
+    // Without the token the same scheduler still succeeds.
     status = sched::AttemptStatus::kCancelled;
     const auto fine = scheduler.trySchedule(9, 1 << 20, nullptr, &status);
     EXPECT_TRUE(fine.has_value());
@@ -228,134 +201,6 @@ TEST(IiSearchTest, CancellationTokenCeilingIsMonotonic)
     EXPECT_FALSE(token.cancelled(10));
     token.cancelAll();
     EXPECT_TRUE(token.cancelled(0));
-}
-
-// ---------------------------------------------------------------------------
-// Bit-identity of racing vs linear on real scheduling problems.
-
-sched::ModuloScheduleOutcome
-scheduleWith(const ir::Loop& loop, const machine::MachineModel& machine,
-             const sched::ScheduleOptions& options,
-             support::Counters& counters)
-{
-    counters = {};
-    return sched::schedule(loop, machine, options, &counters);
-}
-
-TEST(IiSearchTest, RacingMatchesLinearOnKernelCorpus)
-{
-    for (const auto& machine : {machine::cydra5(), machine::scalarToy()}) {
-        for (const auto& w : workloads::kernelLibrary()) {
-            sched::ScheduleOptions linear;
-            support::Counters linear_counters;
-            const auto expected =
-                scheduleWith(w.loop, machine, linear, linear_counters);
-
-            for (const int threads : {1, 4, 8}) {
-                sched::ScheduleOptions racing;
-                racing.search.withKind(sched::IiSearchKind::kRacing)
-                    .withThreads(threads);
-                support::Counters racing_counters;
-                const auto got =
-                    scheduleWith(w.loop, machine, racing, racing_counters);
-                const std::string context =
-                    machine.name() + "/" + w.loop.name() + " threads=" +
-                    std::to_string(threads);
-                expectOutcomesIdentical(expected, got, context);
-                expectCountersEqual(linear_counters, racing_counters,
-                                    context);
-                EXPECT_EQ(got.search.strategy, "racing") << context;
-            }
-        }
-    }
-}
-
-TEST(IiSearchTest, RacingMatchesLinearOnFuzzGeneratedLoops)
-{
-    const auto machine = machine::cydra5();
-    support::Rng rng(20260806);
-    const auto profile = workloads::fuzzProfile();
-    int hard = 0; // loops whose winning II exceeded the MII
-    for (int i = 0; i < 200; ++i) {
-        const auto loop = workloads::generateLoop(
-            rng, "fuzz_" + std::to_string(i), profile);
-
-        sched::ScheduleOptions linear;
-        support::Counters linear_counters;
-        const auto expected =
-            scheduleWith(loop, machine, linear, linear_counters);
-        hard += expected.attempts > 1;
-
-        for (const int threads : {1, 4, 8}) {
-            sched::ScheduleOptions racing;
-            racing.search.withKind(sched::IiSearchKind::kRacing)
-                .withThreads(threads);
-            support::Counters racing_counters;
-            const auto got =
-                scheduleWith(loop, machine, racing, racing_counters);
-            const std::string context = loop.name() + " threads=" +
-                                        std::to_string(threads);
-            expectOutcomesIdentical(expected, got, context);
-            expectCountersEqual(linear_counters, racing_counters, context);
-        }
-    }
-    // The corpus must actually exercise multi-attempt searches, or the
-    // equivalence above is vacuous for the racing-specific paths.
-    EXPECT_GT(hard, 0);
-}
-
-TEST(IiSearchTest, RacingMatchesLinearWithRandomPriorities)
-{
-    // kRandom derives its permutation from (seed, ii), so an attempt's
-    // result is a pure function of the candidate II — the property the
-    // race's determinism rests on.
-    const auto machine = machine::cydra5();
-    for (const auto& w : workloads::kernelLibrary()) {
-        sched::ScheduleOptions linear;
-        linear.priority = sched::PriorityScheme::kRandom;
-        linear.randomSeed = 99;
-        support::Counters linear_counters;
-        const auto expected =
-            scheduleWith(w.loop, machine, linear, linear_counters);
-
-        sched::ScheduleOptions racing = linear;
-        racing.search.withKind(sched::IiSearchKind::kRacing).withThreads(4);
-        support::Counters racing_counters;
-        const auto got =
-            scheduleWith(w.loop, machine, racing, racing_counters);
-        expectOutcomesIdentical(expected, got, w.loop.name());
-        expectCountersEqual(linear_counters, racing_counters,
-                            w.loop.name());
-    }
-}
-
-TEST(IiSearchTest, SlackSchedulerRacingMatchesLinear)
-{
-    const auto machine = machine::cydra5();
-    for (const auto& w : workloads::kernelLibrary()) {
-        const auto graph = graph::buildDepGraph(w.loop, machine);
-        const auto sccs = graph::findSccs(graph);
-
-        sched::ScheduleOptions linear;
-        linear.strategy = sched::SchedulerStrategy::kSlack;
-        support::Counters linear_counters;
-        const auto expected = sched::schedule(
-            w.loop, machine, graph, sccs, linear, &linear_counters);
-
-        for (const int threads : {1, 4, 8}) {
-            sched::ScheduleOptions racing = linear;
-            racing.search.withKind(sched::IiSearchKind::kRacing)
-                .withThreads(threads);
-            support::Counters racing_counters;
-            const auto got = sched::schedule(
-                w.loop, machine, graph, sccs, racing, &racing_counters);
-            const std::string context = "slack/" + w.loop.name() +
-                                        " threads=" +
-                                        std::to_string(threads);
-            expectOutcomesIdentical(expected, got, context);
-            expectCountersEqual(linear_counters, racing_counters, context);
-        }
-    }
 }
 
 } // namespace

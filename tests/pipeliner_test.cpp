@@ -156,25 +156,24 @@ TEST(PipelinerTest, WithIiSearchSelectsStrategyAndKeepsBudgetKnobs)
     const auto options = core::PipelinerOptions{}
                              .withBudgetRatio(6.0)
                              .withMaxIiIncrease(128)
-                             .withIiSearch(sched::IiSearchKind::kRacing, 4);
-    EXPECT_EQ(options.schedule.search.kind, sched::IiSearchKind::kRacing);
-    EXPECT_EQ(options.schedule.search.threads, 4);
-    // The kind/threads overload must not clobber the budget knobs.
+                             .withIiSearch(sched::IiSearchKind::kFeedback);
+    EXPECT_EQ(options.schedule.search.kind, sched::IiSearchKind::kFeedback);
+    // The kind overload must not clobber the budget knobs.
     EXPECT_EQ(options.schedule.search.budgetRatio, 6.0);
     EXPECT_EQ(options.schedule.search.maxIiIncrease, 128);
 
     const auto wholesale = core::PipelinerOptions{}.withIiSearch(
-        sched::IiSearchOptions{}.withKind(sched::IiSearchKind::kRacing)
+        sched::IiSearchOptions{}.withKind(sched::IiSearchKind::kFeedback)
             .withBudgetRatio(3.0));
-    EXPECT_EQ(wholesale.schedule.search.kind, sched::IiSearchKind::kRacing);
+    EXPECT_EQ(wholesale.schedule.search.kind, sched::IiSearchKind::kFeedback);
     EXPECT_EQ(wholesale.schedule.search.budgetRatio, 3.0);
 
     const auto w = workloads::kernelByName("daxpy");
     core::SoftwarePipeliner pipeliner(machine::cydra5(), options);
     const auto result = pipeliner.pipeline(core::PipelineRequest(w.loop));
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.telemetry.iiStrategy, "racing");
-    EXPECT_GE(result.telemetry.iiAttemptsStarted, 1);
+    EXPECT_EQ(result.telemetry.iiStrategy, "feedback");
+    EXPECT_EQ(result.telemetry.iiWorkers, 1);
 }
 
 TEST(PipelinerTest, IiExhaustionSurfacesStructuredDiagnosticCode)

@@ -372,12 +372,11 @@ TEST(OptionsCodecTest, CanonicalTextRoundTripsAndNormalizes)
                   core::PipelinerOptions{}.withRandomSeed(99)),
               canonical);
 
-    // ...while the II-search strategy and thread count are normalized
-    // away (racing is bit-identical to linear at any thread count) and
-    // telemetry sinks never reach the key.
+    // ...while the II-search strategy is normalized away (feedback is
+    // bit-identical to linear) and telemetry sinks never reach the key.
     EXPECT_EQ(service::canonicalOptionsText(
                   core::PipelinerOptions{}.withIiSearch(
-                      sched::IiSearchKind::kRacing, 8)),
+                      sched::IiSearchKind::kFeedback)),
               canonical);
 
     EXPECT_THROW(service::parseOptionsText("nonsense 1\n"),

@@ -36,14 +36,11 @@
  *                          (EC/LC control, compression, marshaling) to
  *                          match the sequential reference at every trip
  *   --exact-budget <n>     exact-backend node budget per candidate II
- *   --ii-search <linear|racing|feedback>  II search strategy the
- *                          pipeline under test uses; racing and feedback
- *                          must be bit-identical to linear, so the
- *                          campaign's thread-invariance and
- *                          sim-equivalence oracles double as a
- *                          determinism check for the race and for the
- *                          feedback probe's skip proofs
- *   --ii-threads <n>       racing worker count per case (0 = hardware)
+ *   --ii-search <linear|feedback>  II search strategy the pipeline
+ *                          under test uses; feedback must be
+ *                          bit-identical to linear, so the campaign's
+ *                          sim-equivalence oracles double as a check of
+ *                          the feedback probe's skip proofs
  *   --feedback-cap <n>     feedback search: bottleneck-subgraph cap
  *   --feedback-probe-budget <n>  feedback search: probe node budget
  *   --no-feedback-skip     feedback search: disable II skipping
@@ -87,7 +84,6 @@ struct CliOptions
     std::vector<std::string> oracles;
     std::int64_t exactBudget = sched::kDefaultExactNodeBudget;
     std::string iiSearch = "linear";
-    int iiThreads = 0;
     int feedbackCap = 12;
     std::int64_t feedbackProbeBudget = 200'000;
     bool feedbackSkip = true;
@@ -108,8 +104,7 @@ usage(int code)
            "                [--scheduler iterative|slack|exact] "
            "[--oracle opt.ii_gap|program.equiv]\n"
            "                [--exact-budget N]\n"
-           "                [--ii-search linear|racing|feedback] "
-           "[--ii-threads N]\n"
+           "                [--ii-search linear|feedback]\n"
            "                [--feedback-cap N] "
            "[--feedback-probe-budget N] [--no-feedback-skip]\n"
            "       ims-fuzz --replay <file.repro>\n";
@@ -189,8 +184,6 @@ parseArgs(int argc, char** argv)
             options.exactBudget = std::stoll(next("a node budget"));
         else if (arg == "--ii-search")
             options.iiSearch = next("a strategy name");
-        else if (arg == "--ii-threads")
-            options.iiThreads = std::stoi(next("a thread count"));
         else if (arg == "--feedback-cap")
             options.feedbackCap = std::stoi(next("a subgraph size cap"));
         else if (arg == "--feedback-probe-budget")
@@ -229,7 +222,7 @@ pipelineOptions(const CliOptions& options)
         usage(2);
     }
     return core::PipelinerOptions{}
-        .withIiSearch(*kind, options.iiThreads)
+        .withIiSearch(*kind)
         .withFeedback(options.feedbackCap, options.feedbackSkip,
                       options.feedbackProbeBudget)
         .withScheduler(*strategy)

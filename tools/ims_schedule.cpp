@@ -18,11 +18,9 @@
  *   --budget-ratio <r>       BudgetRatio (default 2.0; the paper's
  *                            quality studies use 6)
  *   --priority heightr|slack|source-order|random    (default heightr)
- *   --ii-search linear|racing|feedback   II search strategy (default
- *                            linear; racing and feedback are
- *                            deterministic — bit-identical winning
- *                            schedules at any thread count)
- *   --ii-threads <n>         racing worker count (0 = hardware)
+ *   --ii-search linear|feedback   II search strategy (default linear;
+ *                            feedback's winning schedule is
+ *                            bit-identical to linear's)
  *   --feedback-cap <n>       feedback search: bottleneck-subgraph size
  *                            cap handed to the infeasibility probe
  *   --feedback-probe-budget <n>   feedback search: exact-backend node
@@ -81,7 +79,6 @@ struct CliOptions
     double budgetRatio = 2.0;
     std::string priority = "heightr";
     std::string iiSearch = "linear";
-    int iiThreads = 0;
     int feedbackCap = 12;
     std::int64_t feedbackProbeBudget = 200'000;
     bool feedbackSkip = true;
@@ -109,7 +106,7 @@ usage(int code)
            "  --scheduler iterative|slack|exact  --exact-budget <n>\n"
            "  --budget-ratio <r>   --priority "
            "heightr|slack|source-order|random\n"
-           "  --ii-search linear|racing|feedback  --ii-threads <n>\n"
+           "  --ii-search linear|feedback\n"
            "  --feedback-cap <n>  --feedback-probe-budget <n>  "
            "--no-feedback-skip\n"
            "  --listing  --kernel-only  --trace  --telemetry  "
@@ -172,8 +169,6 @@ parseArgs(int argc, char** argv)
             options.priority = next("a scheme");
         else if (arg == "--ii-search")
             options.iiSearch = next("a strategy name");
-        else if (arg == "--ii-threads")
-            options.iiThreads = std::stoi(next("a thread count"));
         else if (arg == "--feedback-cap")
             options.feedbackCap = std::stoi(next("a subgraph size cap"));
         else if (arg == "--feedback-probe-budget")
@@ -232,21 +227,20 @@ readFile(const std::string& path)
     return buffer.str();
 }
 
-int
-processLoop(const ir::Loop& loop, const CliOptions& options,
-            const machine::MachineModel& machine)
+/**
+ * The pipeline options every loop and program runs with. Resolves the
+ * strategy, backend and priority names, and exits with status 2 on an
+ * unknown one.
+ */
+core::PipelinerOptions
+pipelineOptions(const CliOptions& options)
 {
-    core::PipelinerOptions pipeline_options;
-    pipeline_options.schedule.search.budgetRatio = options.budgetRatio;
     const auto search_kind = sched::iiSearchKindByName(options.iiSearch);
     if (!search_kind) {
         std::cerr << "unknown II search strategy '" << options.iiSearch
                   << "'\n";
         usage(2);
     }
-    pipeline_options.withIiSearch(*search_kind, options.iiThreads);
-    pipeline_options.withFeedback(options.feedbackCap, options.feedbackSkip,
-                                  options.feedbackProbeBudget);
     const auto strategy =
         sched::schedulerStrategyByName(options.scheduler);
     if (!strategy) {
@@ -254,9 +248,22 @@ processLoop(const ir::Loop& loop, const CliOptions& options,
                   << "'\n";
         usage(2);
     }
+    core::PipelinerOptions pipeline_options;
+    pipeline_options.schedule.search.budgetRatio = options.budgetRatio;
+    pipeline_options.withIiSearch(*search_kind);
+    pipeline_options.withFeedback(options.feedbackCap, options.feedbackSkip,
+                                  options.feedbackProbeBudget);
     pipeline_options.withScheduler(*strategy)
         .withExactNodeBudget(options.exactBudget);
     pipeline_options.schedule.priority = priorityByName(options.priority);
+    return pipeline_options;
+}
+
+int
+processLoop(const ir::Loop& loop, const CliOptions& options,
+            core::PipelinerOptions pipeline_options,
+            const machine::MachineModel& machine)
+{
     if (options.verify)
         pipeline_options.withSimVerification(true);
     std::vector<sched::TraceEvent> trace;
@@ -330,21 +337,9 @@ processLoop(const ir::Loop& loop, const CliOptions& options,
 
 int
 processProgram(const program::Program& prog, const CliOptions& options,
+               const core::PipelinerOptions& pipeline_options,
                const machine::MachineModel& machine)
 {
-    core::PipelinerOptions pipeline_options;
-    pipeline_options.schedule.search.budgetRatio = options.budgetRatio;
-    const auto search_kind = sched::iiSearchKindByName(options.iiSearch);
-    if (search_kind)
-        pipeline_options.withIiSearch(*search_kind, options.iiThreads);
-    pipeline_options.withFeedback(options.feedbackCap, options.feedbackSkip,
-                                  options.feedbackProbeBudget);
-    const auto strategy =
-        sched::schedulerStrategyByName(options.scheduler);
-    if (strategy)
-        pipeline_options.withScheduler(*strategy)
-            .withExactNodeBudget(options.exactBudget);
-    pipeline_options.schedule.priority = priorityByName(options.priority);
     const auto program_options = program::ProgramOptions{}
                                      .withPipeline(pipeline_options)
                                      .withCompression(options.compress);
@@ -435,25 +430,26 @@ main(int argc, char** argv)
         usage(2);
 
     const auto machine = machineByName(options.machine);
+    const core::PipelinerOptions pipeline_options = pipelineOptions(options);
     int status = 0;
     try {
         for (const auto& name : options.kernels) {
             status |= processLoop(workloads::kernelByName(name).loop,
-                                  options, machine);
+                                  options, pipeline_options, machine);
         }
         for (const auto& name : options.programs) {
             if (name == "all") {
                 for (const auto& entry : workloads::programLibrary())
-                    status |=
-                        processProgram(entry.program, options, machine);
+                    status |= processProgram(entry.program, options,
+                                             pipeline_options, machine);
             } else {
                 status |= processProgram(workloads::programByName(name),
-                                         options, machine);
+                                         options, pipeline_options, machine);
             }
         }
         for (const auto& file : options.files) {
             status |= processLoop(ir::parseLoop(readFile(file)), options,
-                                  machine);
+                                  pipeline_options, machine);
         }
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n";
