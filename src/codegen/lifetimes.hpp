@@ -6,6 +6,7 @@
 #include "ir/loop.hpp"
 #include "machine/machine_model.hpp"
 #include "sched/iterative_scheduler.hpp"
+#include "support/telemetry.hpp"
 
 namespace ims::codegen {
 

@@ -87,7 +87,7 @@ struct PipelinerOptions
 
     /**
      * Replace the II-search policy wholesale (strategy kind, BudgetRatio,
-     * maxIiIncrease, feedback knobs).
+     * maxIiIncrease).
      */
     PipelinerOptions&
     withIiSearch(sched::IiSearchOptions search)
@@ -107,23 +107,6 @@ struct PipelinerOptions
     withIiSearch(sched::IiSearchKind kind)
     {
         schedule.search.kind = kind;
-        return *this;
-    }
-
-    /**
-     * Tune the feedback-guided II search (kind kFeedback): the
-     * bottleneck-subgraph size cap handed to the infeasibility probe,
-     * whether proven-infeasible candidate IIs are skipped at all, and
-     * the exact backend's node budget per probe call. See
-     * sched::IiSearchOptions for the semantics and defaults.
-     */
-    PipelinerOptions&
-    withFeedback(int subgraph_cap, bool skip_infeasible = true,
-                 std::int64_t probe_budget = 200'000)
-    {
-        schedule.search.feedbackSubgraphCap = subgraph_cap;
-        schedule.search.feedbackSkipInfeasible = skip_infeasible;
-        schedule.search.feedbackProbeBudget = probe_budget;
         return *this;
     }
 

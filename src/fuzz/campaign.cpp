@@ -1,7 +1,6 @@
 #include "fuzz/campaign.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <optional>
@@ -15,36 +14,11 @@
 #include "machine/machine_io.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry.hpp"
 
 namespace ims::fuzz {
 
 namespace {
-
-std::string
-jsonEscape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buffer;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 loopNameFor(std::uint64_t index)
@@ -83,8 +57,8 @@ CampaignReport::toJson() const
     for (std::size_t i = 0; i < codeCounts.size(); ++i) {
         if (i > 0)
             out << ',';
-        out << '"' << jsonEscape(codeCounts[i].first)
-            << "\":" << codeCounts[i].second;
+        out << support::jsonString(codeCounts[i].first) << ':'
+            << codeCounts[i].second;
     }
     out << "},\"failures\":[";
     for (std::size_t i = 0; i < findings.size(); ++i) {
@@ -92,11 +66,13 @@ CampaignReport::toJson() const
         if (i > 0)
             out << ',';
         out << "{\"case\":" << finding.caseIndex << ",\"seed\":\""
-            << finding.caseSeed << "\",\"code\":\""
-            << jsonEscape(finding.code) << "\",\"message\":\""
-            << jsonEscape(finding.message) << "\",\"ops\":" << finding.ops
-            << ",\"minOps\":" << finding.minimizedOps << ",\"repro\":\""
-            << jsonEscape(finding.reproFile) << "\"}";
+            << finding.caseSeed
+            << "\",\"code\":" << support::jsonString(finding.code)
+            << ",\"message\":" << support::jsonString(finding.message)
+            << ",\"ops\":" << finding.ops
+            << ",\"minOps\":" << finding.minimizedOps
+            << ",\"repro\":" << support::jsonString(finding.reproFile)
+            << '}';
     }
     out << "]}";
     return out.str();

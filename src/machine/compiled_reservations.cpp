@@ -6,8 +6,9 @@
 namespace ims::machine {
 
 CompiledReservationTable::CompiledReservationTable(
-    const ReservationTable& table, int ii, int num_resources)
-    : ii_(ii), wordsPerRow_((num_resources + 63) / 64)
+    const ReservationTable& table, int ii,
+    [[maybe_unused]] int num_resources)
+    : ii_(ii)
 {
     assert(ii >= 1);
     const auto& uses = table.uses();
@@ -19,7 +20,7 @@ CompiledReservationTable::CompiledReservationTable(
     // (rotation, resource) order. ReservationTable uses are normalised
     // by (time, resource), so tables no longer than II arrive sorted —
     // only a wrapped table pays for a sort.
-    data_.reserve(uses.size() * (2 + wordsPerRow_));
+    data_.reserve(uses.size());
     bool sorted = true;
     for (const auto& use : uses) {
         assert(use.time >= 0 && use.resource >= 0 &&
@@ -34,26 +35,11 @@ CompiledReservationTable::CompiledReservationTable(
         std::sort(data_.begin(), data_.end());
 
     // A duplicate (rotation, resource) pair is precisely a modulo
-    // self-collision; record the fact and merge it so the masks stay
+    // self-collision; record the fact and merge it so the use list stays
     // valid for conflict queries.
     const auto first_dup = std::unique(data_.begin(), data_.end());
     selfConflicts_ = first_dup != data_.end();
     data_.erase(first_dup, data_.end());
-    numUses_ = static_cast<int>(data_.size());
-
-    // Row-major masks over the non-empty rows, appended after the uses
-    // (which are rotation-sorted, so each row's uses are contiguous).
-    for (int i = 0; i < numUses_;) {
-        const int row = use(i).rotation;
-        data_.push_back(static_cast<std::uint64_t>(row));
-        data_.resize(data_.size() + wordsPerRow_, 0);
-        std::uint64_t* words = data_.data() + data_.size() - wordsPerRow_;
-        for (; i < numUses_ && use(i).rotation == row; ++i) {
-            const int r = use(i).resource;
-            words[r >> 6] |= std::uint64_t{1} << (r & 63);
-        }
-        ++numRows_;
-    }
 }
 
 const std::vector<CompiledReservationTable>&

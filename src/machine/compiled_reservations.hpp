@@ -11,38 +11,29 @@
 namespace ims::machine {
 
 /**
- * A reservation table lowered to bitmasks for one candidate II.
+ * A reservation table lowered for one candidate II.
  *
  * The modulo reservation table only ever asks one question of an
  * alternative's table: "which resources does it touch in which row mod
  * II?". That is a pure function of (table, II), so it is compiled once
  * per II attempt instead of being re-derived from the use list on every
- * conflict probe. Two views of the same reservation are kept:
- *
- *  - **Modulo uses** (column-major): the use list with relative times
- *    reduced mod II and duplicate (time mod II, resource) pairs merged.
- *    This drives the word-parallel slot scan: for a use at rotation u of
- *    resource R, the set of issue residues that collide is exactly the
- *    MRT's per-resource row bitset rotated down by u.
- *
- *  - **Row masks** (row-major): for each non-empty row r in [0, II), a
- *    multi-word `uint64_t` bitmask over resources used at relative times
- *    congruent to r. A conflict test at issue time T reduces to ANDing
- *    each row mask against the MRT's occupancy mask of row
- *    (r + T) mod II. Machines with more than 64 resources simply use
- *    more words per row.
+ * conflict probe. The compiled form is the **modulo use list**: the uses
+ * with relative times reduced mod II and duplicate (time mod II,
+ * resource) pairs merged, sorted by (rotation, resource). For a use at
+ * rotation u of resource R, the set of issue residues that collide is
+ * exactly the MRT's per-resource row bitset rotated down by u — the
+ * word-parallel slot scan — and a single-time conflict test at issue
+ * time T reads bit (u + T) mod II of that bitset.
  *
  * Compilation also decides, once, whether the table collides with itself
  * under the modulo wrap-around (two uses of one resource in congruent
  * rows). Such an alternative can never be scheduled at this II and is
- * skipped before any slot probe; its masks (with the duplicate merged)
- * are still well-formed for conflict queries.
+ * skipped before any slot probe; its use list (with the duplicate
+ * merged) is still well-formed for conflict queries.
  *
- * Everything lives in one flat word buffer — the compile step runs once
- * per (opcode, II) but for *every* scheduler instance, so small loops
- * feel its constant factor: uses first (one packed word each), then per
- * non-empty row a header word (the row index) followed by the mask
- * words.
+ * The uses live in one flat word buffer, one packed word each — the
+ * compile step runs once per (opcode, II) but for *every* scheduler
+ * instance, so small loops feel its constant factor.
  */
 class CompiledReservationTable
 {
@@ -60,17 +51,14 @@ class CompiledReservationTable
 
     int ii() const { return ii_; }
 
-    /** Words per row mask: ceil(num_resources / 64). */
-    int wordsPerRow() const { return wordsPerRow_; }
-
     /** True when the source table reserved no resources (pseudo-ops). */
-    bool empty() const { return numUses_ == 0; }
+    bool empty() const { return data_.empty(); }
 
     /** Cached ModuloReservationTable::selfConflicts(table, ii). */
     bool selfConflicts() const { return selfConflicts_; }
 
     /** Merged (rotation, resource) uses, sorted, unique. */
-    int numUses() const { return numUses_; }
+    int numUses() const { return static_cast<int>(data_.size()); }
 
     ModuloUse
     use(int i) const
@@ -80,35 +68,15 @@ class CompiledReservationTable
                          static_cast<ResourceId>(word & 0xffffffffu)};
     }
 
-    /** Number of non-empty rows (<= min(#uses, ii)). */
-    int numRows() const { return numRows_; }
-
-    /** Row number of the k-th non-empty row, ascending. */
-    int
-    rowIndex(int k) const
-    {
-        return static_cast<int>(data_[rowEntry(k)]);
-    }
-
-    /** `wordsPerRow()` mask words of the k-th non-empty row. */
-    const std::uint64_t*
-    rowWords(int k) const
-    {
-        return data_.data() + rowEntry(k) + 1;
-    }
+    /**
+     * Same II, same self-conflict flag and same merged uses. The use list
+     * is canonical (sorted, unique), so two equal tables reserve exactly
+     * the same (row mod II, resource) cells.
+     */
+    bool operator==(const CompiledReservationTable&) const = default;
 
   private:
-    std::size_t
-    rowEntry(int k) const
-    {
-        return static_cast<std::size_t>(numUses_) +
-               static_cast<std::size_t>(k) * (1 + wordsPerRow_);
-    }
-
     int ii_ = 1;
-    int wordsPerRow_ = 0;
-    int numUses_ = 0;
-    int numRows_ = 0;
     bool selfConflicts_ = false;
     std::vector<std::uint64_t> data_;
 };

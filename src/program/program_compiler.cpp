@@ -9,6 +9,7 @@
 #include "ir/loop_builder.hpp"
 #include "sched/list_scheduler.hpp"
 #include "support/error.hpp"
+#include "support/telemetry.hpp"
 
 namespace ims::program {
 
@@ -492,7 +493,7 @@ ProgramCompileResult::toJson() const
     std::ostringstream out;
     const auto& name =
         compiled ? compiled->source.name : std::string("<failed>");
-    out << "{\"program\":\"" << name << "\",\"ok\":"
+    out << "{\"program\":" << support::jsonString(name) << ",\"ok\":"
         << (ok() ? "true" : "false");
     if (compiled) {
         long long pre_cycles = 0;
@@ -501,7 +502,8 @@ ProgramCompileResult::toJson() const
             pre_cycles += block.cycleCount;
         for (const auto& block : compiled->post)
             post_cycles += block.cycleCount;
-        out << ",\"scheduler\":\"" << compiled->loop.scheduler << "\""
+        out << ",\"scheduler\":"
+            << support::jsonString(compiled->loop.scheduler)
             << ",\"ii\":" << compiled->loop.kernel.ii
             << ",\"mii\":" << compiled->loop.mii
             << ",\"stages\":" << compiled->loop.kernel.stageCount

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <vector>
 
-#include "mii/mii.hpp"
 #include "sched/feedback_probe.hpp"
 #include "sched/partial_schedule.hpp"
 #include "sched/schedule.hpp"
@@ -29,27 +28,6 @@ std::int64_t
 ceilDiv(std::int64_t a, std::int64_t b)
 {
     return a >= 0 ? (a + b - 1) / b : -((-a) / b);
-}
-
-/**
- * True when two compiled tables reserve exactly the same (row mod II,
- * resource) cells — interchangeable for the MRT, so branching on both is
- * pure symmetry. The merged modulo-use list is canonical (sorted,
- * unique), so list equality is table equality.
- */
-bool
-identicalTables(const machine::CompiledReservationTable& a,
-                const machine::CompiledReservationTable& b)
-{
-    if (a.numUses() != b.numUses())
-        return false;
-    for (int i = 0; i < a.numUses(); ++i) {
-        const auto ua = a.use(i);
-        const auto ub = b.use(i);
-        if (ua.rotation != ub.rotation || ua.resource != ub.resource)
-            return false;
-    }
-    return true;
 }
 
 /**
@@ -314,8 +292,8 @@ ExactScheduler::trySchedule(int ii, std::int64_t node_budget,
                 continue;
             bool duplicate = false;
             for (const int j : distinct) {
-                if (identicalTables(compiled[static_cast<std::size_t>(i)],
-                                    compiled[static_cast<std::size_t>(j)])) {
+                if (compiled[static_cast<std::size_t>(i)] ==
+                    compiled[static_cast<std::size_t>(j)]) {
                     duplicate = true;
                     break;
                 }
@@ -399,14 +377,12 @@ ExactScheduler::trySchedule(int ii, std::int64_t node_budget,
 namespace detail {
 
 ModuloScheduleOutcome
-runExactSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
-                 const graph::DepGraph& graph, const graph::SccResult& sccs,
-                 const ScheduleOptions& options, support::Counters* counters)
+exactBackend(const ir::Loop& loop, const machine::MachineModel& machine,
+             const graph::DepGraph& graph, const graph::SccResult& sccs,
+             const ScheduleOptions& options, const Walk& walk)
 {
     support::check(options.exactNodeBudget > 0,
                    "exactNodeBudget must be positive");
-    const mii::MiiResult mii = mii::computeMii(loop, machine, graph, sccs,
-                                               counters, options.telemetry);
     const std::int64_t budget = options.exactNodeBudget;
 
     // Feedback strategy plumbing. The exact backend tracks no
@@ -417,16 +393,6 @@ runExactSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
     // report is inconclusive and the walk proceeds exactly like linear.
     const bool wants_feedback =
         options.search.kind == IiSearchKind::kFeedback;
-    std::optional<FeedbackProbe> prober;
-    IiInfeasibilityProbe probe;
-    if (wants_feedback && options.search.feedbackSkipInfeasible) {
-        prober.emplace(loop, machine, graph, sccs,
-                       options.search.feedbackSubgraphCap,
-                       options.search.feedbackProbeBudget);
-        probe = [&prober](int ii, const AttemptFeedback& feedback) {
-            return (*prober)(ii, feedback);
-        };
-    }
 
     // One scheduler for the whole walk: trySchedule reuses the MinDist
     // matrix and compiled-table cache across candidate IIs.
@@ -461,16 +427,12 @@ runExactSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
         return out;
     };
 
-    ModuloScheduleOutcome outcome = runIiSearch(
-        options.search, mii.resMii, mii.mii, budget, attempt, probe,
-        counters, options.telemetry, [&] {
-            return "exact scheduler proved no schedule exists for loop '" +
-                   loop.name() + "' within " +
-                   std::to_string(options.search.maxIiIncrease) +
-                   " IIs above the MII";
-        });
-    outcome.scheduler = schedulerStrategyName(SchedulerStrategy::kExact);
-    return outcome;
+    return walk(budget, attempt, [&] {
+        return "exact scheduler proved no schedule exists for loop '" +
+               loop.name() + "' within " +
+               std::to_string(options.search.maxIiIncrease) +
+               " IIs above the MII";
+    });
 }
 
 } // namespace detail

@@ -4,28 +4,9 @@
 #include <cassert>
 
 #include "sched/exact_scheduler.hpp"
+#include "sched/mrt.hpp"
 
 namespace ims::sched {
-
-namespace {
-
-/** Does this table use one resource twice, a multiple of `ii` apart? */
-bool
-selfCollidesAt(const machine::ReservationTable& table, int ii)
-{
-    const auto& uses = table.uses();
-    for (std::size_t i = 0; i < uses.size(); ++i) {
-        for (std::size_t j = i + 1; j < uses.size(); ++j) {
-            if (uses[i].resource != uses[j].resource)
-                continue;
-            if ((uses[j].time - uses[i].time) % ii == 0)
-                return true;
-        }
-    }
-    return false;
-}
-
-} // namespace
 
 std::vector<graph::VertexId>
 collectUnplaceableOps(const ir::Loop& loop,
@@ -38,7 +19,7 @@ collectUnplaceableOps(const ir::Loop& loop,
             continue;
         bool all_collide = true;
         for (const auto& alternative : alternatives) {
-            if (!selfCollidesAt(alternative.table, ii)) {
+            if (!ModuloReservationTable::selfConflicts(alternative.table, ii)) {
                 all_collide = false;
                 break;
             }
@@ -75,17 +56,15 @@ struct FeedbackProbe::Subproblem
 FeedbackProbe::FeedbackProbe(const ir::Loop& loop,
                              const machine::MachineModel& machine,
                              const graph::DepGraph& graph,
-                             const graph::SccResult& sccs, int subgraph_cap,
-                             std::int64_t node_budget)
+                             const graph::SccResult& sccs, int subgraph_cap)
     : loop_(loop),
       machine_(machine),
       graph_(graph),
       sccs_(sccs),
       cap_(subgraph_cap),
-      nodeBudget_(node_budget),
       inSet_(static_cast<std::size_t>(graph.numVertices()), 0)
 {
-    assert(cap_ > 0 && nodeBudget_ > 0);
+    assert(cap_ > 0);
 }
 
 FeedbackProbe::~FeedbackProbe() = default;
@@ -199,7 +178,8 @@ FeedbackProbe::operator()(int ii, const AttemptFeedback& feedback)
         return false;
     ++probesRun_;
     AttemptStatus status = AttemptStatus::kBudgetExhausted;
-    (void)sub_->scheduler.trySchedule(ii, nodeBudget_, nullptr, &status);
+    (void)sub_->scheduler.trySchedule(ii, kFeedbackProbeBudget, nullptr,
+                                      &status);
     if (status != AttemptStatus::kInfeasible)
         return false; // feasible or budget-exhausted: inconclusive
     ++probesProven_;

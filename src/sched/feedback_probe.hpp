@@ -14,6 +14,17 @@
 namespace ims::sched {
 
 /**
+ * At most this many operations in the bottleneck subgraph handed to the
+ * exact probe. Unplaceable operations are picked first, then
+ * displacement-storm vertices; a small cap keeps the probe cheap.
+ */
+inline constexpr int kFeedbackSubgraphCap = 12;
+
+/** Branch-and-bound node budget per probe call; an exhausted probe is
+ *  inconclusive (the candidate is attempted normally). */
+inline constexpr std::int64_t kFeedbackProbeBudget = 200'000;
+
+/**
  * The feedback II-search strategy's infeasibility oracle (see
  * docs/ALGORITHM.md, "Feedback-guided search").
  *
@@ -42,15 +53,16 @@ namespace ims::sched {
  * that this is rare in practice (see bench_ii_search's provable-gap
  * family).
  *
- * Invoked sequentially from the single feedback worker, so the mutable
- * accumulation needs no locking (see IiInfeasibilityProbe).
+ * sched::schedule() builds one probe per feedback walk, which calls it
+ * sequentially, so the mutable accumulation needs no locking (see
+ * IiInfeasibilityProbe).
  */
 class FeedbackProbe
 {
   public:
     FeedbackProbe(const ir::Loop& loop, const machine::MachineModel& machine,
                   const graph::DepGraph& graph, const graph::SccResult& sccs,
-                  int subgraph_cap, std::int64_t node_budget);
+                  int subgraph_cap = kFeedbackSubgraphCap);
     ~FeedbackProbe();
 
     FeedbackProbe(const FeedbackProbe&) = delete;
@@ -89,7 +101,6 @@ class FeedbackProbe
     const graph::DepGraph& graph_;
     const graph::SccResult& sccs_;
     int cap_;
-    std::int64_t nodeBudget_;
     std::vector<std::uint8_t> inSet_;
     std::vector<graph::VertexId> members_;
     std::unique_ptr<Subproblem> sub_;

@@ -64,9 +64,6 @@ runIiSearch(const IiSearchOptions& options, int res_mii, int mii,
             support::TelemetrySink* telemetry,
             const std::function<std::string()>& exhausted_message)
 {
-    const bool use_probe = options.kind == IiSearchKind::kFeedback &&
-                           options.feedbackSkipInfeasible && probe != nullptr;
-
     ModuloScheduleOutcome outcome;
     outcome.resMii = res_mii;
     outcome.mii = mii;
@@ -85,7 +82,8 @@ runIiSearch(const IiSearchOptions& options, int res_mii, int mii,
 
     const auto search_start = std::chrono::steady_clock::now();
     for (int ii = mii; ii <= mii + options.maxIiIncrease; ++ii) {
-        if (use_probe && last_feedback && last_feedback->conclusive()) {
+        if (probe != nullptr && last_feedback &&
+            last_feedback->conclusive()) {
             const auto probe_start = std::chrono::steady_clock::now();
             if (probe(ii, *last_feedback)) {
                 // A probe-proven skip: record it (status kInfeasible,
@@ -111,8 +109,7 @@ runIiSearch(const IiSearchOptions& options, int res_mii, int mii,
             winner = std::move(out.schedule);
             break;
         }
-        if (use_probe)
-            last_feedback = std::move(out.feedback);
+        last_feedback = std::move(out.feedback);
     }
     search.wallSeconds = secondsSince(search_start);
     outcome.attempts = static_cast<int>(search.records.size());

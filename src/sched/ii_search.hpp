@@ -60,21 +60,6 @@ struct IiSearchOptions
     double budgetRatio = 2.0;
     /** Safety bound on II above the MII before giving up entirely. */
     int maxIiIncrease = 4096;
-    /**
-     * Feedback strategy: at most this many operations in the bottleneck
-     * subgraph handed to the infeasibility probe. Unplaceable operations
-     * are picked first, then displacement-storm vertices; the probe
-     * closes the set under dependence SCCs up to the cap. Small caps keep
-     * the exact probe cheap; the probe is skipped entirely when the
-     * feedback so far is inconclusive.
-     */
-    int feedbackSubgraphCap = 12;
-    /** Feedback strategy: skip candidate IIs the probe proves infeasible
-     *  (the strategy equals linear exactly when disabled). */
-    bool feedbackSkipInfeasible = true;
-    /** Feedback strategy: branch-and-bound node budget per probe call; an
-     *  exhausted probe counts as inconclusive (no skip). */
-    std::int64_t feedbackProbeBudget = 200'000;
 
     IiSearchOptions&
     withKind(IiSearchKind k)
@@ -94,27 +79,6 @@ struct IiSearchOptions
     withMaxIiIncrease(int increase)
     {
         maxIiIncrease = increase;
-        return *this;
-    }
-
-    IiSearchOptions&
-    withFeedbackSubgraphCap(int cap)
-    {
-        feedbackSubgraphCap = cap;
-        return *this;
-    }
-
-    IiSearchOptions&
-    withFeedbackSkipInfeasible(bool skip)
-    {
-        feedbackSkipInfeasible = skip;
-        return *this;
-    }
-
-    IiSearchOptions&
-    withFeedbackProbeBudget(std::int64_t budget)
-    {
-        feedbackProbeBudget = budget;
         return *this;
     }
 };
@@ -232,10 +196,11 @@ struct ModuloScheduleOutcome
 /**
  * The shared Figure-2 outer loop: walk the candidate IIs mii, mii+1, ...,
  * mii + options.maxIiIncrease, calling `attempt` on each until one
- * succeeds. Under IiSearchKind::kFeedback (with feedbackSkipInfeasible
- * and a non-empty `probe`), each candidate after a failed attempt with a
- * conclusive report is first offered to `probe`; a proven candidate is
- * skipped without attempting it.
+ * succeeds. When `probe` is non-empty, each candidate after a failed
+ * attempt with a conclusive report is first offered to `probe`; a proven
+ * candidate is skipped without attempting it. `options.kind` only names
+ * the walk in the stats: sched::schedule() passes a probe exactly when
+ * the kind is IiSearchKind::kFeedback.
  *
  * When the walk ends — on success or on exhaustion — the attempts'
  * counter deltas are flushed into `counters`, one Phase::kIiAttempt
@@ -246,10 +211,9 @@ struct ModuloScheduleOutcome
  * propagates at once, and then neither `counters` nor `telemetry` has
  * seen anything of the walk.
  *
- * Every backend behind sched::schedule() (iterative, slack, exact) is a
- * thin wrapper over this walk; they differ only in the attempt callback,
- * the infeasibility probe they can offer the feedback strategy, and the
- * exhaustion message.
+ * sched::schedule() is the one production caller: it computes the MII,
+ * builds the FeedbackProbe, and takes the budget, the attempt callback
+ * and the exhaustion message from the selected backend.
  *
  * @throws support::CodedError (code "sched.ii_exhausted", message built
  *         lazily from `exhausted_message`) when every candidate fails.

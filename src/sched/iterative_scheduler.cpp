@@ -4,9 +4,7 @@
 #include <cassert>
 #include <cmath>
 
-#include "mii/mii.hpp"
 #include "sched/attempt_state.hpp"
-#include "sched/feedback_probe.hpp"
 #include "sched/partial_schedule.hpp"
 #include "sched/ready_queue.hpp"
 #include "sched/schedule.hpp"
@@ -351,16 +349,10 @@ IterativeScheduler::trySchedule(int ii, std::int64_t budget,
 namespace detail {
 
 ModuloScheduleOutcome
-runIterativeSchedule(const ir::Loop& loop,
-                     const machine::MachineModel& machine,
-                     const graph::DepGraph& graph,
-                     const graph::SccResult& sccs,
-                     const ScheduleOptions& options,
-                     support::Counters* counters)
+iterativeBackend(const ir::Loop& loop, const machine::MachineModel& machine,
+                 const graph::DepGraph& graph, const graph::SccResult& sccs,
+                 const ScheduleOptions& options, const Walk& walk)
 {
-    const mii::MiiResult mii = mii::computeMii(loop, machine, graph, sccs,
-                                               counters, options.telemetry);
-
     // NumberOfOperations in Figure 2/3 counts the dependence-graph
     // operations including the START/STOP pseudo-ops (operation 1 is
     // START), so a BudgetRatio of 1 affords exactly one scheduling step
@@ -369,28 +361,19 @@ runIterativeSchedule(const ir::Loop& loop,
         1, static_cast<std::int64_t>(std::llround(
                options.search.budgetRatio * (loop.size() + 2))));
 
-    IterativeScheduleOptions inner = options.inner();
-    inner.telemetry = nullptr; // kIiAttempt samples are replayed by the
-                               // walk once it ends
+    IterativeScheduleOptions inner;
+    inner.priority = options.priority;
+    inner.forwardProgressRule = options.forwardProgressRule;
+    inner.randomSeed = options.randomSeed;
+    inner.trace = options.trace;
 
-    // Feedback strategy plumbing: each failed attempt writes its
-    // bottleneck report into the sink; the probe accumulates the
-    // bottleneck subgraph and decides candidates with the exact backend.
+    // Under the feedback strategy each failed attempt writes its
+    // bottleneck report into the sink.
     const bool wants_feedback =
         options.search.kind == IiSearchKind::kFeedback;
     AttemptFeedback feedback_sink;
     if (wants_feedback)
         inner.feedback = &feedback_sink;
-    std::optional<FeedbackProbe> prober;
-    IiInfeasibilityProbe probe;
-    if (wants_feedback && options.search.feedbackSkipInfeasible) {
-        prober.emplace(loop, machine, graph, sccs,
-                       options.search.feedbackSubgraphCap,
-                       options.search.feedbackProbeBudget);
-        probe = [&prober](int ii, const AttemptFeedback& feedback) {
-            return (*prober)(ii, feedback);
-        };
-    }
 
     // One scheduler for the whole walk: trySchedule reuses its priority
     // and compiled-reservation buffers across candidate IIs.
@@ -408,16 +391,11 @@ runIterativeSchedule(const ir::Loop& loop,
         return out;
     };
 
-    ModuloScheduleOutcome outcome = runIiSearch(
-        options.search, mii.resMii, mii.mii, budget, attempt, probe,
-        counters, options.telemetry, [&] {
-            return "no modulo schedule found for loop '" + loop.name() +
-                   "' within " +
-                   std::to_string(options.search.maxIiIncrease) +
-                   " IIs above the MII";
-        });
-    outcome.scheduler = schedulerStrategyName(SchedulerStrategy::kIterative);
-    return outcome;
+    return walk(budget, attempt, [&] {
+        return "no modulo schedule found for loop '" + loop.name() +
+               "' within " + std::to_string(options.search.maxIiIncrease) +
+               " IIs above the MII";
+    });
 }
 
 } // namespace detail

@@ -14,7 +14,6 @@
 #include "sched/priority.hpp"
 #include "support/cancellation.hpp"
 #include "support/counters.hpp"
-#include "support/telemetry.hpp"
 
 namespace ims::sched {
 
@@ -43,12 +42,6 @@ struct IterativeScheduleOptions
      * the hot path exactly as before.
      */
     AttemptFeedback* feedback = nullptr;
-    /**
-     * Sink receiving the phases surrounding scheduling (MII bounds, and
-     * the Phase::kIiAttempt samples the II walk replays once it ends —
-     * see sched/ii_search.hpp). trySchedule itself emits nothing.
-     */
-    support::TelemetrySink* telemetry = nullptr;
 };
 
 /** A complete modulo schedule for one II. */

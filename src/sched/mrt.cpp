@@ -10,7 +10,6 @@ ModuloReservationTable::ModuloReservationTable(int ii, int num_resources,
                                                int num_ops)
     : ii_(ii),
       numResources_(num_resources),
-      wordsPerRow_((num_resources + 63) / 64),
       wordsPerColumn_((ii + 63) / 64),
       lastColumnWordMask_(ii % 64 == 0
                               ? ~std::uint64_t{0}
@@ -20,7 +19,6 @@ ModuloReservationTable::ModuloReservationTable(int ii, int num_resources,
       heldStride_(4),
       heldCells_(static_cast<std::size_t>(num_ops) * 4, 0),
       heldCount_(num_ops, 0),
-      rowMasks_(static_cast<std::size_t>(ii) * wordsPerRow_, 0),
       resourceRows_(static_cast<std::size_t>(num_resources) *
                         wordsPerColumn_,
                     0),
@@ -32,39 +30,25 @@ ModuloReservationTable::ModuloReservationTable(int ii, int num_resources,
 void
 ModuloReservationTable::setCellBits(int row, machine::ResourceId resource)
 {
-    std::uint64_t& row_word =
-        rowMasks_[static_cast<std::size_t>(row) * wordsPerRow_ +
-                  (resource >> 6)];
-    const std::uint64_t row_bit = std::uint64_t{1} << (resource & 63);
-    assert((row_word & row_bit) == 0 && "mask disagrees with owner cells");
-    row_word |= row_bit;
-
-    std::uint64_t& col_word =
+    std::uint64_t& word =
         resourceRows_[static_cast<std::size_t>(resource) *
                           wordsPerColumn_ +
                       (row >> 6)];
-    const std::uint64_t col_bit = std::uint64_t{1} << (row & 63);
-    assert((col_word & col_bit) == 0 && "mask disagrees with owner cells");
-    col_word |= col_bit;
+    const std::uint64_t bit = std::uint64_t{1} << (row & 63);
+    assert((word & bit) == 0 && "bitset disagrees with owner cells");
+    word |= bit;
 }
 
 void
 ModuloReservationTable::clearCellBits(int row, machine::ResourceId resource)
 {
-    std::uint64_t& row_word =
-        rowMasks_[static_cast<std::size_t>(row) * wordsPerRow_ +
-                  (resource >> 6)];
-    const std::uint64_t row_bit = std::uint64_t{1} << (resource & 63);
-    assert((row_word & row_bit) != 0 && "mask disagrees with owner cells");
-    row_word &= ~row_bit;
-
-    std::uint64_t& col_word =
+    std::uint64_t& word =
         resourceRows_[static_cast<std::size_t>(resource) *
                           wordsPerColumn_ +
                       (row >> 6)];
-    const std::uint64_t col_bit = std::uint64_t{1} << (row & 63);
-    assert((col_word & col_bit) != 0 && "mask disagrees with owner cells");
-    col_word &= ~col_bit;
+    const std::uint64_t bit = std::uint64_t{1} << (row & 63);
+    assert((word & bit) != 0 && "bitset disagrees with owner cells");
+    word &= ~bit;
 }
 
 bool
@@ -83,20 +67,17 @@ bool
 ModuloReservationTable::conflicts(
     const machine::CompiledReservationTable& table, int time) const
 {
-    assert(table.ii() == ii_ && table.wordsPerRow() == wordsPerRow_);
+    assert(table.ii() == ii_);
     ++maskProbes_;
     const int tm = rowOf(time);
-    const int num_rows = table.numRows();
-    for (int k = 0; k < num_rows; ++k) {
-        int row = table.rowIndex(k) + tm;
+    const int num_uses = table.numUses();
+    for (int i = 0; i < num_uses; ++i) {
+        const auto use = table.use(i);
+        int row = use.rotation + tm;
         if (row >= ii_)
             row -= ii_;
-        const std::uint64_t* use_words = table.rowWords(k);
-        const std::uint64_t* occupancy = rowMask(row);
-        for (int w = 0; w < wordsPerRow_; ++w) {
-            if ((use_words[w] & occupancy[w]) != 0)
-                return true;
-        }
+        if ((resourceRows(use.resource)[row >> 6] >> (row & 63) & 1) != 0)
+            return true;
     }
     return false;
 }
@@ -141,7 +122,7 @@ int
 ModuloReservationTable::firstFreeSlot(
     const machine::CompiledReservationTable& table, int min_time) const
 {
-    assert(table.ii() == ii_ && table.wordsPerRow() == wordsPerRow_);
+    assert(table.ii() == ii_);
     assert(!table.selfConflicts() &&
            "self-conflicting alternatives are pre-filtered");
     ++slotScans_;
@@ -305,13 +286,10 @@ ModuloReservationTable::masksConsistent() const
     for (int row = 0; row < ii_; ++row) {
         for (int resource = 0; resource < numResources_; ++resource) {
             const bool occupied = owner(row, resource) != kFree;
-            const bool row_bit =
-                (rowMask(row)[resource >> 6] >>
-                     (resource & 63) & 1) != 0;
-            const bool col_bit =
+            const bool bit =
                 (resourceRows(resource)[row >> 6] >> (row & 63) & 1) !=
                 0;
-            if (row_bit != occupied || col_bit != occupied)
+            if (bit != occupied)
                 return false;
         }
     }

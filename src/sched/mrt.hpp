@@ -19,19 +19,15 @@ namespace ims::sched {
  * Each cell remembers which operation owns it, so the scheduler can both
  * test for conflicts and determine the set of operations to displace
  * (§3.4). The owner grid stays authoritative for displacement; alongside
- * it the table maintains two redundant bitmask views that make conflict
- * queries word-parallel (see docs/ALGORITHM.md, "Compiled reservation
- * tables"):
+ * it the table keeps one redundant bitset view, a per-resource bitset
+ * over rows, that makes conflict queries word-parallel (see
+ * docs/ALGORITHM.md, "Compiled reservation tables"). Its rotations drive
+ * `firstFreeSlot`: one pass over an alternative's compiled uses yields
+ * the conflict set of *all* II candidate issue times at once, 64
+ * candidates per machine word. A single-time conflict test reads one bit
+ * per compiled use.
  *
- *  - a per-row occupancy mask over resources, ANDed against a
- *    CompiledReservationTable's row masks for single-time conflict
- *    tests, and
- *  - a per-resource bitset over rows, whose rotations drive
- *    `firstFreeSlot`: one pass over an alternative's compiled uses
- *    yields the conflict set of *all* II candidate issue times at once,
- *    64 candidates per machine word.
- *
- * In debug builds every reserve/release asserts that the masks agree
+ * In debug builds every reserve/release asserts that the bitsets agree
  * with the owner cells it touched; `masksConsistent()` checks the whole
  * grid (the randomized property test calls it after every mutation, and
  * IMS_EXPENSIVE_CHECKS builds assert it on each one).
@@ -54,8 +50,8 @@ class ModuloReservationTable
     bool conflicts(const machine::ReservationTable& table, int time) const;
 
     /**
-     * Mask-based conflict test: a handful of ANDs between `table`'s
-     * per-row resource masks and this table's row occupancy masks.
+     * Bitset conflict test: for each of `table`'s compiled uses, one bit
+     * of the used resource's row bitset.
      */
     bool conflicts(const machine::CompiledReservationTable& table,
                    int time) const;
@@ -108,13 +104,13 @@ class ModuloReservationTable
     int reservedCellCount() const;
 
     /**
-     * True if both bitmask views agree with the owner-cell grid on every
-     * (row, resource). The grid is authoritative; this audits the
-     * redundant masks.
+     * True if the per-resource row bitsets agree with the owner-cell
+     * grid on every (row, resource). The grid is authoritative; this
+     * audits the redundant bitsets.
      */
     bool masksConsistent() const;
 
-    /** Mask conflict tests performed (telemetry: mrt_mask_probes). */
+    /** Compiled conflict tests performed (telemetry: mrt_mask_probes). */
     std::uint64_t maskProbes() const { return maskProbes_; }
 
     /** Word-parallel slot scans performed (telemetry: mrt_slot_scans). */
@@ -141,13 +137,6 @@ class ModuloReservationTable
     }
 
     const std::uint64_t*
-    rowMask(int row) const
-    {
-        return rowMasks_.data() +
-               static_cast<std::size_t>(row) * wordsPerRow_;
-    }
-
-    const std::uint64_t*
     resourceRows(machine::ResourceId resource) const
     {
         return resourceRows_.data() +
@@ -171,8 +160,6 @@ class ModuloReservationTable
 
     int ii_;
     int numResources_;
-    /** Words per row occupancy mask: ceil(numResources / 64). */
-    int wordsPerRow_;
     /** Words per resource row bitset: ceil(ii / 64). */
     int wordsPerColumn_;
     /** Valid-bit mask for the last word of a row bitset. */
@@ -189,9 +176,7 @@ class ModuloReservationTable
     int heldStride_;
     std::vector<std::int32_t> heldCells_;
     std::vector<std::int32_t> heldCount_;
-    /** Row-major occupancy: ii_ rows of wordsPerRow_ resource words. */
-    std::vector<std::uint64_t> rowMasks_;
-    /** Column-major occupancy: per resource, wordsPerColumn_ row words. */
+    /** Occupancy: per resource, wordsPerColumn_ row words. */
     std::vector<std::uint64_t> resourceRows_;
     /** Scratch conflict mask for firstFreeSlot (no per-call alloc). */
     mutable std::vector<std::uint64_t> scanScratch_;

@@ -1,6 +1,8 @@
 #include "sched/schedule.hpp"
 
 #include "graph/graph_builder.hpp"
+#include "mii/mii.hpp"
+#include "sched/feedback_probe.hpp"
 #include "support/error.hpp"
 
 namespace ims::sched {
@@ -40,25 +42,40 @@ schedule(const ir::Loop& loop, const machine::MachineModel& machine,
                    "BudgetRatio must be positive");
     support::check(options.search.maxIiIncrease >= 0,
                    "maxIiIncrease must be non-negative");
-    support::check(options.search.feedbackSubgraphCap > 0,
-                   "feedbackSubgraphCap must be positive");
-    support::check(options.search.feedbackProbeBudget > 0,
-                   "feedbackProbeBudget must be positive");
     support::check(options.trace == nullptr ||
                        (options.search.kind == IiSearchKind::kLinear &&
                         options.strategy == SchedulerStrategy::kIterative),
                    "trace capture requires the iterative backend under the "
                    "linear II search");
+
+    // The walk every backend runs under: compute the MII, build the
+    // feedback strategy's probe (it accumulates the bottleneck subgraph
+    // of the failed attempts and decides candidates with the exact
+    // backend on it), and walk the candidate IIs.
+    const detail::Walk walk =
+        [&](std::int64_t budget, const IiAttemptFn& attempt,
+            const std::function<std::string()>& exhausted_message) {
+            const mii::MiiResult mii = mii::computeMii(
+                loop, machine, graph, sccs, counters, options.telemetry);
+            std::optional<FeedbackProbe> prober;
+            IiInfeasibilityProbe probe;
+            if (options.search.kind == IiSearchKind::kFeedback)
+                probe = std::ref(prober.emplace(loop, machine, graph, sccs));
+            ModuloScheduleOutcome outcome = runIiSearch(
+                options.search, mii.resMii, mii.mii, budget, attempt, probe,
+                counters, options.telemetry, exhausted_message);
+            outcome.scheduler = schedulerStrategyName(options.strategy);
+            return outcome;
+        };
     switch (options.strategy) {
       case SchedulerStrategy::kIterative:
-        return detail::runIterativeSchedule(loop, machine, graph, sccs,
-                                            options, counters);
+        return detail::iterativeBackend(loop, machine, graph, sccs, options,
+                                        walk);
       case SchedulerStrategy::kSlack:
-        return detail::runSlackSchedule(loop, machine, graph, sccs, options,
-                                        counters);
+        return detail::slackBackend(loop, machine, graph, options, walk);
       case SchedulerStrategy::kExact:
-        return detail::runExactSchedule(loop, machine, graph, sccs, options,
-                                        counters);
+        return detail::exactBackend(loop, machine, graph, sccs, options,
+                                    walk);
     }
     throw support::Error("unknown scheduler strategy");
 }

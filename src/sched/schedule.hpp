@@ -2,6 +2,7 @@
 #define IMS_SCHED_SCHEDULE_HPP
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -128,50 +129,48 @@ struct ScheduleOptions
         telemetry = sink;
         return *this;
     }
-
-    /** Lower to the iterative backend's per-attempt options. */
-    IterativeScheduleOptions
-    inner() const
-    {
-        IterativeScheduleOptions options;
-        options.priority = priority;
-        options.forwardProgressRule = forwardProgressRule;
-        options.randomSeed = randomSeed;
-        options.trace = trace;
-        options.telemetry = telemetry;
-        return options;
-    }
 };
 
 namespace detail {
 
-/** Backend drivers behind sched::schedule(); not part of the API. */
-ModuloScheduleOutcome
-runIterativeSchedule(const ir::Loop& loop,
-                     const machine::MachineModel& machine,
-                     const graph::DepGraph& graph,
-                     const graph::SccResult& sccs,
-                     const ScheduleOptions& options,
-                     support::Counters* counters);
+/**
+ * The Figure-2 walk as sched::schedule() runs it, handed to a backend:
+ * the backend calls it once with its per-attempt budget, its attempt at
+ * one candidate II and its "sched.ii_exhausted" message, and keeps its
+ * per-walk state (reused buffers, feedback sink) in locals that outlive
+ * the call. Not part of the API.
+ */
+using Walk = std::function<ModuloScheduleOutcome(
+    std::int64_t budget, const IiAttemptFn& attempt,
+    const std::function<std::string()>& exhausted_message)>;
 
-ModuloScheduleOutcome
-runSlackSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
-                 const graph::DepGraph& graph, const graph::SccResult& sccs,
-                 const ScheduleOptions& options,
-                 support::Counters* counters);
+ModuloScheduleOutcome iterativeBackend(const ir::Loop& loop,
+                                       const machine::MachineModel& machine,
+                                       const graph::DepGraph& graph,
+                                       const graph::SccResult& sccs,
+                                       const ScheduleOptions& options,
+                                       const Walk& walk);
 
-ModuloScheduleOutcome
-runExactSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
-                 const graph::DepGraph& graph, const graph::SccResult& sccs,
-                 const ScheduleOptions& options,
-                 support::Counters* counters);
+ModuloScheduleOutcome slackBackend(const ir::Loop& loop,
+                                   const machine::MachineModel& machine,
+                                   const graph::DepGraph& graph,
+                                   const ScheduleOptions& options,
+                                   const Walk& walk);
+
+ModuloScheduleOutcome exactBackend(const ir::Loop& loop,
+                                   const machine::MachineModel& machine,
+                                   const graph::DepGraph& graph,
+                                   const graph::SccResult& sccs,
+                                   const ScheduleOptions& options,
+                                   const Walk& walk);
 
 } // namespace detail
 
 /**
- * The single scheduling entry point: compute the MII, then run the
- * backend selected by options.strategy over candidate IIs under the
- * configured II-search strategy (the paper's Figure 2). (The pre-PR-6
+ * The single scheduling entry point and the one Figure-2 driver: compute
+ * the MII, build the feedback search's FeedbackProbe when it is
+ * selected, and walk the candidate IIs with runIiSearch using the budget
+ * and attempt of the backend selected by options.strategy. (The older
  * per-backend free functions were deprecated for one release and have
  * been removed; see docs/api.md for the migration table.)
  *
@@ -179,8 +178,9 @@ runExactSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
  *         II fails, and "exact.budget_exhausted" when the exact backend
  *         runs out of nodes at a candidate the walk reaches.
  * @throws support::Error before any backend work when `options` is
- *         invalid (non-positive BudgetRatio, feedback cap or probe
- *         budget; negative maxIiIncrease).
+ *         invalid (non-positive BudgetRatio or exact node budget,
+ *         negative maxIiIncrease, a trace outside the linear iterative
+ *         walk).
  */
 ModuloScheduleOutcome schedule(const ir::Loop& loop,
                                const machine::MachineModel& machine,

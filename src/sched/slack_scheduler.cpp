@@ -1,18 +1,39 @@
-#include "sched/slack_scheduler.hpp"
-
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 
-#include "mii/mii.hpp"
 #include "mii/min_dist.hpp"
 #include "sched/attempt_state.hpp"
-#include "sched/feedback_probe.hpp"
 #include "sched/partial_schedule.hpp"
 #include "sched/schedule.hpp"
-#include "support/error.hpp"
 
 namespace ims::sched {
+
+/**
+ * A lifetime-sensitive, bidirectional slack modulo scheduler in the
+ * style of Huff [18] — the alternative algorithm the paper credits for
+ * the minimal cost-to-time-ratio (MinDist) formulation and contrasts
+ * with its height-based operation scheduling.
+ *
+ * Per candidate II:
+ *  - the full-graph MinDist matrix pins dynamic earliest (etime) and
+ *    latest (ltime) start times against the currently placed operations,
+ *    with START pre-placed at 0 and STOP pre-placed at the critical-path
+ *    deadline MinDist[START, STOP];
+ *  - operations are placed mindist-slack-first (ltime - etime); an
+ *    operation with more unplaced successors than predecessors is placed
+ *    as early as possible, otherwise as late as possible — the
+ *    bidirectional rule that shortens value lifetimes;
+ *  - when no conflict-free slot exists in the (II-wide) window, the
+ *    operation is force-placed and conflicting neighbours are ejected,
+ *    with the same forward-progress rule as iterative modulo scheduling;
+ *  - the step budget is BudgetRatio * (N + 2), as in Figure 2/3.
+ *
+ * It runs under the same Figure-2 walk as the iterative backend, so the
+ * two algorithms can be compared head to head (bench_abl_huff_slack).
+ * sched::schedule() reaches it with SchedulerStrategy::kSlack through
+ * detail::slackBackend below.
+ */
 
 namespace {
 
@@ -33,12 +54,9 @@ class SlackAttempt
     SlackAttempt(const ir::Loop& loop,
                  const machine::MachineModel& machine,
                  const graph::DepGraph& graph, int ii,
-                 support::Counters* counters,
-                 const support::CancellationToken* cancel,
-                 AttemptFeedback* feedback = nullptr)
+                 support::Counters* counters, AttemptFeedback* feedback)
         : graph_(graph),
           ii_(ii),
-          cancel_(cancel),
           feedback_(feedback),
           dist_(graph, ii, counters),
           schedule_(graph, loop, machine, ii)
@@ -72,12 +90,6 @@ class SlackAttempt
         --budget;
 
         while (numUnplaced() > 0 && budget > 0) {
-            // Same cooperative check as the iterative scheduler's budget
-            // loop: once the token cancels this II, stop within one step.
-            if (cancel_ != nullptr && cancel_->cancelled(ii_)) {
-                cancelled_ = true;
-                return false;
-            }
             const graph::VertexId op = pickMinSlack();
             const auto [etime, ltime] = window(op);
             const bool early = placeEarly(op);
@@ -147,8 +159,6 @@ class SlackAttempt
     }
 
     const PartialSchedule& schedule() const { return schedule_; }
-
-    bool cancelled() const { return cancelled_; }
 
     /** True when this II is proven impossible (modulo self-collision). */
     bool provenInfeasible() const { return infeasible_; }
@@ -277,9 +287,7 @@ class SlackAttempt
 
     const graph::DepGraph& graph_;
     int ii_;
-    const support::CancellationToken* cancel_;
     AttemptFeedback* feedback_;
-    bool cancelled_ = false;
     bool infeasible_ = false;
     mii::MinDistMatrix dist_;
     PartialSchedule schedule_;
@@ -295,47 +303,30 @@ class SlackAttempt
 namespace detail {
 
 ModuloScheduleOutcome
-runSlackSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
-                 const graph::DepGraph& graph, const graph::SccResult& sccs,
-                 const ScheduleOptions& options, support::Counters* counters)
+slackBackend(const ir::Loop& loop, const machine::MachineModel& machine,
+             const graph::DepGraph& graph, const ScheduleOptions& options,
+             const Walk& walk)
 {
-    const mii::MiiResult mii = mii::computeMii(loop, machine, graph, sccs,
-                                               counters, options.telemetry);
     const std::int64_t budget = std::max<std::int64_t>(
         2, static_cast<std::int64_t>(std::llround(
                options.search.budgetRatio * (loop.size() + 2))));
 
-    // Feedback strategy plumbing, as in runIterativeSchedule: each
-    // failed attempt writes its bottleneck report into the outcome, and
-    // the probe decides skips with the exact backend on the accumulated
-    // bottleneck subgraph.
+    // Under the feedback strategy each failed attempt writes its
+    // bottleneck report into the outcome.
     const bool wants_feedback =
         options.search.kind == IiSearchKind::kFeedback;
-    std::optional<FeedbackProbe> prober;
-    IiInfeasibilityProbe probe;
-    if (wants_feedback && options.search.feedbackSkipInfeasible) {
-        prober.emplace(loop, machine, graph, sccs,
-                       options.search.feedbackSubgraphCap,
-                       options.search.feedbackProbeBudget);
-        probe = [&prober](int ii, const AttemptFeedback& feedback) {
-            return (*prober)(ii, feedback);
-        };
-    }
 
     // Every slack attempt builds its state (MinDist matrix, partial
     // schedule) from scratch, so nothing is reused across candidate IIs.
     const IiAttemptFn attempt = [&](int ii) {
         IiAttemptOutcome out;
         SlackAttempt attempt(loop, machine, graph, ii, &out.counters,
-                             nullptr,
                              wants_feedback ? &out.feedback : nullptr);
         std::int64_t steps = 0;
         std::int64_t unschedules = 0;
         const bool scheduled = attempt.run(budget, steps, unschedules);
         if (scheduled)
             out.status = AttemptStatus::kScheduled;
-        else if (attempt.cancelled())
-            out.status = AttemptStatus::kCancelled;
         else if (attempt.provenInfeasible())
             out.status = AttemptStatus::kInfeasible;
         else
@@ -349,16 +340,11 @@ runSlackSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
         return out;
     };
 
-    ModuloScheduleOutcome outcome = runIiSearch(
-        options.search, mii.resMii, mii.mii, budget, attempt, probe,
-        counters, options.telemetry, [&] {
-            return "slack scheduler found no schedule for '" +
-                   loop.name() + "' within " +
-                   std::to_string(options.search.maxIiIncrease) +
-                   " IIs above the MII";
-        });
-    outcome.scheduler = schedulerStrategyName(SchedulerStrategy::kSlack);
-    return outcome;
+    return walk(budget, attempt, [&] {
+        return "slack scheduler found no schedule for '" + loop.name() +
+               "' within " + std::to_string(options.search.maxIiIncrease) +
+               " IIs above the MII";
+    });
 }
 
 } // namespace detail

@@ -14,12 +14,10 @@ namespace ims::service {
  *
  * Normalization drops every knob that is guaranteed not to change the
  * produced PipelineResult:
- *  - the II-search strategy kind and the feedback-search knobs
- *    (subgraph cap, skip switch, probe budget): the feedback strategy's
- *    skips are sound infeasibility proofs, so its winning II and
- *    schedule equal the linear search's for every knob setting —
- *    feedback requests share cache lines with linear ones (see
- *    docs/ALGORITHM.md),
+ *  - the II-search strategy kind: the feedback strategy's skips are
+ *    sound infeasibility proofs, so its winning II and schedule equal
+ *    the linear search's — feedback requests share cache lines with
+ *    linear ones (see docs/ALGORITHM.md),
  *  - telemetry sinks and trace buffers (observability-only pointers).
  *
  * Everything else — backend strategy, BudgetRatio, maxIiIncrease,

@@ -144,12 +144,15 @@ class ScheduleCache
 /**
  * Deterministic digest of everything in a PipelineResult that is a pure
  * function of (loop, machine, options): artifact identity via the full
- * schedule (II, times, alternatives), the rendered report, diagnostics,
- * and the deterministic telemetry fields. Wall-clock phase timings and
- * race observability (ii_workers, attempts started/cancelled/wasted) are
- * excluded. This is the bit-identity oracle the cache tests and
- * bench_service gate on: a cache hit must fingerprint identically to a
- * cold run at any thread count.
+ * schedule (II, times, alternatives), the rendered report, diagnostics
+ * (severity, phase, message, code), and the telemetry summary (loop,
+ * ops, MII bounds, II, attempts, schedule length, budget, steps,
+ * backtracks, scheduler). Wall-clock timings, the work counters and the
+ * II-search fields (ii_strategy, ii_workers,
+ * ii_attempts_proven_infeasible, ii_skipped) are excluded. This is the
+ * bit-identity oracle the cache tests and bench_service gate on: a
+ * cache hit must fingerprint identically to a cold run at any thread
+ * count.
  */
 std::uint64_t fingerprintResult(const ir::Loop& loop,
                                 const machine::MachineModel& machine,

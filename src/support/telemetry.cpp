@@ -61,8 +61,10 @@ formatJsonDouble(double value)
     return buffer;
 }
 
+} // namespace
+
 void
-appendJsonString(std::string& out, const std::string& text)
+appendJsonString(std::string& out, std::string_view text)
 {
     out += '"';
     for (const char c : text) {
@@ -70,6 +72,7 @@ appendJsonString(std::string& out, const std::string& text)
         case '"': out += "\\\""; break;
         case '\\': out += "\\\\"; break;
         case '\n': out += "\\n"; break;
+        case '\r': out += "\\r"; break;
         case '\t': out += "\\t"; break;
         default:
             if (static_cast<unsigned char>(c) < 0x20) {
@@ -83,6 +86,16 @@ appendJsonString(std::string& out, const std::string& text)
     }
     out += '"';
 }
+
+std::string
+jsonString(std::string_view text)
+{
+    std::string out;
+    appendJsonString(out, text);
+    return out;
+}
+
+namespace {
 
 /**
  * Minimal recursive-descent parser for the subset of JSON the telemetry
@@ -175,6 +188,7 @@ class JsonParser
                 case '\\': out += '\\'; break;
                 case '/': out += '/'; break;
                 case 'n': out += '\n'; break;
+                case 'r': out += '\r'; break;
                 case 't': out += '\t'; break;
                 case 'u': {
                     check(pos_ + 4 <= text_.size(), "bad \\u escape");

@@ -174,6 +174,18 @@ struct PipelineTelemetry
  */
 PipelineTelemetry parseTelemetryJson(const std::string& json);
 
+/**
+ * The library's one JSON string escaper: append `text` to `out` as a
+ * quoted JSON string. `"` and `\` are backslash-escaped, newline,
+ * carriage return and tab use their short escapes, every other byte
+ * below 0x20 becomes \u00XX, and all other bytes are copied as is.
+ * parseTelemetryJson decodes every one of these escapes.
+ */
+void appendJsonString(std::string& out, std::string_view text);
+
+/** `text` as a quoted JSON string (see appendJsonString). */
+std::string jsonString(std::string_view text);
+
 /** Render one row per record (II vs MII, attempts, phase times). */
 TextTable telemetryTable(const std::vector<PipelineTelemetry>& records);
 

@@ -230,33 +230,6 @@ TEST(FeedbackSearchTest, InconclusiveFeedbackNeverConsultsTheProbe)
     EXPECT_EQ(attempts, 4);
 }
 
-TEST(FeedbackSearchTest, SkippingCanBeDisabled)
-{
-    // withFeedbackSkipInfeasible(false) must reduce to the plain linear
-    // walk even when a probe is supplied and would prove everything.
-    int probes = 0;
-    int attempts = 0;
-    support::Counters counters;
-    const auto outcome = sched::runIiSearch(
-        sched::IiSearchOptions{kFeedbackSearch}.withFeedbackSkipInfeasible(
-            false),
-        3, 3, 10,
-        [&](int ii) {
-            ++attempts;
-            return fakeAttempt(ii, /*first_feasible=*/6);
-        },
-        [&](int, const sched::AttemptFeedback&) {
-            ++probes;
-            return true;
-        },
-        &counters, nullptr, noLuck);
-    EXPECT_EQ(outcome.schedule.ii, 6);
-    EXPECT_EQ(probes, 0);
-    EXPECT_EQ(outcome.search.skippedIis, 0);
-    EXPECT_EQ(attempts, 4);
-    EXPECT_EQ(counters.scheduleSteps, 4u * 10u);
-}
-
 // ---------------------------------------------------------------------------
 // Bit-identity of the feedback search against linear on real problems.
 
@@ -457,6 +430,63 @@ TEST(FeedbackSearchTest, ExactBackendConsumesFeedbackToo)
 }
 
 // ---------------------------------------------------------------------------
+// Exhaustion diagnostics. The service fingerprint digests diagnostic
+// messages, so each backend's wording is pinned here word for word.
+
+TEST(ExhaustionDiagnosticsTest, MessagesArePinnedPerBackend)
+{
+    // The gapster's MII is 8 and no backend schedules it there; one
+    // exact search node is not enough to decide II 8.
+    const auto machine = gapsterMachine(90);
+    const auto loop = gapsterLoop(4, 2);
+    struct Case
+    {
+        sched::SchedulerStrategy strategy;
+        std::int64_t exactNodeBudget;
+        std::string code;
+        std::string message;
+    };
+    const Case cases[] = {
+        {sched::SchedulerStrategy::kIterative, sched::kDefaultExactNodeBudget,
+         "sched.ii_exhausted",
+         "no modulo schedule found for loop 'gap' within 0 IIs above the "
+         "MII"},
+        {sched::SchedulerStrategy::kSlack, sched::kDefaultExactNodeBudget,
+         "sched.ii_exhausted",
+         "slack scheduler found no schedule for 'gap' within 0 IIs above "
+         "the MII"},
+        {sched::SchedulerStrategy::kExact, sched::kDefaultExactNodeBudget,
+         "sched.ii_exhausted",
+         "exact scheduler proved no schedule exists for loop 'gap' within "
+         "0 IIs above the MII"},
+        {sched::SchedulerStrategy::kExact, 1, "exact.budget_exhausted",
+         "exact scheduler exhausted its node budget (1) at II 8 for loop "
+         "'gap' — optimality cannot be proven; raise exactNodeBudget or "
+         "use the iterative backend"},
+    };
+    for (const Case& c : cases) {
+        for (const auto kind :
+             {sched::IiSearchKind::kLinear, sched::IiSearchKind::kFeedback}) {
+            const core::SoftwarePipeliner pipeliner(
+                machine, core::PipelinerOptions{}
+                             .withScheduler(c.strategy)
+                             .withIiSearch(kind)
+                             .withMaxIiIncrease(0)
+                             .withExactNodeBudget(c.exactNodeBudget));
+            const auto result =
+                pipeliner.pipeline(core::PipelineRequest(loop));
+            const std::string context =
+                sched::schedulerStrategyName(c.strategy) + "/" +
+                sched::iiSearchKindName(kind);
+            ASSERT_FALSE(result.ok()) << context;
+            ASSERT_EQ(result.diagnostics.size(), 1u) << context;
+            EXPECT_EQ(result.diagnostics[0].code, c.code) << context;
+            EXPECT_EQ(result.diagnostics[0].message, c.message) << context;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // AttemptFeedback population by the schedulers.
 
 TEST(AttemptFeedbackTest, UnplaceableOpsAtDivisorIis)
@@ -551,9 +581,7 @@ TEST(AttemptFeedbackTest, FeedbackProbeAccumulatesAndProves)
     const auto graph = graph::buildDepGraph(loop, machine);
     const auto sccs = graph::findSccs(graph);
 
-    sched::FeedbackProbe probe(loop, machine, graph, sccs,
-                               /*subgraph_cap=*/12,
-                               /*node_budget=*/200'000);
+    sched::FeedbackProbe probe(loop, machine, graph, sccs);
 
     sched::AttemptFeedback report;
     report.ii = 8;
@@ -578,9 +606,17 @@ TEST(AttemptFeedbackTest, FeedbackProbeAccumulatesAndProves)
     storm.displacements.push_back({0, 7});
     EXPECT_FALSE(probe(13, storm)); // 13 is the real winner: no proof
     const auto& members = probe.members();
-    EXPECT_LE(members.size(), 12u);
+    EXPECT_LE(members.size(),
+              static_cast<std::size_t>(sched::kFeedbackSubgraphCap));
     for (std::size_t i = 1; i < members.size(); ++i)
         EXPECT_LT(members[i - 1], members[i]);
+
+    // A smaller cap bounds the member set: op 0's four-add recurrence
+    // does not fit under a cap of 1, so only the storm vertex joins.
+    sched::FeedbackProbe capped(loop, machine, graph, sccs,
+                                /*subgraph_cap=*/1);
+    EXPECT_FALSE(capped(13, storm));
+    EXPECT_EQ(capped.members(), std::vector<graph::VertexId>{0});
 }
 
 // ---------------------------------------------------------------------------
@@ -596,9 +632,8 @@ TEST(FeedbackSearchTest, PipelineReportsSkippedIisInTelemetry)
     ASSERT_TRUE(base.artifacts.has_value()) << base.firstError();
 
     const core::SoftwarePipeliner pipeliner(
-        machine, core::PipelinerOptions{}
-                     .withIiSearch(sched::IiSearchKind::kFeedback)
-                     .withFeedback(/*subgraph_cap=*/12));
+        machine, core::PipelinerOptions{}.withIiSearch(
+                     sched::IiSearchKind::kFeedback));
     const auto result = pipeliner.pipeline(core::PipelineRequest(loop));
     ASSERT_TRUE(result.artifacts.has_value()) << result.firstError();
 
@@ -614,19 +649,16 @@ TEST(FeedbackSearchTest, PipelineReportsSkippedIisInTelemetry)
     EXPECT_EQ(parsed.iiSkipped, result.telemetry.iiSkipped);
 }
 
-TEST(FeedbackSearchTest, OptionsCodecNormalizesFeedbackKnobsAway)
+TEST(FeedbackSearchTest, OptionsCodecNormalizesSearchKindAway)
 {
-    // Skips are sound proofs, so feedback results equal linear's for
-    // every knob setting: the canonical options text — and hence the
-    // service cache key — must not depend on any of them.
+    // Skips are sound proofs, so feedback results equal linear's: the
+    // canonical options text — and hence the service cache key — must
+    // not depend on the search kind.
     const std::string canonical =
         service::canonicalOptionsText(core::PipelinerOptions{});
     EXPECT_EQ(service::canonicalOptionsText(
-                  core::PipelinerOptions{}
-                      .withIiSearch(sched::IiSearchKind::kFeedback)
-                      .withFeedback(/*subgraph_cap=*/3,
-                                    /*skip_infeasible=*/false,
-                                    /*probe_budget=*/999)),
+                  core::PipelinerOptions{}.withIiSearch(
+                      sched::IiSearchKind::kFeedback)),
               canonical);
     // Round trip through the parser stays canonical.
     EXPECT_EQ(service::canonicalOptionsText(
@@ -650,10 +682,8 @@ TEST(FeedbackSearchTest, ServiceCacheHitsAcrossSearchStrategies)
     EXPECT_FALSE(cold.cacheHit);
 
     service::ServiceRequest feedback_request = cold_request;
-    feedback_request.options =
-        core::PipelinerOptions{}
-            .withIiSearch(sched::IiSearchKind::kFeedback)
-            .withFeedback(/*subgraph_cap=*/5);
+    feedback_request.options = core::PipelinerOptions{}.withIiSearch(
+        sched::IiSearchKind::kFeedback);
     const auto hit = server.scheduleNow(feedback_request);
     ASSERT_TRUE(hit.ok()) << hit.errorMessage;
     EXPECT_TRUE(hit.cacheHit);

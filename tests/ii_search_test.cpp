@@ -35,19 +35,17 @@ TEST(IiSearchTest, ScheduleRejectsBadOptionsBeforeAnyBackendWork)
     const auto machine = machine::cydra5();
     const auto w = workloads::kernelByName("daxpy");
     const auto bad = {
-        sched::IiSearchOptions{}.withBudgetRatio(0.0),
-        sched::IiSearchOptions{}.withMaxIiIncrease(-1),
-        sched::IiSearchOptions{}
-            .withKind(sched::IiSearchKind::kFeedback)
-            .withFeedbackSubgraphCap(0),
-        sched::IiSearchOptions{}
-            .withKind(sched::IiSearchKind::kFeedback)
-            .withFeedbackProbeBudget(0),
+        sched::ScheduleOptions{}.withSearch(
+            sched::IiSearchOptions{}.withBudgetRatio(0.0)),
+        sched::ScheduleOptions{}.withSearch(
+            sched::IiSearchOptions{}.withMaxIiIncrease(-1)),
+        sched::ScheduleOptions{}
+            .withStrategy(sched::SchedulerStrategy::kExact)
+            .withExactNodeBudget(0),
     };
-    for (const auto& search : bad) {
+    for (auto options : bad) {
         support::TelemetryRecorder recorder;
-        sched::ScheduleOptions options;
-        options.withSearch(search).withTelemetry(&recorder);
+        options.withTelemetry(&recorder);
         support::Counters counters;
         EXPECT_THROW(sched::schedule(w.loop, machine, options, &counters),
                      support::Error);

@@ -195,6 +195,17 @@ TEST(ProgramCompilerTest, ReportsSectionsInProgramOrder)
               std::string::npos);
 }
 
+TEST(ProgramCompilerTest, JsonEscapesTheProgramName)
+{
+    Program p = smallProgram();
+    p.name = "a\"b";
+    const ProgramCompiler compiler(machine::cydra5());
+    const auto result = compiler.compile(p);
+    ASSERT_TRUE(result.ok()) << result.firstError();
+    const std::string json = result.toJson();
+    EXPECT_EQ(json.rfind(R"({"program":"a\"b","ok":true,)", 0), 0u) << json;
+}
+
 TEST(ProgramCompilerTest, BadOpcodeSurfacesAsDiagnosticNotThrow)
 {
     Program p = smallProgram();

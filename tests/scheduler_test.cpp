@@ -11,7 +11,6 @@
 #include "sched/attempt_feedback.hpp"
 #include "sched/iterative_scheduler.hpp"
 #include "sched/schedule.hpp"
-#include "sched/slack_scheduler.hpp"
 #include "sched/verifier.hpp"
 #include "support/error.hpp"
 #include "workloads/kernels.hpp"

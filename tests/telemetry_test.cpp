@@ -169,6 +169,20 @@ TEST(TelemetryTest, NonFiniteDoublesProduceValidJson)
               std::numeric_limits<double>::max());
 }
 
+TEST(TelemetryTest, LoopNameWithControlBytesRoundTrips)
+{
+    // Every byte the escaper writes as an escape: 0x01-0x1f (short
+    // escapes and \u00XX), the quote and the backslash.
+    support::PipelineTelemetry telemetry;
+    for (int c = 0x01; c < 0x20; ++c)
+        telemetry.loop += static_cast<char>(c);
+    telemetry.loop += "\"q\\";
+    const std::string json = telemetry.toJson();
+    for (const char c : json)
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+    EXPECT_EQ(support::parseTelemetryJson(json).loop, telemetry.loop);
+}
+
 TEST(TelemetryTest, ParserRejectsMalformedInput)
 {
     EXPECT_THROW(support::parseTelemetryJson(""), support::Error);

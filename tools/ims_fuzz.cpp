@@ -37,20 +37,18 @@
  *                          match the sequential reference at every trip
  *   --exact-budget <n>     exact-backend node budget per candidate II
  *   --ii-search <linear|feedback>  II search strategy the pipeline
- *                          under test uses; feedback must be
- *                          bit-identical to linear, so the campaign's
- *                          sim-equivalence oracles double as a check of
- *                          the feedback probe's skip proofs
- *   --feedback-cap <n>     feedback search: bottleneck-subgraph cap
- *   --feedback-probe-budget <n>  feedback search: probe node budget
- *   --no-feedback-skip     feedback search: disable II skipping
+ *                          under test uses; under feedback every case
+ *                          is re-scheduled with the linear walk and any
+ *                          difference in II, times or alternatives is a
+ *                          "feedback.linear_mismatch" finding
  *   --inject-delay-fault   enable the deliberate dependence-delay bug
  *                          (memory flow delays forced to 0) to prove the
  *                          oracle + minimizer path end to end
  *   --replay <file>        re-run the oracles on a reproducer; exit 0 if
  *                          the case is now clean, 2 if it still fails
  *
- * Exit status: 0 = no findings, 1 = findings (campaign mode).
+ * Exit status: 0 = no findings, 1 = findings (campaign mode), 2 = usage
+ * error (an unknown option or name, or a malformed number).
  */
 #include <iostream>
 #include <string>
@@ -65,6 +63,7 @@
 #include "machine/cydra5.hpp"
 #include "machine/machine_io.hpp"
 #include "machine/machines.hpp"
+#include "support/parse_number.hpp"
 
 namespace {
 
@@ -84,9 +83,6 @@ struct CliOptions
     std::vector<std::string> oracles;
     std::int64_t exactBudget = sched::kDefaultExactNodeBudget;
     std::string iiSearch = "linear";
-    int feedbackCap = 12;
-    std::int64_t feedbackProbeBudget = 200'000;
-    bool feedbackSkip = true;
     bool injectDelayFault = false;
     std::string replayFile;
 };
@@ -105,8 +101,6 @@ usage(int code)
            "[--oracle opt.ii_gap|program.equiv]\n"
            "                [--exact-budget N]\n"
            "                [--ii-search linear|feedback]\n"
-           "                [--feedback-cap N] "
-           "[--feedback-probe-budget N] [--no-feedback-skip]\n"
            "       ims-fuzz --replay <file.repro>\n";
     std::exit(code);
 }
@@ -119,7 +113,7 @@ parseTrips(const std::string& text)
     for (const char c : text + ",") {
         if (c == ',') {
             if (!current.empty()) {
-                trips.push_back(std::stoi(current));
+                trips.push_back(support::numberArg<int>("--trips", current));
                 current.clear();
             }
         } else {
@@ -161,11 +155,12 @@ parseArgs(int argc, char** argv)
             return argv[++i];
         };
         if (arg == "--seed")
-            options.seed = std::stoull(next("a seed"));
+            options.seed =
+                support::numberArg<std::uint64_t>(arg, next("a seed"));
         else if (arg == "--cases")
-            options.cases = std::stoi(next("a count"));
+            options.cases = support::numberArg<int>(arg, next("a count"));
         else if (arg == "--threads")
-            options.threads = std::stoi(next("a count"));
+            options.threads = support::numberArg<int>(arg, next("a count"));
         else if (arg == "--machine")
             options.machine = next("a machine file or name");
         else if (arg == "--out")
@@ -181,16 +176,10 @@ parseArgs(int argc, char** argv)
         else if (arg == "--oracle")
             options.oracles.push_back(next("an oracle name"));
         else if (arg == "--exact-budget")
-            options.exactBudget = std::stoll(next("a node budget"));
+            options.exactBudget = support::numberArg<std::int64_t>(
+                arg, next("a node budget"));
         else if (arg == "--ii-search")
             options.iiSearch = next("a strategy name");
-        else if (arg == "--feedback-cap")
-            options.feedbackCap = std::stoi(next("a subgraph size cap"));
-        else if (arg == "--feedback-probe-budget")
-            options.feedbackProbeBudget =
-                std::stoll(next("a node budget"));
-        else if (arg == "--no-feedback-skip")
-            options.feedbackSkip = false;
         else if (arg == "--inject-delay-fault")
             options.injectDelayFault = true;
         else if (arg == "--replay")
@@ -223,8 +212,6 @@ pipelineOptions(const CliOptions& options)
     }
     return core::PipelinerOptions{}
         .withIiSearch(*kind)
-        .withFeedback(options.feedbackCap, options.feedbackSkip,
-                      options.feedbackProbeBudget)
         .withScheduler(*strategy)
         .withExactNodeBudget(options.exactBudget);
 }

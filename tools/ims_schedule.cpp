@@ -21,12 +21,6 @@
  *   --ii-search linear|feedback   II search strategy (default linear;
  *                            feedback's winning schedule is
  *                            bit-identical to linear's)
- *   --feedback-cap <n>       feedback search: bottleneck-subgraph size
- *                            cap handed to the infeasibility probe
- *   --feedback-probe-budget <n>   feedback search: exact-backend node
- *                            budget per probe call
- *   --no-feedback-skip       feedback search: never skip candidate IIs
- *                            (degenerates to the linear walk)
  *   --listing                print the full prologue/kernel/epilogue
  *   --kernel-only            print the [36] kernel-only schema instead
  *   --trace                  print the per-step scheduling trace
@@ -38,6 +32,9 @@
  *                            as structured diagnostics
  *   --quiet                  one summary line per loop only
  *   --no-compress            disable pipeline compression (--program)
+ *
+ * A malformed or out-of-range number for any numeric option is a usage
+ * error: the option is named on stderr and the exit status is 2.
  *
  * With --program, the named corpus program (or every program with
  * "all") goes through the whole-program driver: list-scheduled blocks,
@@ -64,6 +61,7 @@
 #include "sched/attempt_feedback.hpp"
 #include "sim/pipeline_simulator.hpp"
 #include "sim/sequential_interpreter.hpp"
+#include "support/parse_number.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/programs.hpp"
 
@@ -79,9 +77,6 @@ struct CliOptions
     double budgetRatio = 2.0;
     std::string priority = "heightr";
     std::string iiSearch = "linear";
-    int feedbackCap = 12;
-    std::int64_t feedbackProbeBudget = 200'000;
-    bool feedbackSkip = true;
     bool listing = false;
     bool kernelOnly = false;
     bool trace = false;
@@ -107,8 +102,6 @@ usage(int code)
            "  --budget-ratio <r>   --priority "
            "heightr|slack|source-order|random\n"
            "  --ii-search linear|feedback\n"
-           "  --feedback-cap <n>  --feedback-probe-budget <n>  "
-           "--no-feedback-skip\n"
            "  --listing  --kernel-only  --trace  --telemetry  "
            "--simulate <trip>  --verify  --quiet  --no-compress\n";
     std::exit(code);
@@ -162,20 +155,15 @@ parseArgs(int argc, char** argv)
         else if (arg == "--scheduler")
             options.scheduler = next("a backend name");
         else if (arg == "--exact-budget")
-            options.exactBudget = std::stoll(next("a node budget"));
+            options.exactBudget = support::numberArg<std::int64_t>(
+                arg, next("a node budget"));
         else if (arg == "--budget-ratio")
-            options.budgetRatio = std::stod(next("a ratio"));
+            options.budgetRatio =
+                support::numberArg<double>(arg, next("a ratio"));
         else if (arg == "--priority")
             options.priority = next("a scheme");
         else if (arg == "--ii-search")
             options.iiSearch = next("a strategy name");
-        else if (arg == "--feedback-cap")
-            options.feedbackCap = std::stoi(next("a subgraph size cap"));
-        else if (arg == "--feedback-probe-budget")
-            options.feedbackProbeBudget =
-                std::stoll(next("a node budget"));
-        else if (arg == "--no-feedback-skip")
-            options.feedbackSkip = false;
         else if (arg == "--listing")
             options.listing = true;
         else if (arg == "--kernel-only")
@@ -185,7 +173,8 @@ parseArgs(int argc, char** argv)
         else if (arg == "--telemetry")
             options.telemetry = true;
         else if (arg == "--simulate")
-            options.simulateTrip = std::stoi(next("a trip count"));
+            options.simulateTrip =
+                support::numberArg<int>(arg, next("a trip count"));
         else if (arg == "--verify")
             options.verify = true;
         else if (arg == "--quiet")
@@ -251,8 +240,6 @@ pipelineOptions(const CliOptions& options)
     core::PipelinerOptions pipeline_options;
     pipeline_options.schedule.search.budgetRatio = options.budgetRatio;
     pipeline_options.withIiSearch(*search_kind);
-    pipeline_options.withFeedback(options.feedbackCap, options.feedbackSkip,
-                                  options.feedbackProbeBudget);
     pipeline_options.withScheduler(*strategy)
         .withExactNodeBudget(options.exactBudget);
     pipeline_options.schedule.priority = priorityByName(options.priority);

@@ -17,6 +17,8 @@
  *   --budget-ratio <r>    default BudgetRatio (2.0)
  *   --load-cache <path>   re-materialize a saved cache before serving
  *   --save-cache <path>   save the cache on quit/EOF
+ *   A malformed or out-of-range number for any numeric option is a
+ *   usage error: the option is named on stderr, exit status 2.
  *
  * Protocol (one request per line; multi-line payloads are byte-counted,
  * the count in plain decimal digits):
@@ -38,7 +40,6 @@
  * result line byte-for-byte (scripts/ci.sh gates on exactly that).
  */
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <deque>
@@ -52,6 +53,7 @@
 #include "sched/schedule.hpp"
 #include "service/schedule_service.hpp"
 #include "support/error.hpp"
+#include "support/parse_number.hpp"
 
 namespace {
 
@@ -128,15 +130,6 @@ metaLine(const service::ServiceResponse& response)
     return out.str();
 }
 
-/** Parse a payload byte count: plain decimal digits, nothing else. */
-bool
-parseByteCount(const std::string& text, std::size_t& bytes)
-{
-    const char* end = text.data() + text.size();
-    const auto [stop, error] = std::from_chars(text.data(), end, bytes);
-    return error == std::errc() && stop == end;
-}
-
 /**
  * Read exactly `bytes` bytes (the payload of a byte-counted request). The
  * buffer grows in bounded chunks with the bytes actually received, so a
@@ -177,15 +170,15 @@ main(int argc, char** argv)
             return argv[++i];
         };
         if (arg == "--threads")
-            options.threads = std::stoi(next());
+            options.threads = support::numberArg<int>(arg, next());
         else if (arg == "--cache-capacity")
             options.cache.capacity =
-                static_cast<std::size_t>(std::stoul(next()));
+                support::numberArg<std::size_t>(arg, next());
         else if (arg == "--cache-shards")
-            options.cache.shards = std::stoi(next());
+            options.cache.shards = support::numberArg<int>(arg, next());
         else if (arg == "--max-queue")
             options.maxQueuedRequests =
-                static_cast<std::size_t>(std::stoul(next()));
+                support::numberArg<std::size_t>(arg, next());
         else if (arg == "--machine")
             default_machine = next();
         else if (arg == "--scheduler") {
@@ -194,7 +187,8 @@ main(int argc, char** argv)
                 usage(2);
             options.pipeline.withScheduler(*strategy);
         } else if (arg == "--budget-ratio")
-            options.pipeline.withBudgetRatio(std::stod(next()));
+            options.pipeline.withBudgetRatio(
+                support::numberArg<double>(arg, next()));
         else if (arg == "--load-cache")
             load_path = next();
         else if (arg == "--save-cache")
@@ -265,7 +259,8 @@ main(int argc, char** argv)
                           << std::flush;
                 continue;
             }
-            if (!parseByteCount(count, bytes)) {
+            // Payload byte counts are plain decimal digits, nothing else.
+            if (!support::parseNumber(count, bytes)) {
                 flush_all();
                 std::cout << "error service.bad_request bad byte count\n"
                           << std::flush;
@@ -294,7 +289,7 @@ main(int argc, char** argv)
             std::string count;
             std::size_t bytes = 0;
             request >> name >> count;
-            if (!request.fail() && !parseByteCount(count, bytes)) {
+            if (!request.fail() && !support::parseNumber(count, bytes)) {
                 std::cout << "error service.bad_request bad byte count\n"
                           << std::flush;
                 continue;
