@@ -14,7 +14,7 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "sched/attempt_feedback.hpp"
+#include "sched/attempt.hpp"
 #include "sched/height_r.hpp"
 #include "sched/iterative_scheduler.hpp"
 

@@ -9,15 +9,10 @@
 #     8 threads over 1 thread — enforced only when the host reports >= 8
 #     hardware threads; smaller machines record the ratio with
 #     "gate_enforced": false in the JSON.
-#  2. bench_ii_search — feedback-vs-linear II search: bit-identity of
-#     feedback results is always enforced, as is the feedback gate (on
-#     every provable-gap workload the feedback search must skip >=1
-#     candidate II with an exact infeasibility proof and run strictly
-#     fewer attempts than linear at the equal final II). The hard-II
-#     workloads' (II, attempts, schedule hash) — one of the three
-#     identity oracles — and the gap family's deterministic results (II,
-#     skips, attempts run, billed steps) are drift-checked against the
-#     checked-in BENCH_ii_search.json baseline.
+#  2. bench_ii_search — the Figure-2 II walk on hard-II workloads: their
+#     (II, attempts, schedule hash), one of the three identity oracles,
+#     are drift-checked against the checked-in BENCH_ii_search.json
+#     baseline.
 #  3. bench_service — schedule-cache traffic replay: cache hits must be
 #     bit-identical to cold runs, the replay pass must hit >=95% of the
 #     time, and the hit-path p50 latency must be >=10x faster than the
@@ -60,35 +55,27 @@ echo "== bench_sched_hotpath (identity + >10% regression + scaling gate) =="
     --scaling-gate \
     --out "$BUILD_DIR/BENCH_sched_hotpath.json"
 
-echo "== bench_ii_search (feedback identity + feedback savings) =="
+echo "== bench_ii_search (hard-II identity) =="
 "$BUILD_DIR/bench/bench_ii_search" \
     --out "$BUILD_DIR/BENCH_ii_search.json"
-# Both families are deterministic: any drift from the checked-in
+# The hard-II results are deterministic: any drift from the checked-in
 # baseline is a search or scheduler change that needs a deliberate
 # baseline refresh.
 python3 - "$BUILD_DIR/BENCH_ii_search.json" BENCH_ii_search.json <<'EOF'
 import json, sys
-new_report = json.load(open(sys.argv[1]))
-old_report = json.load(open(sys.argv[2]))
-checks = [
-    ("workloads", lambda r: r["name"], ("ii", "attempts", "hash")),
-    ("gap_family", lambda r: (r["name"], r["backend"]),
-     ("mii", "ii", "attempts", "skipped", "linear_started",
-      "feedback_started", "linear_steps", "feedback_steps")),
-]
+new = {r["name"]: r for r in json.load(open(sys.argv[1]))["workloads"]}
+old = json.load(open(sys.argv[2]))["workloads"]
 drift = []
-for family, key, fields in checks:
-    new = {key(r): r for r in new_report[family]}
-    for baseline in old_report[family]:
-        name = key(baseline)
-        current = new.get(name)
-        if current is None:
-            drift.append(f"{family} {name}: missing from the new report")
-            continue
-        for field in fields:
-            if current[field] != baseline[field]:
-                drift.append(f"{family} {name}: {field} "
-                             f"{baseline[field]} -> {current[field]}")
+for baseline in old:
+    name = baseline["name"]
+    current = new.get(name)
+    if current is None:
+        drift.append(f"{name}: missing from the new report")
+        continue
+    for field in ("ii", "attempts", "hash"):
+        if current[field] != baseline[field]:
+            drift.append(f"{name}: {field} "
+                         f"{baseline[field]} -> {current[field]}")
 if drift:
     print("check_perf: bench_ii_search drifted from BENCH_ii_search.json:",
           file=sys.stderr)

@@ -16,6 +16,7 @@
 #   IMS_CI_SKIP_SERVICE=1  skips the service replay smoke.
 #   FUZZ_BUDGET=<N>     fuzz case count (default 500 — the quick smoke
 #                       run; set e.g. 20000 for a long overnight run).
+#   SLACK_FUZZ_BUDGET=<N>  slack-backend fuzz case count (default 200).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -67,20 +68,10 @@ if [ "${IMS_CI_SKIP_FUZZ:-0}" != "1" ]; then
     # with `build/tools/ims-fuzz --replay <file>`.
     build/tools/ims-fuzz --seed 20260806 --cases "${FUZZ_BUDGET:-500}" \
         --repro-dir build/fuzz-repro --out build/fuzz-report.json
-    # Feedback-search smoke, on the iterative and the slack backend:
-    # same oracle stack with the feedback-guided II search. Every case is
-    # also re-scheduled with the linear walk, so an unsound probe skip
-    # shows up as a feedback.linear_mismatch finding (on its own it
-    # would only yield a legal schedule at a higher II).
+    # The same oracle stack on the slack backend.
     build/tools/ims-fuzz --seed 20260808 \
-        --cases "${FEEDBACK_FUZZ_BUDGET:-200}" \
-        --ii-search feedback \
-        --repro-dir build/fuzz-repro --out build/fuzz-feedback-report.json
-    build/tools/ims-fuzz --seed 20260808 \
-        --cases "${FEEDBACK_FUZZ_BUDGET:-200}" \
-        --ii-search feedback --scheduler slack \
-        --repro-dir build/fuzz-repro \
-        --out build/fuzz-feedback-slack-report.json
+        --cases "${SLACK_FUZZ_BUDGET:-200}" --scheduler slack \
+        --repro-dir build/fuzz-repro --out build/fuzz-slack-report.json
     # Optimality smoke: re-pipeline each clean case with the exact
     # backend (capped node budget; budget-exhausted searches are
     # skipped). opt.ii_gap findings are *known heuristic quality gaps*

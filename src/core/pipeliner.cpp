@@ -186,7 +186,6 @@ SoftwarePipeliner::pipeline(const PipelineRequest& request) const
         result.telemetry.iiWorkers = outcome.search.workers;
         result.telemetry.iiAttemptsProvenInfeasible =
             outcome.search.attemptsProvenInfeasible;
-        result.telemetry.iiSkipped = outcome.search.skippedIis;
         result.telemetry.iiSearchWallSeconds = outcome.search.wallSeconds;
 
         phase = support::phaseName(support::Phase::kVerify);

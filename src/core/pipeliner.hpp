@@ -27,8 +27,7 @@ namespace ims::core {
  *    the exact backend; see sched/schedule.hpp);
  *  - priority: HeightR, forward-progress rule on;
  *  - BudgetRatio 2.0 (the paper's recommendation), maxIiIncrease 4096;
- *  - II search: linear (withIiSearch selects the feedback-guided
- *    strategy; see sched/ii_search.hpp);
+ *  - II search: the linear walk MII, MII+1, ... (sched/ii_search.hpp);
  *  - independent schedule verification on;
  *  - no telemetry sink.
  *
@@ -85,28 +84,11 @@ struct PipelinerOptions
         return *this;
     }
 
-    /**
-     * Replace the II-search policy wholesale (strategy kind, BudgetRatio,
-     * maxIiIncrease).
-     */
+    /** Replace the II-search knobs wholesale (BudgetRatio, maxIiIncrease). */
     PipelinerOptions&
     withIiSearch(sched::IiSearchOptions search)
     {
         schedule.search = search;
-        return *this;
-    }
-
-    /**
-     * Select the II-search strategy, keeping the budget knobs: e.g.
-     * `withIiSearch(sched::IiSearchKind::kFeedback)`. The feedback-guided
-     * strategy's winning II and schedule are bit-identical to the linear
-     * search (see docs/ALGORITHM.md, "II search strategies" and
-     * "Feedback-guided search").
-     */
-    PipelinerOptions&
-    withIiSearch(sched::IiSearchKind kind)
-    {
-        schedule.search.kind = kind;
         return *this;
     }
 

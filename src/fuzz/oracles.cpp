@@ -1,12 +1,10 @@
 #include "fuzz/oracles.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "graph/scc.hpp"
 #include "mii/mii.hpp"
 #include "program/program_executor.hpp"
-#include "support/error.hpp"
 #include "workloads/programs.hpp"
 
 namespace ims::fuzz {
@@ -66,42 +64,6 @@ runOracles(const ir::Loop& loop, const machine::MachineModel& machine,
                 std::to_string(artifacts.outcome.resMii) +
                 ", true RecMII " + std::to_string(true_rec) + ")";
             return verdict;
-        }
-
-        // Feedback soundness oracle: a skip must be a proof, so the
-        // linear walk over the same graph must win with the same
-        // schedule. A wrongly skipped feasible II would otherwise pass
-        // every oracle above as a legal schedule at a higher II. An
-        // exact linear walk that runs out of nodes at a candidate the
-        // feedback walk skipped decides nothing.
-        if (options.schedule.search.kind == sched::IiSearchKind::kFeedback) {
-            sched::ScheduleOptions linear = options.schedule;
-            linear.search.kind = sched::IiSearchKind::kLinear;
-            linear.telemetry = nullptr;
-            std::optional<sched::ModuloScheduleOutcome> expected;
-            try {
-                expected = sched::schedule(loop, machine,
-                                           artifacts.depGraph, sccs,
-                                           linear);
-            } catch (const support::CodedError& error) {
-                if (error.code() != "exact.budget_exhausted")
-                    throw;
-            }
-            const sched::ScheduleResult& got = artifacts.outcome.schedule;
-            if (expected && (expected->schedule.ii != got.ii ||
-                             expected->schedule.times != got.times ||
-                             expected->schedule.alternatives !=
-                                 got.alternatives)) {
-                verdict.code = "feedback.linear_mismatch";
-                verdict.message =
-                    "feedback search won at II " + std::to_string(got.ii) +
-                    " but the linear walk won at II " +
-                    std::to_string(expected->schedule.ii) +
-                    (expected->schedule.ii == got.ii
-                         ? " with a different schedule"
-                         : "");
-                return verdict;
-            }
         }
 
         // Program-level equivalence oracle: the whole-program driver

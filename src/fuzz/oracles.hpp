@@ -50,7 +50,6 @@ struct OracleOptions
  * Outcome of running the full oracle stack on one (loop, machine,
  * config) triple. `code` is the machine-readable failure identity (see
  * core::Diagnostic::code, plus "mii.below_bound" from the MII-sanity
- * oracle and "feedback.linear_mismatch" from the feedback-soundness
  * oracle); empty means every oracle passed.
  */
 struct OracleVerdict
@@ -83,11 +82,7 @@ struct OracleVerdict
  *  3. MII sanity: the achieved II must be >= max(ResMII, true RecMII),
  *     with the true RecMII recomputed independently of the scheduler's
  *     production MII protocol ("mii.below_bound" on violation);
- *  4. under the feedback II search, feedback soundness: the linear walk
- *     re-schedules the case and must reach the same II, times and
- *     alternatives ("feedback.linear_mismatch"; an exact linear walk
- *     that exhausts its node budget is skipped, not a finding);
- *  5. optionally (OracleOptions::checkOptimality) the optimality oracle:
+ *  4. optionally (OracleOptions::checkOptimality) the optimality oracle:
  *     the exact backend re-pipelines the case and the heuristic II must
  *     equal the proven-optimal II ("opt.ii_gap" / "opt.exact_invalid";
  *     budget-exhausted exact searches are skipped, not findings).

@@ -545,8 +545,8 @@ ProgramCompiler::compile(const Program& program) const
 
     const bool is_while = program.loop.hasEarlyExit();
 
-    // (b) The loop section through the full SchedulerStrategy /
-    // IiSearchKind stack.
+    // (b) The loop section through the full pipeliner: the selected
+    // SchedulerStrategy under the Figure-2 II walk.
     const core::SoftwarePipeliner pipeliner(machine_, options_.pipeline);
     core::PipelineResult loop_result =
         pipeliner.pipeline(core::PipelineRequest(program.loop.body));

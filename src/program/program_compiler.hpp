@@ -186,8 +186,8 @@ struct ProgramCompileResult
 
 /**
  * The end-to-end driver (the compilation flow of §1): list-schedule the
- * straight-line sections, modulo-schedule the loop through the full
- * SchedulerStrategy / IiSearchKind stack, lower the counted-loop
+ * straight-line sections, modulo-schedule the loop with the selected
+ * SchedulerStrategy under the Figure-2 II walk, lower the counted-loop
  * control to EC/LC initialization statements in the pre-loop block,
  * assign stage predicates for ramp-up/ramp-down, and compress the
  * pipeline into the adjacent blocks where the reservation tables and the

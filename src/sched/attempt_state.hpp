@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "graph/dep_graph.hpp"
-#include "sched/attempt_feedback.hpp"
+#include "sched/attempt.hpp"
 #include "sched/iterative_scheduler.hpp"
 #include "sched/partial_schedule.hpp"
 #include "support/counters.hpp"
@@ -172,20 +172,6 @@ ScheduleResult extractScheduleResult(const PartialSchedule& schedule,
                                      const graph::DepGraph& graph, int ii,
                                      std::int64_t steps_used,
                                      std::int64_t unschedules);
-
-/**
- * Build a failed attempt's AttemptFeedback report (shared by the
- * iterative and slack backends): the unplaceable operations at this II,
- * the displacement storm sorted by count descending then id ascending,
- * and the contended resource classes sorted by forced-eviction count —
- * all pure functions of the attempt, so the report is deterministic.
- * Successful and cancelled attempts leave the report cleared.
- */
-void finalizeAttemptFeedback(
-    AttemptFeedback& feedback, int ii, AttemptStatus status,
-    const PartialSchedule& schedule, const graph::DepGraph& graph,
-    const std::vector<std::int32_t>& displace_count,
-    const std::vector<std::int64_t>& resource_evictions);
 
 } // namespace ims::sched
 

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <vector>
 
-#include "sched/feedback_probe.hpp"
 #include "sched/partial_schedule.hpp"
 #include "sched/schedule.hpp"
 #include "support/error.hpp"
@@ -385,15 +384,6 @@ exactBackend(const ir::Loop& loop, const machine::MachineModel& machine,
                    "exactNodeBudget must be positive");
     const std::int64_t budget = options.exactNodeBudget;
 
-    // Feedback strategy plumbing. The exact backend tracks no
-    // displacement storm — its failures are exhaustive-search proofs —
-    // so its reports carry only the operations with no usable
-    // reservation alternative at the failed II; when an infeasible II
-    // has none of those (a pure recurrence/resource interaction), the
-    // report is inconclusive and the walk proceeds exactly like linear.
-    const bool wants_feedback =
-        options.search.kind == IiSearchKind::kFeedback;
-
     // One scheduler for the whole walk: trySchedule reuses the MinDist
     // matrix and compiled-table cache across candidate IIs.
     support::Counters attempt_counters;
@@ -404,14 +394,6 @@ exactBackend(const ir::Loop& loop, const machine::MachineModel& machine,
         out.schedule =
             scheduler.trySchedule(ii, budget, nullptr, &out.status);
         out.counters = attempt_counters;
-        if (wants_feedback) {
-            out.feedback.ii = ii;
-            out.feedback.status = out.status;
-            if (out.status == AttemptStatus::kInfeasible) {
-                out.feedback.unplaceable =
-                    collectUnplaceableOps(loop, machine, ii);
-            }
-        }
         if (out.status == AttemptStatus::kBudgetExhausted) {
             // An undecided candidate breaks the optimality chain: the
             // first feasible II is provably optimal only while every II

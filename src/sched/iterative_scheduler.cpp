@@ -45,12 +45,6 @@ class Attempt
           estart_(graph, schedule_, stats_),
           ready_(priority)
     {
-        if (options.feedback != nullptr) {
-            displaceCount_.assign(
-                static_cast<std::size_t>(graph.numVertices()), 0);
-            resourceEvictions_.assign(
-                static_cast<std::size_t>(machine.numResources()), 0);
-        }
     }
 
     /** Runs Figure 3's main loop. Returns true if fully scheduled. */
@@ -115,24 +109,6 @@ class Attempt
         }
         status_ = AttemptStatus::kBudgetExhausted;
         return false;
-    }
-
-    /**
-     * Write the attempt's bottleneck report into options.feedback (when
-     * set): the unplaceable operations, the displacement storm sorted by
-     * count descending (then id, so the report is a pure function of the
-     * attempt), and the resource classes whose occupancy forced
-     * evictions. Successful and cancelled attempts leave the sink
-     * cleared — a cancelled attempt is abandoned speculation and must
-     * not steer the search.
-     */
-    void
-    flushFeedback()
-    {
-        if (options_.feedback == nullptr)
-            return;
-        finalizeAttemptFeedback(*options_.feedback, ii_, status_, schedule_,
-                                graph_, displaceCount_, resourceEvictions_);
     }
 
     AttemptStatus status() const { return status_; }
@@ -228,22 +204,6 @@ class Attempt
                 conflictScratch_);
             if (options_.trace != nullptr)
                 resourceDisplacedThisStep_ = conflictScratch_;
-            if (options_.feedback != nullptr && !conflictScratch_.empty()) {
-                // Charge the forced evictions to the chosen alternative's
-                // resource classes, once per distinct resource.
-                const auto& uses =
-                    schedule_.alternativesOf(op)[alternative].table.uses();
-                for (std::size_t i = 0; i < uses.size(); ++i) {
-                    bool seen = false;
-                    for (std::size_t j = 0; j < i && !seen; ++j)
-                        seen = uses[j].resource == uses[i].resource;
-                    if (!seen) {
-                        resourceEvictions_[uses[i].resource] +=
-                            static_cast<std::int64_t>(
-                                conflictScratch_.size());
-                    }
-                }
-            }
             for (int victim : conflictScratch_)
                 displace(victim);
             assert(schedule_.fittingAlternative(op, slot) == alternative &&
@@ -271,8 +231,6 @@ class Attempt
         estart_.onRemove(victim);
         ready_.push(victim);
         ++stats_.unscheduleSteps;
-        if (options_.feedback != nullptr)
-            ++displaceCount_[victim];
         if (options_.trace != nullptr)
             displacedThisStep_.push_back(victim);
     }
@@ -289,10 +247,6 @@ class Attempt
     ReadyQueue ready_;
     /** Scratch for forced-placement conflict queries (no per-call alloc). */
     std::vector<int> conflictScratch_;
-    /** Feedback-only (empty when options.feedback is null): displacement
-     *  count per vertex and forced evictions charged per resource. */
-    std::vector<std::int32_t> displaceCount_;
-    std::vector<std::int64_t> resourceEvictions_;
     std::vector<graph::VertexId> displacedThisStep_;
     std::vector<graph::VertexId> resourceDisplacedThisStep_;
 };
@@ -329,7 +283,6 @@ IterativeScheduler::trySchedule(int ii, std::int64_t budget,
     const bool success = attempt.run(budget);
     if (status != nullptr)
         *status = attempt.status();
-    attempt.flushFeedback();
 
     // One batched delta per attempt feeds the unified telemetry counters
     // (and, through the pipeliner's end-of-run onCounters, every
@@ -367,14 +320,6 @@ iterativeBackend(const ir::Loop& loop, const machine::MachineModel& machine,
     inner.randomSeed = options.randomSeed;
     inner.trace = options.trace;
 
-    // Under the feedback strategy each failed attempt writes its
-    // bottleneck report into the sink.
-    const bool wants_feedback =
-        options.search.kind == IiSearchKind::kFeedback;
-    AttemptFeedback feedback_sink;
-    if (wants_feedback)
-        inner.feedback = &feedback_sink;
-
     // One scheduler for the whole walk: trySchedule reuses its priority
     // and compiled-reservation buffers across candidate IIs.
     support::Counters attempt_counters;
@@ -386,8 +331,6 @@ iterativeBackend(const ir::Loop& loop, const machine::MachineModel& machine,
         out.schedule =
             scheduler.trySchedule(ii, budget, nullptr, &out.status);
         out.counters = attempt_counters;
-        if (wants_feedback)
-            out.feedback = feedback_sink;
         return out;
     };
 

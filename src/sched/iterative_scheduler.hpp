@@ -10,7 +10,7 @@
 #include "ir/loop.hpp"
 #include "machine/compiled_reservations.hpp"
 #include "machine/machine_model.hpp"
-#include "sched/attempt_feedback.hpp"
+#include "sched/attempt.hpp"
 #include "sched/priority.hpp"
 #include "support/cancellation.hpp"
 #include "support/counters.hpp"
@@ -33,15 +33,6 @@ struct IterativeScheduleOptions
     std::uint64_t randomSeed = 1;
     /** When non-null, every scheduling step is appended here. */
     std::vector<TraceEvent>* trace = nullptr;
-    /**
-     * When non-null, a failed attempt writes its bottleneck report here
-     * (unplaceable operations, displacement storm, contended resource
-     * classes — see sched/attempt_feedback.hpp). A successful attempt
-     * clears the sink. Collection costs one per-vertex counter bump per
-     * displacement plus an O(V) summary per attempt; a null sink keeps
-     * the hot path exactly as before.
-     */
-    AttemptFeedback* feedback = nullptr;
 };
 
 /** A complete modulo schedule for one II. */

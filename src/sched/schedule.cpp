@@ -2,7 +2,6 @@
 
 #include "graph/graph_builder.hpp"
 #include "mii/mii.hpp"
-#include "sched/feedback_probe.hpp"
 #include "support/error.hpp"
 
 namespace ims::sched {
@@ -43,26 +42,18 @@ schedule(const ir::Loop& loop, const machine::MachineModel& machine,
     support::check(options.search.maxIiIncrease >= 0,
                    "maxIiIncrease must be non-negative");
     support::check(options.trace == nullptr ||
-                       (options.search.kind == IiSearchKind::kLinear &&
-                        options.strategy == SchedulerStrategy::kIterative),
-                   "trace capture requires the iterative backend under the "
-                   "linear II search");
+                       options.strategy == SchedulerStrategy::kIterative,
+                   "trace capture requires the iterative backend");
 
-    // The walk every backend runs under: compute the MII, build the
-    // feedback strategy's probe (it accumulates the bottleneck subgraph
-    // of the failed attempts and decides candidates with the exact
-    // backend on it), and walk the candidate IIs.
+    // The walk every backend runs under: compute the MII, then walk the
+    // candidate IIs.
     const detail::Walk walk =
         [&](std::int64_t budget, const IiAttemptFn& attempt,
             const std::function<std::string()>& exhausted_message) {
             const mii::MiiResult mii = mii::computeMii(
                 loop, machine, graph, sccs, counters, options.telemetry);
-            std::optional<FeedbackProbe> prober;
-            IiInfeasibilityProbe probe;
-            if (options.search.kind == IiSearchKind::kFeedback)
-                probe = std::ref(prober.emplace(loop, machine, graph, sccs));
             ModuloScheduleOutcome outcome = runIiSearch(
-                options.search, mii.resMii, mii.mii, budget, attempt, probe,
+                options.search, mii.resMii, mii.mii, budget, attempt,
                 counters, options.telemetry, exhausted_message);
             outcome.scheduler = schedulerStrategyName(options.strategy);
             return outcome;

@@ -21,8 +21,7 @@ namespace ims::sched {
 /**
  * Which scheduling backend decides feasibility at each candidate II.
  * All three run under the same Figure-2 outer loop (runIiSearch): the
- * same II-search strategies (linear/feedback), budget accounting and
- * ii_* telemetry.
+ * same linear II walk, budget accounting and ii_* telemetry.
  */
 enum class SchedulerStrategy
 {
@@ -57,8 +56,8 @@ schedulerStrategyByName(std::string_view name);
 struct ScheduleOptions
 {
     SchedulerStrategy strategy = SchedulerStrategy::kIterative;
-    /** The outer II loop's policy and budget knobs (shared verbatim by
-     *  every backend, so the Figure-2 knobs exist exactly once). */
+    /** The outer II loop's budget knobs (shared verbatim by every
+     *  backend, so the Figure-2 knobs exist exactly once). */
     IiSearchOptions search;
     /** Priority scheme for the iterative backend (§3.2). */
     PriorityScheme priority = PriorityScheme::kHeightR;
@@ -69,7 +68,7 @@ struct ScheduleOptions
     /** Per-candidate-II node budget for the exact backend. */
     std::int64_t exactNodeBudget = kDefaultExactNodeBudget;
     /** When non-null, every iterative scheduling step is appended here
-     *  (linear search + iterative backend only). */
+     *  (iterative backend only). */
     std::vector<TraceEvent>* trace = nullptr;
     /** Sink receiving the MII-bound and replayed ii_attempt phases. */
     support::TelemetrySink* telemetry = nullptr;
@@ -137,8 +136,8 @@ namespace detail {
  * The Figure-2 walk as sched::schedule() runs it, handed to a backend:
  * the backend calls it once with its per-attempt budget, its attempt at
  * one candidate II and its "sched.ii_exhausted" message, and keeps its
- * per-walk state (reused buffers, feedback sink) in locals that outlive
- * the call. Not part of the API.
+ * per-walk state (reused buffers) in locals that outlive the call. Not
+ * part of the API.
  */
 using Walk = std::function<ModuloScheduleOutcome(
     std::int64_t budget, const IiAttemptFn& attempt,
@@ -168,8 +167,7 @@ ModuloScheduleOutcome exactBackend(const ir::Loop& loop,
 
 /**
  * The single scheduling entry point and the one Figure-2 driver: compute
- * the MII, build the feedback search's FeedbackProbe when it is
- * selected, and walk the candidate IIs with runIiSearch using the budget
+ * the MII and walk the candidate IIs with runIiSearch using the budget
  * and attempt of the backend selected by options.strategy. (The older
  * per-backend free functions were deprecated for one release and have
  * been removed; see docs/api.md for the migration table.)
@@ -179,8 +177,8 @@ ModuloScheduleOutcome exactBackend(const ir::Loop& loop,
  *         runs out of nodes at a candidate the walk reaches.
  * @throws support::Error before any backend work when `options` is
  *         invalid (non-positive BudgetRatio or exact node budget,
- *         negative maxIiIncrease, a trace outside the linear iterative
- *         walk).
+ *         negative maxIiIncrease, a trace outside the iterative
+ *         backend).
  */
 ModuloScheduleOutcome schedule(const ir::Loop& loop,
                                const machine::MachineModel& machine,

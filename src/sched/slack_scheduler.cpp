@@ -54,19 +54,12 @@ class SlackAttempt
     SlackAttempt(const ir::Loop& loop,
                  const machine::MachineModel& machine,
                  const graph::DepGraph& graph, int ii,
-                 support::Counters* counters, AttemptFeedback* feedback)
+                 support::Counters* counters)
         : graph_(graph),
           ii_(ii),
-          feedback_(feedback),
           dist_(graph, ii, counters),
           schedule_(graph, loop, machine, ii)
     {
-        if (feedback_ != nullptr) {
-            displaceCount_.assign(
-                static_cast<std::size_t>(graph.numVertices()), 0);
-            resourceEvictions_.assign(
-                static_cast<std::size_t>(machine.numResources()), 0);
-        }
     }
 
     bool
@@ -166,16 +159,6 @@ class SlackAttempt
     /** Batched counter deltas, flushed once per attempt by the driver. */
     const AttemptCounters& stats() const { return stats_; }
 
-    /** Write the bottleneck report (see finalizeAttemptFeedback). */
-    void
-    flushFeedback(AttemptStatus status)
-    {
-        if (feedback_ == nullptr)
-            return;
-        finalizeAttemptFeedback(*feedback_, ii_, status, schedule_, graph_,
-                                displaceCount_, resourceEvictions_);
-    }
-
   private:
     int
     numUnplaced() const
@@ -253,8 +236,6 @@ class SlackAttempt
         schedule_.remove(victim);
         ++unschedules;
         ++stats_.unscheduleSteps;
-        if (feedback_ != nullptr)
-            ++displaceCount_[victim];
     }
 
     /** Eject everything conflicting with any alternative at `slot`. */
@@ -266,36 +247,19 @@ class SlackAttempt
         for (std::size_t alt = 0; alt < alternatives.size(); ++alt) {
             if (compiled[alt].selfConflicts())
                 continue;
-            int evicted = 0;
             for (int victim : schedule_.mrt().conflictingOps(
-                     alternatives[alt].table, slot)) {
+                     alternatives[alt].table, slot))
                 eject(victim, unschedules);
-                ++evicted;
-            }
-            if (feedback_ != nullptr && evicted > 0) {
-                const auto& uses = alternatives[alt].table.uses();
-                for (std::size_t i = 0; i < uses.size(); ++i) {
-                    bool seen = false;
-                    for (std::size_t j = 0; j < i && !seen; ++j)
-                        seen = uses[j].resource == uses[i].resource;
-                    if (!seen)
-                        resourceEvictions_[uses[i].resource] += evicted;
-                }
-            }
         }
     }
 
     const graph::DepGraph& graph_;
     int ii_;
-    AttemptFeedback* feedback_;
     bool infeasible_ = false;
     mii::MinDistMatrix dist_;
     PartialSchedule schedule_;
     /** Batched instrumentation; `window` is const, hence mutable. */
     mutable AttemptCounters stats_;
-    /** Feedback-only (empty when feedback_ is null). */
-    std::vector<std::int32_t> displaceCount_;
-    std::vector<std::int64_t> resourceEvictions_;
 };
 
 } // namespace
@@ -311,17 +275,11 @@ slackBackend(const ir::Loop& loop, const machine::MachineModel& machine,
         2, static_cast<std::int64_t>(std::llround(
                options.search.budgetRatio * (loop.size() + 2))));
 
-    // Under the feedback strategy each failed attempt writes its
-    // bottleneck report into the outcome.
-    const bool wants_feedback =
-        options.search.kind == IiSearchKind::kFeedback;
-
     // Every slack attempt builds its state (MinDist matrix, partial
     // schedule) from scratch, so nothing is reused across candidate IIs.
     const IiAttemptFn attempt = [&](int ii) {
         IiAttemptOutcome out;
-        SlackAttempt attempt(loop, machine, graph, ii, &out.counters,
-                             wants_feedback ? &out.feedback : nullptr);
+        SlackAttempt attempt(loop, machine, graph, ii, &out.counters);
         std::int64_t steps = 0;
         std::int64_t unschedules = 0;
         const bool scheduled = attempt.run(budget, steps, unschedules);
@@ -332,7 +290,6 @@ slackBackend(const ir::Loop& loop, const machine::MachineModel& machine,
         else
             out.status = AttemptStatus::kBudgetExhausted;
         attempt.stats().flushInto(out.counters, attempt.schedule().mrt());
-        attempt.flushFeedback(out.status);
         if (scheduled) {
             out.schedule = extractScheduleResult(attempt.schedule(), graph,
                                                  ii, steps, unschedules);

@@ -13,12 +13,8 @@ namespace ims::service {
  * key (see docs/SERVICE.md, "Cache key").
  *
  * Normalization drops every knob that is guaranteed not to change the
- * produced PipelineResult:
- *  - the II-search strategy kind: the feedback strategy's skips are
- *    sound infeasibility proofs, so its winning II and schedule equal
- *    the linear search's — feedback requests share cache lines with
- *    linear ones (see docs/ALGORITHM.md),
- *  - telemetry sinks and trace buffers (observability-only pointers).
+ * produced PipelineResult: telemetry sinks and trace buffers
+ * (observability-only pointers).
  *
  * Everything else — backend strategy, BudgetRatio, maxIiIncrease,
  * priority scheme, forward-progress rule, random seed, exact node
@@ -31,8 +27,8 @@ std::string canonicalOptionsText(const core::PipelinerOptions& options);
 
 /**
  * Inverse of canonicalOptionsText, for cache persistence: rebuild a
- * PipelinerOptions (sinks null, II search linear) from the canonical
- * text. @throws support::Error on unknown keys or malformed values.
+ * PipelinerOptions (sinks null) from the canonical text.
+ * @throws support::Error on unknown keys or malformed values.
  */
 core::PipelinerOptions parseOptionsText(const std::string& text);
 

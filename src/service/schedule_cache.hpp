@@ -149,10 +149,9 @@ class ScheduleCache
  * ops, MII bounds, II, attempts, schedule length, budget, steps,
  * backtracks, scheduler). Wall-clock timings, the work counters and the
  * II-search fields (ii_strategy, ii_workers,
- * ii_attempts_proven_infeasible, ii_skipped) are excluded. This is the
- * bit-identity oracle the cache tests and bench_service gate on: a
- * cache hit must fingerprint identically to a cold run at any thread
- * count.
+ * ii_attempts_proven_infeasible) are excluded. This is the bit-identity
+ * oracle the cache tests and bench_service gate on: a cache hit must
+ * fingerprint identically to a cold run at any thread count.
  */
 std::uint64_t fingerprintResult(const ir::Loop& loop,
                                 const machine::MachineModel& machine,

@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "support/error.hpp"
+#include "support/parse_number.hpp"
 #include "support/table.hpp"
 
 namespace ims::support {
@@ -215,22 +216,28 @@ class JsonParser
             pos_ += 4;
             return std::numeric_limits<double>::quiet_NaN();
         }
-        const std::size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-'))
-            ++pos_;
-        check(pos_ > start, "expected number");
         // strtod, not std::stod: stod throws out_of_range on denormal
         // values instead of returning the rounded result.
-        const std::string literal = text_.substr(start, pos_ - start);
+        const std::string literal = numberLiteral();
         char* end = nullptr;
         const double value = std::strtod(literal.c_str(), &end);
         check(end == literal.c_str() + literal.size(), "expected number");
+        return value;
+    }
+
+    /**
+     * An integer read exactly into T from its literal: a fraction, an
+     * exponent, a sign on an unsigned T or a value outside T's range is
+     * an error, never a rounded or wrapped value.
+     */
+    template <typename T>
+    T
+    parseInteger()
+    {
+        const std::string literal = numberLiteral();
+        T value{};
+        check(support::parseNumber(literal, value),
+              "'" + key_ + "' is not an in-range integer: " + literal);
         return value;
     }
 
@@ -267,6 +274,23 @@ class JsonParser
     }
 
   private:
+    /** Consume the characters a JSON number literal may contain. */
+    std::string
+    numberLiteral()
+    {
+        const std::size_t start = pos_;
+        if (peek() == '-')
+            ++pos_;
+        while (pos_ < text_.size() &&
+               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
+                text_[pos_] == '.' || text_[pos_] == 'e' ||
+                text_[pos_] == 'E' || text_[pos_] == '+' ||
+                text_[pos_] == '-'))
+            ++pos_;
+        check(pos_ > start, "expected number");
+        return text_.substr(start, pos_ - start);
+    }
+
     char
     peek() const
     {
@@ -392,7 +416,6 @@ PipelineTelemetry::toJson() const
     out += ",\"ii_workers\":" + std::to_string(iiWorkers);
     out += ",\"ii_attempts_proven_infeasible\":" +
            std::to_string(iiAttemptsProvenInfeasible);
-    out += ",\"ii_skipped\":" + std::to_string(iiSkipped);
     out += ",\"ii_search_wall_seconds\":" +
            formatJsonDouble(iiSearchWallSeconds);
     out += ",\"wall_seconds\":" + formatJsonDouble(wallSeconds);
@@ -435,35 +458,33 @@ parseTelemetryJson(const std::string& json)
         } else if (key == "loop") {
             t.loop = p.parseString();
         } else if (key == "ops") {
-            t.ops = static_cast<int>(p.parseNumber());
+            t.ops = p.parseInteger<int>();
         } else if (key == "succeeded") {
             t.succeeded = p.parseBool();
         } else if (key == "res_mii") {
-            t.resMii = static_cast<int>(p.parseNumber());
+            t.resMii = p.parseInteger<int>();
         } else if (key == "mii") {
-            t.mii = static_cast<int>(p.parseNumber());
+            t.mii = p.parseInteger<int>();
         } else if (key == "ii") {
-            t.ii = static_cast<int>(p.parseNumber());
+            t.ii = p.parseInteger<int>();
         } else if (key == "attempts") {
-            t.attempts = static_cast<int>(p.parseNumber());
+            t.attempts = p.parseInteger<int>();
         } else if (key == "schedule_length") {
-            t.scheduleLength = static_cast<int>(p.parseNumber());
+            t.scheduleLength = p.parseInteger<int>();
         } else if (key == "budget") {
-            t.budget = static_cast<std::int64_t>(p.parseNumber());
+            t.budget = p.parseInteger<std::int64_t>();
         } else if (key == "steps_total") {
-            t.stepsTotal = static_cast<std::int64_t>(p.parseNumber());
+            t.stepsTotal = p.parseInteger<std::int64_t>();
         } else if (key == "backtracks") {
-            t.backtracks = static_cast<std::int64_t>(p.parseNumber());
+            t.backtracks = p.parseInteger<std::int64_t>();
         } else if (key == "scheduler") {
             t.scheduler = p.parseString();
         } else if (key == "ii_strategy") {
             t.iiStrategy = p.parseString();
         } else if (key == "ii_workers") {
-            t.iiWorkers = static_cast<int>(p.parseNumber());
+            t.iiWorkers = p.parseInteger<int>();
         } else if (key == "ii_attempts_proven_infeasible") {
-            t.iiAttemptsProvenInfeasible = static_cast<int>(p.parseNumber());
-        } else if (key == "ii_skipped") {
-            t.iiSkipped = static_cast<int>(p.parseNumber());
+            t.iiAttemptsProvenInfeasible = p.parseInteger<int>();
         } else if (key == "ii_search_wall_seconds") {
             t.iiSearchWallSeconds = p.parseNumber();
         } else if (key == "wall_seconds") {
@@ -481,7 +502,7 @@ parseTelemetryJson(const std::string& json)
                                         name + "'");
                         sample.phase = *phase;
                     } else if (field == "detail") {
-                        sample.detail = static_cast<int>(r.parseNumber());
+                        sample.detail = r.parseInteger<int>();
                     } else if (field == "seconds") {
                         sample.seconds = r.parseNumber();
                     } else if (field == "ok") {
@@ -497,7 +518,7 @@ parseTelemetryJson(const std::string& json)
                 for (const auto& field : kCounterFields) {
                     if (q.key() == field.name) {
                         t.counters.*field.field =
-                            static_cast<std::uint64_t>(q.parseNumber());
+                            q.parseInteger<std::uint64_t>();
                         return;
                     }
                 }

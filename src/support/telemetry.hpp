@@ -136,8 +136,8 @@ struct PipelineTelemetry
     /** Scheduling backend the run used ("iterative", "slack", "exact";
      *  "" when the run failed before scheduling). */
     std::string scheduler;
-    /** II-search strategy the run used ("linear", "feedback"; "" when
-     *  the run failed before scheduling). */
+    /** II-search strategy the run used (always "linear"; "" when the
+     *  run failed before scheduling). */
     std::string iiStrategy;
     /** Workers the II search ran with (always 1: the walk is
      *  sequential; 0 when the run failed before scheduling). */
@@ -146,10 +146,6 @@ struct PipelineTelemetry
      *  backend, or a heuristic backend with an unplaceable operation;
      *  budget exhaustions are not proofs). Stable across runs. */
     int iiAttemptsProvenInfeasible = 0;
-    /** Candidate IIs the feedback search skipped after its probe proved
-     *  them infeasible (no attempt ran, no budget billed). Stable across
-     *  runs; 0 for the linear strategy. */
-    int iiSkipped = 0;
     /** Wall-clock time of the II search. */
     double iiSearchWallSeconds = 0.0;
     /** End-to-end wall time of the run. */

@@ -20,7 +20,7 @@
 #include "graph/graph_builder.hpp"
 #include "graph/scc.hpp"
 #include "machine/cydra5.hpp"
-#include "sched/attempt_feedback.hpp"
+#include "sched/attempt.hpp"
 #include "sched/iterative_scheduler.hpp"
 #include "sched/schedule.hpp"
 #include "support/counters.hpp"

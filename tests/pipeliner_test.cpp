@@ -151,28 +151,19 @@ TEST(PipelinerTest, BuilderStyleOptionSettersCompose)
     EXPECT_TRUE(result.ok());
 }
 
-TEST(PipelinerTest, WithIiSearchSelectsStrategyAndKeepsBudgetKnobs)
+TEST(PipelinerTest, WithIiSearchReplacesTheBudgetKnobs)
 {
-    const auto options = core::PipelinerOptions{}
-                             .withBudgetRatio(6.0)
-                             .withMaxIiIncrease(128)
-                             .withIiSearch(sched::IiSearchKind::kFeedback);
-    EXPECT_EQ(options.schedule.search.kind, sched::IiSearchKind::kFeedback);
-    // The kind overload must not clobber the budget knobs.
-    EXPECT_EQ(options.schedule.search.budgetRatio, 6.0);
+    const auto options = core::PipelinerOptions{}.withIiSearch(
+        sched::IiSearchOptions{}.withBudgetRatio(3.0).withMaxIiIncrease(
+            128));
+    EXPECT_EQ(options.schedule.search.budgetRatio, 3.0);
     EXPECT_EQ(options.schedule.search.maxIiIncrease, 128);
-
-    const auto wholesale = core::PipelinerOptions{}.withIiSearch(
-        sched::IiSearchOptions{}.withKind(sched::IiSearchKind::kFeedback)
-            .withBudgetRatio(3.0));
-    EXPECT_EQ(wholesale.schedule.search.kind, sched::IiSearchKind::kFeedback);
-    EXPECT_EQ(wholesale.schedule.search.budgetRatio, 3.0);
 
     const auto w = workloads::kernelByName("daxpy");
     core::SoftwarePipeliner pipeliner(machine::cydra5(), options);
     const auto result = pipeliner.pipeline(core::PipelineRequest(w.loop));
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.telemetry.iiStrategy, "feedback");
+    EXPECT_EQ(result.telemetry.iiStrategy, "linear");
     EXPECT_EQ(result.telemetry.iiWorkers, 1);
 }
 

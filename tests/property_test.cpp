@@ -4,7 +4,7 @@
 #include <tuple>
 
 #include "core/pipeliner.hpp"
-#include "sched/attempt_feedback.hpp"
+#include "sched/attempt.hpp"
 #include "sched/iterative_scheduler.hpp"
 #include "sched/mrt.hpp"
 #include "graph/graph_builder.hpp"

@@ -8,7 +8,7 @@
 #include "machine/cydra5.hpp"
 #include "machine/machines.hpp"
 #include "mii/mii.hpp"
-#include "sched/attempt_feedback.hpp"
+#include "sched/attempt.hpp"
 #include "sched/iterative_scheduler.hpp"
 #include "sched/schedule.hpp"
 #include "sched/verifier.hpp"

@@ -372,11 +372,10 @@ TEST(OptionsCodecTest, CanonicalTextRoundTripsAndNormalizes)
                   core::PipelinerOptions{}.withRandomSeed(99)),
               canonical);
 
-    // ...while the II-search strategy is normalized away (feedback is
-    // bit-identical to linear) and telemetry sinks never reach the key.
+    // ...while telemetry sinks never reach the key.
+    support::TelemetryRecorder recorder;
     EXPECT_EQ(service::canonicalOptionsText(
-                  core::PipelinerOptions{}.withIiSearch(
-                      sched::IiSearchKind::kFeedback)),
+                  core::PipelinerOptions{}.withTelemetry(&recorder)),
               canonical);
 
     EXPECT_THROW(service::parseOptionsText("nonsense 1\n"),

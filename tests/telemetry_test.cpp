@@ -192,12 +192,45 @@ TEST(TelemetryTest, ParserRejectsMalformedInput)
     EXPECT_THROW(support::parseTelemetryJson(
                      "{\"schema\":\"ims.telemetry.v99\"}"),
                  support::Error);
-    // Unknown keys are skipped for forward compatibility.
+    // Integer fields take exact integers in range: no fraction, no
+    // exponent, no wrap-around and no negative counter.
+    for (const char* bad : {
+             "{\"ii\":1e300}",
+             "{\"ii\":2.5}",
+             "{\"ii\":null}",
+             "{\"attempts\":3000000000}",
+             "{\"attempts\":3e9}",
+             "{\"budget\":9223372036854775808}",
+             "{\"phases\":[{\"name\":\"verify\",\"detail\":1.5}]}",
+             "{\"counters\":{\"schedule_steps\":-1}}",
+             "{\"counters\":{\"schedule_steps\":18446744073709551616}}",
+         }) {
+        EXPECT_THROW(support::parseTelemetryJson(bad), support::Error)
+            << bad;
+    }
+    // Unknown keys are skipped for forward compatibility, and so is the
+    // ii_skipped key that records of the removed feedback search carry.
     const auto t = support::parseTelemetryJson(
         "{\"schema\":\"ims.telemetry.v1\",\"future_field\":[1,{\"a\":2}],"
-        "\"loop\":\"x\",\"ii\":3}");
+        "\"loop\":\"x\",\"ii\":3,\"ii_skipped\":4}");
     EXPECT_EQ(t.loop, "x");
     EXPECT_EQ(t.ii, 3);
+}
+
+TEST(TelemetryTest, CountersAbove2To53RoundTripExactly)
+{
+    // A double holds integers exactly only up to 2^53; counters are
+    // 64-bit and must not be rounded through one.
+    support::PipelineTelemetry telemetry;
+    telemetry.counters.scheduleSteps = (std::uint64_t{1} << 53) + 1;
+    telemetry.counters.mrtSlotScans =
+        std::numeric_limits<std::uint64_t>::max();
+    telemetry.stepsTotal = std::numeric_limits<std::int64_t>::min();
+    const auto reparsed = support::parseTelemetryJson(telemetry.toJson());
+    EXPECT_EQ(reparsed.counters.scheduleSteps, (std::uint64_t{1} << 53) + 1);
+    EXPECT_EQ(reparsed.counters.mrtSlotScans,
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(reparsed.stepsTotal, std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(TelemetryTest, ExternalSinkSeesTheSameStream)

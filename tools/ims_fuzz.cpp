@@ -36,11 +36,6 @@
  *                          (EC/LC control, compression, marshaling) to
  *                          match the sequential reference at every trip
  *   --exact-budget <n>     exact-backend node budget per candidate II
- *   --ii-search <linear|feedback>  II search strategy the pipeline
- *                          under test uses; under feedback every case
- *                          is re-scheduled with the linear walk and any
- *                          difference in II, times or alternatives is a
- *                          "feedback.linear_mismatch" finding
  *   --inject-delay-fault   enable the deliberate dependence-delay bug
  *                          (memory flow delays forced to 0) to prove the
  *                          oracle + minimizer path end to end
@@ -82,7 +77,6 @@ struct CliOptions
     std::string scheduler = "iterative";
     std::vector<std::string> oracles;
     std::int64_t exactBudget = sched::kDefaultExactNodeBudget;
-    std::string iiSearch = "linear";
     bool injectDelayFault = false;
     std::string replayFile;
 };
@@ -100,7 +94,6 @@ usage(int code)
            "                [--scheduler iterative|slack|exact] "
            "[--oracle opt.ii_gap|program.equiv]\n"
            "                [--exact-budget N]\n"
-           "                [--ii-search linear|feedback]\n"
            "       ims-fuzz --replay <file.repro>\n";
     std::exit(code);
 }
@@ -178,8 +171,6 @@ parseArgs(int argc, char** argv)
         else if (arg == "--exact-budget")
             options.exactBudget = support::numberArg<std::int64_t>(
                 arg, next("a node budget"));
-        else if (arg == "--ii-search")
-            options.iiSearch = next("a strategy name");
         else if (arg == "--inject-delay-fault")
             options.injectDelayFault = true;
         else if (arg == "--replay")
@@ -197,12 +188,6 @@ parseArgs(int argc, char** argv)
 core::PipelinerOptions
 pipelineOptions(const CliOptions& options)
 {
-    const auto kind = sched::iiSearchKindByName(options.iiSearch);
-    if (!kind) {
-        std::cerr << "unknown II search strategy '" << options.iiSearch
-                  << "'\n";
-        usage(2);
-    }
     const auto strategy =
         sched::schedulerStrategyByName(options.scheduler);
     if (!strategy) {
@@ -211,7 +196,6 @@ pipelineOptions(const CliOptions& options)
         usage(2);
     }
     return core::PipelinerOptions{}
-        .withIiSearch(*kind)
         .withScheduler(*strategy)
         .withExactNodeBudget(options.exactBudget);
 }

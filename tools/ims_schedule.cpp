@@ -18,9 +18,6 @@
  *   --budget-ratio <r>       BudgetRatio (default 2.0; the paper's
  *                            quality studies use 6)
  *   --priority heightr|slack|source-order|random    (default heightr)
- *   --ii-search linear|feedback   II search strategy (default linear;
- *                            feedback's winning schedule is
- *                            bit-identical to linear's)
  *   --listing                print the full prologue/kernel/epilogue
  *   --kernel-only            print the [36] kernel-only schema instead
  *   --trace                  print the per-step scheduling trace
@@ -58,7 +55,7 @@
 #include "machine/machines.hpp"
 #include "program/program_compiler.hpp"
 #include "program/program_executor.hpp"
-#include "sched/attempt_feedback.hpp"
+#include "sched/attempt.hpp"
 #include "sim/pipeline_simulator.hpp"
 #include "sim/sequential_interpreter.hpp"
 #include "support/parse_number.hpp"
@@ -76,7 +73,6 @@ struct CliOptions
     std::int64_t exactBudget = sched::kDefaultExactNodeBudget;
     double budgetRatio = 2.0;
     std::string priority = "heightr";
-    std::string iiSearch = "linear";
     bool listing = false;
     bool kernelOnly = false;
     bool trace = false;
@@ -101,7 +97,6 @@ usage(int code)
            "  --scheduler iterative|slack|exact  --exact-budget <n>\n"
            "  --budget-ratio <r>   --priority "
            "heightr|slack|source-order|random\n"
-           "  --ii-search linear|feedback\n"
            "  --listing  --kernel-only  --trace  --telemetry  "
            "--simulate <trip>  --verify  --quiet  --no-compress\n";
     std::exit(code);
@@ -162,8 +157,6 @@ parseArgs(int argc, char** argv)
                 support::numberArg<double>(arg, next("a ratio"));
         else if (arg == "--priority")
             options.priority = next("a scheme");
-        else if (arg == "--ii-search")
-            options.iiSearch = next("a strategy name");
         else if (arg == "--listing")
             options.listing = true;
         else if (arg == "--kernel-only")
@@ -218,18 +211,11 @@ readFile(const std::string& path)
 
 /**
  * The pipeline options every loop and program runs with. Resolves the
- * strategy, backend and priority names, and exits with status 2 on an
- * unknown one.
+ * backend and priority names, and exits with status 2 on an unknown one.
  */
 core::PipelinerOptions
 pipelineOptions(const CliOptions& options)
 {
-    const auto search_kind = sched::iiSearchKindByName(options.iiSearch);
-    if (!search_kind) {
-        std::cerr << "unknown II search strategy '" << options.iiSearch
-                  << "'\n";
-        usage(2);
-    }
     const auto strategy =
         sched::schedulerStrategyByName(options.scheduler);
     if (!strategy) {
@@ -239,7 +225,6 @@ pipelineOptions(const CliOptions& options)
     }
     core::PipelinerOptions pipeline_options;
     pipeline_options.schedule.search.budgetRatio = options.budgetRatio;
-    pipeline_options.withIiSearch(*search_kind);
     pipeline_options.withScheduler(*strategy)
         .withExactNodeBudget(options.exactBudget);
     pipeline_options.schedule.priority = priorityByName(options.priority);
