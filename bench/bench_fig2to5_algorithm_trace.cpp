@@ -54,7 +54,7 @@ traceLoop(const char* kernel_name, const machine::MachineModel& machine)
         trace.clear();
         std::cout << "\nIterativeSchedule(II=" << ii << ", Budget="
                   << budget << ")   [Fig. 3]\n";
-        const auto result = scheduler.trySchedule(ii, budget);
+        const auto result = scheduler.trySchedule(ii, budget).schedule;
         for (const auto& e : trace) {
             std::cout << "  step " << e.step << ": ";
             if (e.op == g.start())

@@ -314,8 +314,6 @@ struct BatchSample
     int threads = 0;
     /** Whole-batch repetitions the calibration loop accumulated. */
     int runs = 0;
-    /** Work-stealing migrations summed over the runs (observability). */
-    std::uint64_t workSteals = 0;
     double wallSeconds = 0.0;
     double loopsPerSecond = 0.0;
 };
@@ -534,7 +532,7 @@ main(int argc, char** argv)
     const double min_batch_wall = quick ? 0.05 : 0.75;
     support::TextTable batch_table("BatchPipeliner throughput");
     batch_table.addHeader(
-        {"loops", "threads", "runs", "steals", "wall s", "loops/s"});
+        {"loops", "threads", "runs", "wall s", "loops/s"});
     std::vector<BatchSample> batch_samples;
     for (const int threads : thread_counts) {
         core::BatchPipeliner batch(
@@ -552,7 +550,6 @@ main(int argc, char** argv)
                 return 1;
             }
             ++sample.runs;
-            sample.workSteals += result.workSteals;
             sample.wallSeconds = secondsSince(start);
         } while (sample.wallSeconds < min_batch_wall);
         sample.loopsPerSecond =
@@ -561,7 +558,6 @@ main(int argc, char** argv)
         batch_table.addRow({std::to_string(sample.loops),
                             std::to_string(sample.threads),
                             std::to_string(sample.runs),
-                            std::to_string(sample.workSteals),
                             support::formatDouble(sample.wallSeconds, 3),
                             support::formatDouble(sample.loopsPerSecond,
                                                   1)});
@@ -569,8 +565,8 @@ main(int argc, char** argv)
     }
     batch_table.print(std::cout);
 
-    // Conditional scaling gate: on real many-core hardware the stealing
-    // batch driver must deliver >= 3x at 8 threads over 1; on smaller
+    // Conditional scaling gate: on real many-core hardware the batch
+    // driver must deliver >= 3x at 8 threads over 1; on smaller
     // machines (CI containers pinned to a core or two) the numbers are
     // still recorded but cannot gate.
     const unsigned hardware_threads = std::thread::hardware_concurrency();
@@ -637,8 +633,8 @@ main(int argc, char** argv)
             const auto& s = batch_samples[i];
             out << "    {\"name\": \"" << s.name << "\", \"loops\": "
                 << s.loops << ", \"threads\": " << s.threads
-                << ", \"runs\": " << s.runs << ", \"work_steals\": "
-                << s.workSteals << ", \"wall_seconds\": " << s.wallSeconds
+                << ", \"runs\": " << s.runs
+                << ", \"wall_seconds\": " << s.wallSeconds
                 << ", \"loops_per_second\": " << s.loopsPerSecond << "}"
                 << (i + 1 < batch_samples.size() ? "," : "") << "\n";
         }

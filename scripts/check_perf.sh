@@ -5,8 +5,8 @@
 #     checked-in seed golden, and fail if any throughput metric regresses
 #     by more than 10% against the checked-in baseline
 #     (BENCH_sched_hotpath.json at the repo root). --scaling-gate also
-#     requires the work-stealing BatchPipeliner to reach >=3x loops/s at
-#     8 threads over 1 thread — enforced only when the host reports >= 8
+#     requires the BatchPipeliner to reach >=3x loops/s at 8 threads
+#     over 1 thread — enforced only when the host reports >= 8
 #     hardware threads; smaller machines record the ratio with
 #     "gate_enforced": false in the JSON.
 #  2. bench_ii_search — the Figure-2 II walk on hard-II workloads: their

@@ -10,7 +10,10 @@
 #  3. a second, fresh server process replaying the same stream produces
 #     byte-identical `result` lines (cross-process determinism),
 #  4. hostile byte counts (negative, oversized) each get a structured
-#     `error service.bad_request ...` line and the server exits 0.
+#     `error service.bad_request ...` line and the server exits 0,
+#  5. a loop whose value lifetimes overflow `int` (two registers read
+#     1.5e9 iterations later at II 2) answers promptly with a
+#     `result ... failed code=codegen.too_large` line.
 #
 # Usage: scripts/check_service.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -143,5 +146,31 @@ for hostile in 'schedule -5' 'register foo -5' 'schedule 99999999999'; do
     fi
     echo "$hostile -> $(cat "$SMOKE_DIR/hostile.out")"
 done
+
+echo "== hostile operand distance (structured codegen.too_large) =="
+cat > "$SMOKE_DIR/toolong.ir" <<'EOF'
+loop toolong
+recurrence x
+x = asub x[1500000000], #3
+recurrence y
+y = asub y[1500000000], #3
+EOF
+{
+    printf 'schedule %s client=ci machine=scalar-toy\n' \
+        "$(wc -c < "$SMOKE_DIR/toolong.ir")"
+    cat "$SMOKE_DIR/toolong.ir"
+} > "$SMOKE_DIR/toolong.req"
+if ! timeout 10 "$SERVE" --threads 1 < "$SMOKE_DIR/toolong.req" \
+        > "$SMOKE_DIR/toolong.out"; then
+    echo "check_service: the overflowing loop crashed or hung ims-serve" >&2
+    exit 1
+fi
+if ! grep -q '^result toolong failed code=codegen\.too_large ' \
+        "$SMOKE_DIR/toolong.out"; then
+    echo "check_service: no codegen.too_large result for the overflowing loop" >&2
+    cat "$SMOKE_DIR/toolong.out" >&2
+    exit 1
+fi
+grep '^result' "$SMOKE_DIR/toolong.out"
 
 echo "service smoke: all checks passed"

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# Build the batch-pipelining targets under ThreadSanitizer and run the
-# concurrency-sensitive tests plus a small multi-threaded bench sweep.
-# Any data race in the shared-MachineModel batch driver fails the script.
+# Build every target that runs a thread pool under ThreadSanitizer and
+# run the concurrency-sensitive tests plus a small multi-threaded bench
+# sweep: the batch driver (support::parallelFor over a shared
+# MachineModel), the schedule service's workers, sharded cache and
+# cached results shared across threads (DepGraphs included), and the
+# fuzz campaign. Any data race fails the script.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -13,7 +16,7 @@ cmake -B "$BUILD_DIR" -S . -DIMS_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$BUILD_DIR" -j \
     --target batch_pipeliner_test telemetry_test pipeliner_test \
-             ii_search_test bench_batch_throughput
+             ii_search_test service_test fuzz_test bench_batch_throughput
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
@@ -25,6 +28,10 @@ echo "== pipeliner_test (tsan) =="
 "$BUILD_DIR/tests/pipeliner_test"
 echo "== ii_search_test (tsan) =="
 "$BUILD_DIR/tests/ii_search_test"
+echo "== service_test (tsan) =="
+"$BUILD_DIR/tests/service_test"
+echo "== fuzz_test (tsan) =="
+"$BUILD_DIR/tests/fuzz_test"
 echo "== bench_batch_throughput (tsan, small sweep) =="
 "$BUILD_DIR/bench/bench_batch_throughput" --loops 40 --threads 1,4,8
 

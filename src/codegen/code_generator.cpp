@@ -1,6 +1,7 @@
 #include "codegen/code_generator.hpp"
 
 #include <cassert>
+#include <cstdint>
 
 #include "codegen/lifetimes.hpp"
 
@@ -9,8 +10,11 @@ namespace ims::codegen {
 double
 GeneratedCode::codeExpansionRatio(int schedule_length) const
 {
-    const int kernel_cycles = kernelSection.numCycles() * mve.unroll;
-    const int total =
+    // Each term fits int, but an MVE unroll near INT_MAX overflows the
+    // product.
+    const std::int64_t kernel_cycles =
+        static_cast<std::int64_t>(kernelSection.numCycles()) * mve.unroll;
+    const std::int64_t total =
         prologue.numCycles() + kernel_cycles + epilogue.numCycles();
     return schedule_length > 0
                ? static_cast<double>(total) / schedule_length

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "ir/loop.hpp"
-#include "sched/iterative_scheduler.hpp"
+#include "sched/attempt.hpp"
 
 namespace ims::codegen {
 

@@ -1,11 +1,12 @@
 #ifndef IMS_CODEGEN_LIFETIMES_HPP
 #define IMS_CODEGEN_LIFETIMES_HPP
 
+#include <cstdint>
 #include <vector>
 
 #include "ir/loop.hpp"
 #include "machine/machine_model.hpp"
-#include "sched/iterative_scheduler.hpp"
+#include "sched/attempt.hpp"
 #include "support/telemetry.hpp"
 
 namespace ims::codegen {
@@ -50,12 +51,22 @@ struct LifetimeAnalysis
 /**
  * Compute value lifetimes, the MVE unroll factor and MaxLive for a
  * schedule. A register with no readers still lives for its definition
- * latency.
+ * latency. The work does not depend on operand distances.
+ *
+ * @throws support::CodedError "codegen.too_large" when a lifetime end or
+ *         MaxLive does not fit `int` (operand distances near INT_MAX).
  */
 LifetimeAnalysis analyzeLifetimes(const ir::Loop& loop,
                                   const machine::MachineModel& machine,
                                   const sched::ScheduleResult& schedule,
                                   support::TelemetrySink* sink = nullptr);
+
+/**
+ * `value` as an int; throws support::CodedError "codegen.too_large",
+ * naming `what`, when it does not fit. Lifetime quantities are computed
+ * in std::int64_t and narrowed through this check.
+ */
+int checkedLifetimeInt(std::int64_t value, const char* what);
 
 } // namespace ims::codegen
 

@@ -24,7 +24,12 @@ struct MvePlan
     bool trivial() const { return unroll <= 1; }
 };
 
-/** Build the MVE plan from a lifetime analysis. */
+/**
+ * Build the MVE plan from a lifetime analysis.
+ *
+ * @throws support::CodedError "codegen.too_large" when a copy count does
+ *         not fit `int`.
+ */
 MvePlan planMve(const ir::Loop& loop, const LifetimeAnalysis& lifetimes,
                 int ii);
 

@@ -32,7 +32,7 @@ allocateRegisters(const ir::Loop& loop, const LifetimeAnalysis& lifetimes,
 {
     support::PhaseTimer timer(sink, support::Phase::kRegAlloc);
     RegisterAllocation allocation;
-    int next_rotating = 0;
+    std::int64_t next_rotating = 0;
     int next_static = 0;
 
     for (ir::RegId reg = 0; reg < loop.numRegisters(); ++reg) {
@@ -46,7 +46,7 @@ allocateRegisters(const ir::Loop& loop, const LifetimeAnalysis& lifetimes,
         } else {
             const int copies =
                 mve.copies[reg] > 0 ? mve.copies[reg] : 1;
-            assignment.base = next_rotating;
+            assignment.base = static_cast<int>(next_rotating);
             assignment.copies = copies;
             assignment.rotating = true;
             next_rotating += copies;
@@ -54,7 +54,9 @@ allocateRegisters(const ir::Loop& loop, const LifetimeAnalysis& lifetimes,
         allocation.assignments.push_back(assignment);
     }
     (void)lifetimes;
-    allocation.rotatingRegisters = next_rotating;
+    // Bases past INT_MAX were truncated above; this throws for them.
+    allocation.rotatingRegisters =
+        checkedLifetimeInt(next_rotating, "rotating register total");
     allocation.staticRegisters = next_static;
     return allocation;
 }

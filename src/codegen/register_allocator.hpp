@@ -56,6 +56,9 @@ struct RegisterAllocation
  * step list references ("rotating register allocation is performed for
  * the kernel") without the spill machinery, which a pure scheduling study
  * never triggers.
+ *
+ * @throws support::CodedError "codegen.too_large" when the rotating
+ *         register total does not fit `int`.
  */
 RegisterAllocation allocateRegisters(const ir::Loop& loop,
                                      const LifetimeAnalysis& lifetimes,

@@ -124,11 +124,9 @@ BatchPipeliner::run(const std::vector<PipelineRequest>& requests) const
 
     // Deterministic by construction: each request's computation reads only
     // the request, the immutable machine model and the (copied) options,
-    // and writes only its own pre-sized slot — which worker runs a slot
-    // (and hence the steal count) is the only racy part (see
-    // support::workStealingFor).
-    support::WorkStealingStats steal_stats;
-    support::workStealingFor(
+    // and writes only its own pre-sized slot — which worker runs a slot is
+    // the only racy part (see support::parallelFor).
+    support::parallelFor(
         requests.size(), threads,
         [this, &requests, &batch](std::size_t index) {
             const PipelineRequest& request = requests[index];
@@ -143,9 +141,7 @@ BatchPipeliner::run(const std::vector<PipelineRequest>& requests) const
                 item.result.diagnostics.push_back(
                     {Diagnostic::Severity::kError, "", error.what(), ""});
             }
-        },
-        &steal_stats);
-    batch.workSteals = steal_stats.steals;
+        });
 
     batch.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

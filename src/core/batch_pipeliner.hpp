@@ -54,11 +54,8 @@ struct BatchResult
     double wallSeconds = 0.0;
     /** Worker threads actually used. */
     int threadsUsed = 1;
-    /**
-     * Work-stealing migrations between workers (timing-dependent, zero on
-     * single-threaded runs; see support::workStealingFor). Observability
-     * only — never part of the deterministic result.
-     */
+    /** Always 0: loops are claimed one at a time, so no work migrates.
+     *  Kept only for existing readers of the field. */
     std::uint64_t workSteals = 0;
 
     std::size_t successes() const;
@@ -82,10 +79,9 @@ struct BatchResult
  * diagnostics on the corresponding item (one malformed loop cannot take
  * down the batch), and result ordering is deterministic regardless of
  * thread count or completion order. Work is distributed by
- * support::workStealingFor: each worker owns a contiguous slice of the
- * request range and idle workers steal half of a busy worker's
- * remainder, so one pathologically slow loop cannot serialise the tail
- * of the batch the way static slot assignment did.
+ * support::parallelFor, which hands out one loop at a time, so one
+ * pathologically slow loop cannot hold up the rest of the batch. Each
+ * loop runs on one thread.
  */
 class BatchPipeliner
 {

@@ -23,28 +23,9 @@ depKindName(DepKind kind)
     return "?";
 }
 
-DepGraph::DepGraph(int num_ops)
-    : numOps_(num_ops), adj_(std::make_unique<Adjacency>())
+DepGraph::DepGraph(int num_ops) : numOps_(num_ops)
 {
     assert(num_ops >= 0);
-}
-
-DepGraph::DepGraph(const DepGraph& other)
-    : numOps_(other.numOps_),
-      edges_(other.edges_),
-      adj_(std::make_unique<Adjacency>())
-{
-}
-
-DepGraph&
-DepGraph::operator=(const DepGraph& other)
-{
-    if (this != &other) {
-        numOps_ = other.numOps_;
-        edges_ = other.edges_;
-        adj_ = std::make_unique<Adjacency>();
-    }
-    return *this;
 }
 
 EdgeId
@@ -55,54 +36,47 @@ DepGraph::addEdge(DepEdge edge)
     assert(edge.distance >= 0);
     const EdgeId id = static_cast<EdgeId>(edges_.size());
     edges_.push_back(edge);
-    // Construction is single-threaded (see addEdge's contract), so a
-    // plain store is enough to force a CSR rebuild on the next query.
-    adj_->built.store(false, std::memory_order_relaxed);
+    adjacencyBuilt_ = false;
     return id;
 }
 
 void
-DepGraph::buildAdjacency() const
+DepGraph::rebuildAdjacency() const
 {
-    Adjacency& adj = *adj_;
-    std::lock_guard<std::mutex> lock(adj.buildMutex);
-    if (adj.built.load(std::memory_order_relaxed))
-        return;
-
     const int vertices = numVertices();
     const std::size_t num_edges = edges_.size();
-    adj.outOffsets.assign(static_cast<std::size_t>(vertices) + 1, 0);
-    adj.inOffsets.assign(static_cast<std::size_t>(vertices) + 1, 0);
+    outOffsets_.assign(static_cast<std::size_t>(vertices) + 1, 0);
+    inOffsets_.assign(static_cast<std::size_t>(vertices) + 1, 0);
     for (const DepEdge& edge : edges_) {
-        ++adj.outOffsets[edge.from + 1];
-        ++adj.inOffsets[edge.to + 1];
+        ++outOffsets_[edge.from + 1];
+        ++inOffsets_[edge.to + 1];
     }
     for (int v = 0; v < vertices; ++v) {
-        adj.outOffsets[v + 1] += adj.outOffsets[v];
-        adj.inOffsets[v + 1] += adj.inOffsets[v];
+        outOffsets_[v + 1] += outOffsets_[v];
+        inOffsets_[v + 1] += inOffsets_[v];
     }
 
-    adj.outIds.resize(num_edges);
-    adj.inIds.resize(num_edges);
-    adj.outDeps.resize(num_edges);
-    adj.inDeps.resize(num_edges);
+    outIds_.resize(num_edges);
+    inIds_.resize(num_edges);
+    outDeps_.resize(num_edges);
+    inDeps_.resize(num_edges);
     // Filling in edge-id order keeps each vertex's slice in insertion
     // order — the same order the per-vertex push_back lists used to have,
     // which the schedulers' tie-breaks depend on.
-    std::vector<std::int32_t> out_cursor(adj.outOffsets.begin(),
-                                         adj.outOffsets.end() - 1);
-    std::vector<std::int32_t> in_cursor(adj.inOffsets.begin(),
-                                        adj.inOffsets.end() - 1);
+    std::vector<std::int32_t> out_cursor(outOffsets_.begin(),
+                                         outOffsets_.end() - 1);
+    std::vector<std::int32_t> in_cursor(inOffsets_.begin(),
+                                        inOffsets_.end() - 1);
     for (std::size_t id = 0; id < num_edges; ++id) {
         const DepEdge& edge = edges_[id];
         const std::int32_t out_at = out_cursor[edge.from]++;
         const std::int32_t in_at = in_cursor[edge.to]++;
-        adj.outIds[out_at] = static_cast<EdgeId>(id);
-        adj.inIds[in_at] = static_cast<EdgeId>(id);
-        adj.outDeps[out_at] = Dep{edge.to, edge.delay, edge.distance};
-        adj.inDeps[in_at] = Dep{edge.from, edge.delay, edge.distance};
+        outIds_[out_at] = static_cast<EdgeId>(id);
+        inIds_[in_at] = static_cast<EdgeId>(id);
+        outDeps_[out_at] = Dep{edge.to, edge.delay, edge.distance};
+        inDeps_[in_at] = Dep{edge.from, edge.delay, edge.distance};
     }
-    adj.built.store(true, std::memory_order_release);
+    adjacencyBuilt_ = true;
 }
 
 int

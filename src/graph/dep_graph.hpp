@@ -1,10 +1,7 @@
 #ifndef IMS_GRAPH_DEP_GRAPH_HPP
 #define IMS_GRAPH_DEP_GRAPH_HPP
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -79,23 +76,17 @@ struct Dep
  * edge-id array per direction plus per-vertex offsets, and a parallel
  * flat array of `Dep` records so the schedulers' inner loops walk
  * contiguous 12-byte entries instead of chasing per-vertex vectors into
- * the edge table. The CSR buffers are built lazily on first query and
- * invalidated by addEdge; the build is guarded by double-checked locking
- * so concurrent readers are safe, while graph *construction* remains
- * single-threaded as before.
+ * the edge table. graph::buildDepGraph builds the CSR view before it
+ * returns, so the graphs the library hands out are never written again
+ * and may be read from any number of threads. A graph assembled edge by
+ * edge rebuilds the view lazily on the first query after addEdge; that
+ * build writes the graph, so it belongs to the thread that owns it.
  */
 class DepGraph
 {
   public:
     /** Create a graph over `num_ops` real operations (plus START/STOP). */
     explicit DepGraph(int num_ops);
-
-    DepGraph(DepGraph&&) noexcept = default;
-    DepGraph& operator=(DepGraph&&) noexcept = default;
-    /** Copies duplicate the edge list only; the CSR view is a cache and
-        the copy rebuilds its own on first query. */
-    DepGraph(const DepGraph& other);
-    DepGraph& operator=(const DepGraph& other);
 
     int numOps() const { return numOps_; }
     int numVertices() const { return numOps_ + 2; }
@@ -112,6 +103,15 @@ class DepGraph
         queries — build the graph before sharing it across workers. */
     EdgeId addEdge(DepEdge edge);
 
+    /** Build the CSR view now if an addEdge left it stale (queries
+        otherwise build it on first use). */
+    void
+    buildAdjacency() const
+    {
+        if (!adjacencyBuilt_)
+            rebuildAdjacency();
+    }
+
     const std::vector<DepEdge>& edges() const { return edges_; }
     const DepEdge& edge(EdgeId id) const { return edges_[id]; }
     int numEdges() const { return static_cast<int>(edges_.size()); }
@@ -120,18 +120,18 @@ class DepGraph
     std::span<const EdgeId>
     outEdges(VertexId v) const
     {
-        const Adjacency& adj = adjacency();
-        return {adj.outIds.data() + adj.outOffsets[v],
-                adj.outIds.data() + adj.outOffsets[v + 1]};
+        buildAdjacency();
+        return {outIds_.data() + outOffsets_[v],
+                outIds_.data() + outOffsets_[v + 1]};
     }
 
     /** Ids of edges entering `v`, in insertion order. */
     std::span<const EdgeId>
     inEdges(VertexId v) const
     {
-        const Adjacency& adj = adjacency();
-        return {adj.inIds.data() + adj.inOffsets[v],
-                adj.inIds.data() + adj.inOffsets[v + 1]};
+        buildAdjacency();
+        return {inIds_.data() + inOffsets_[v],
+                inIds_.data() + inOffsets_[v + 1]};
     }
 
     /** Compact records of the edges leaving `v`, aligned with outEdges:
@@ -139,9 +139,9 @@ class DepGraph
     std::span<const Dep>
     outDeps(VertexId v) const
     {
-        const Adjacency& adj = adjacency();
-        return {adj.outDeps.data() + adj.outOffsets[v],
-                adj.outDeps.data() + adj.outOffsets[v + 1]};
+        buildAdjacency();
+        return {outDeps_.data() + outOffsets_[v],
+                outDeps_.data() + outOffsets_[v + 1]};
     }
 
     /** Compact records of the edges entering `v`, aligned with inEdges:
@@ -149,9 +149,9 @@ class DepGraph
     std::span<const Dep>
     inDeps(VertexId v) const
     {
-        const Adjacency& adj = adjacency();
-        return {adj.inDeps.data() + adj.inOffsets[v],
-                adj.inDeps.data() + adj.inOffsets[v + 1]};
+        buildAdjacency();
+        return {inDeps_.data() + inOffsets_[v],
+                inDeps_.data() + inOffsets_[v + 1]};
     }
 
     /**
@@ -164,39 +164,22 @@ class DepGraph
     std::string toString() const;
 
   private:
-    /**
-     * The lazily-built CSR view. Offsets have numVertices()+1 entries;
-     * vertex v's slice of the flat arrays is [offsets[v], offsets[v+1]).
-     * Held behind a unique_ptr so the graph stays movable (the struct
-     * carries a mutex) and so a build never reallocates buffers another
-     * thread may be reading: buffers are only written under the mutex
-     * *before* `built` is published with release ordering.
-     */
-    struct Adjacency
-    {
-        std::atomic<bool> built{false};
-        std::mutex buildMutex;
-        std::vector<std::int32_t> outOffsets;
-        std::vector<std::int32_t> inOffsets;
-        std::vector<EdgeId> outIds;
-        std::vector<EdgeId> inIds;
-        std::vector<Dep> outDeps;
-        std::vector<Dep> inDeps;
-    };
-
-    const Adjacency&
-    adjacency() const
-    {
-        if (!adj_->built.load(std::memory_order_acquire))
-            buildAdjacency();
-        return *adj_;
-    }
-
-    void buildAdjacency() const;
+    void rebuildAdjacency() const;
 
     int numOps_;
     std::vector<DepEdge> edges_;
-    mutable std::unique_ptr<Adjacency> adj_;
+    /**
+     * The CSR view, a cache of edges_. Offsets have numVertices()+1
+     * entries; vertex v's slice of the flat arrays is
+     * [offsets[v], offsets[v+1]).
+     */
+    mutable bool adjacencyBuilt_ = false;
+    mutable std::vector<std::int32_t> outOffsets_;
+    mutable std::vector<std::int32_t> inOffsets_;
+    mutable std::vector<EdgeId> outIds_;
+    mutable std::vector<EdgeId> inIds_;
+    mutable std::vector<Dep> outDeps_;
+    mutable std::vector<Dep> inDeps_;
 };
 
 } // namespace ims::graph

@@ -177,6 +177,7 @@ buildDepGraph(const ir::Loop& loop, const machine::MachineModel& machine,
         graph.addEdge(stop_edge);
     }
 
+    graph.buildAdjacency(); // immutable from here on (see the header)
     return graph;
 }
 

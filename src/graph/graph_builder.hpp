@@ -41,6 +41,9 @@ struct GraphOptions
  *    STOP succeeds every operation with delay equal to the operation's
  *    latency, making SchedTime(STOP) the schedule length.
  *
+ * The returned graph's CSR view is already built, so the graph is never
+ * written again and any number of threads may read it.
+ *
  * @throws support::Error if the machine lacks an opcode used by the loop,
  *         or if dsaForm == false and the loop has operand distances > 1.
  *

@@ -2,13 +2,11 @@
 #define IMS_SCHED_ATTEMPT_HPP
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "graph/dep_graph.hpp"
-
-namespace ims::support {
-struct Counters;
-} // namespace ims::support
+#include "support/counters.hpp"
 
 namespace ims::sched {
 
@@ -16,9 +14,26 @@ class ModuloReservationTable;
 
 /**
  * The attempt vocabulary shared by every scheduling backend (iterative,
- * slack, exact) and the Figure-2 walk: why an attempt ended, the
- * per-step trace events and the batched hot-path counters.
+ * slack, exact) and the Figure-2 walk: the schedule an attempt yields,
+ * why it ended, its per-step trace events and its batched hot-path
+ * counters.
  */
+
+/** A complete modulo schedule for one II. */
+struct ScheduleResult
+{
+    int ii = 0;
+    /** Issue time per loop operation. */
+    std::vector<int> times;
+    /** Chosen machine alternative per loop operation. */
+    std::vector<int> alternatives;
+    /** Schedule time of STOP: the schedule length SL for one iteration. */
+    int scheduleLength = 0;
+    /** Operation scheduling steps consumed (the paper's budget unit). */
+    std::int64_t stepsUsed = 0;
+    /** Operations displaced during the attempt. */
+    std::int64_t unschedules = 0;
+};
 
 /** Why one schedule attempt ended the way it did. */
 enum class AttemptStatus
@@ -29,8 +44,20 @@ enum class AttemptStatus
     kBudgetExhausted,
     /** Some operation has no usable alternative at this II. */
     kInfeasible,
-    /** The cancellation token's ceiling dropped below this II mid-run. */
-    kCancelled,
+};
+
+/**
+ * One schedule attempt at a fixed candidate II, as every backend returns
+ * it. `counters` is the attempt's *own* counter delta; `status` reports
+ * *why* the attempt ended — in particular it distinguishes kInfeasible
+ * (this II is proven impossible; re-trying with a larger budget is
+ * pointless) from kBudgetExhausted (undecided).
+ */
+struct IiAttemptOutcome
+{
+    std::optional<ScheduleResult> schedule;
+    AttemptStatus status = AttemptStatus::kBudgetExhausted;
+    support::Counters counters;
 };
 
 /**

@@ -7,7 +7,6 @@
 
 #include "graph/dep_graph.hpp"
 #include "sched/attempt.hpp"
-#include "sched/iterative_scheduler.hpp"
 #include "sched/partial_schedule.hpp"
 #include "support/counters.hpp"
 

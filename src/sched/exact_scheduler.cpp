@@ -40,11 +40,10 @@ class Search
            PartialSchedule& schedule,
            const std::vector<graph::VertexId>& order,
            const std::vector<std::vector<int>>& alternatives,
-           const std::vector<KEdge>& k_edges, int ii, std::int64_t budget,
-           const support::CancellationToken* cancel)
+           const std::vector<KEdge>& k_edges, int ii, std::int64_t budget)
         : graph_(graph), dist_(dist), schedule_(schedule), order_(order),
           alternatives_(alternatives), kEdges_(k_edges), ii_(ii),
-          budget_(budget), cancel_(cancel),
+          budget_(budget),
           residue_(static_cast<std::size_t>(graph.numVertices()), 0),
           k_(static_cast<std::size_t>(graph.numVertices()), 0)
     {
@@ -58,7 +57,6 @@ class Search
     bool run() { return assign(0); }
 
     bool budgetExhausted() const { return budgetExhausted_; }
-    bool cancelled() const { return cancelled_; }
     std::int64_t nodes() const { return nodes_; }
     std::int64_t backtracks() const { return backtracks_; }
 
@@ -107,10 +105,6 @@ class Search
             for (const int alternative : alternatives_[v]) {
                 if (!charge())
                     return false;
-                if (cancel_ != nullptr && cancel_->cancelled(ii_)) {
-                    cancelled_ = true;
-                    return false;
-                }
                 if (schedule_.mrt().conflicts(compiled[alternative], r))
                     continue;
                 schedule_.place(v, r, alternative);
@@ -120,7 +114,7 @@ class Search
                     return true;
                 schedule_.remove(v);
                 placedList_.pop_back();
-                if (budgetExhausted_ || cancelled_)
+                if (budgetExhausted_)
                     return false;
                 ++backtracks_;
             }
@@ -211,7 +205,6 @@ class Search
     const std::vector<KEdge>& kEdges_;
     int ii_;
     std::int64_t budget_;
-    const support::CancellationToken* cancel_;
 
     std::vector<int> residue_;
     std::vector<std::int64_t> k_;
@@ -219,7 +212,6 @@ class Search
     std::int64_t nodes_ = 0;
     std::int64_t backtracks_ = 0;
     bool budgetExhausted_ = false;
-    bool cancelled_ = false;
 };
 
 } // namespace
@@ -227,44 +219,35 @@ class Search
 ExactScheduler::ExactScheduler(const ir::Loop& loop,
                                const machine::MachineModel& machine,
                                const graph::DepGraph& graph,
-                               const graph::SccResult& sccs,
-                               support::Counters* counters)
-    : loop_(loop), machine_(machine), graph_(graph), sccs_(sccs),
-      counters_(counters)
+                               const graph::SccResult& sccs)
+    : loop_(loop), machine_(machine), graph_(graph), sccs_(sccs)
 {
 }
 
-std::optional<ScheduleResult>
-ExactScheduler::trySchedule(int ii, std::int64_t node_budget,
-                            const support::CancellationToken* cancel,
-                            AttemptStatus* status)
+IiAttemptOutcome
+ExactScheduler::trySchedule(int ii, std::int64_t node_budget)
 {
     support::check(ii >= 1, "candidate II must be >= 1");
     support::check(node_budget > 0, "exact node budget must be positive");
-    const auto report = [&](AttemptStatus s) {
-        if (status != nullptr)
-            *status = s;
-    };
+    IiAttemptOutcome out;
+    // Every early return below is a proof, so infeasible until decided.
+    out.status = AttemptStatus::kInfeasible;
 
     if (!dist_.has_value())
-        dist_.emplace(graph_, ii, counters_);
+        dist_.emplace(graph_, ii, &out.counters);
     else
-        dist_->recompute(ii, counters_);
-    if (!dist_->feasible()) {
-        report(AttemptStatus::kInfeasible);
-        return std::nullopt;
-    }
+        dist_->recompute(ii, &out.counters);
+    if (!dist_->feasible())
+        return out;
 
     PartialSchedule schedule(graph_, loop_, machine_, ii, &compiledCache_);
-    if (!schedule.allVerticesPlaceable()) {
-        report(AttemptStatus::kInfeasible);
-        return std::nullopt;
-    }
+    if (!schedule.allVerticesPlaceable())
+        return out;
 
     // Branch order: HeightR descending (critical operations first), ties
     // by vertex id — the same deterministic order at every thread count.
     computePrioritiesInto(graph_, sccs_, ii, PriorityScheme::kHeightR,
-                          /*seed=*/1, counters_, priorityWorkspace_);
+                          /*seed=*/1, &out.counters, priorityWorkspace_);
     const auto& priorities = priorityWorkspace_.priorities;
     std::vector<graph::VertexId> order(
         static_cast<std::size_t>(graph_.numOps()));
@@ -303,8 +286,7 @@ ExactScheduler::trySchedule(int ii, std::int64_t node_budget,
         if (distinct.empty()) {
             // allVerticesPlaceable already rules this out; keep the proof
             // airtight if a machine model ever offers no alternatives.
-            report(AttemptStatus::kInfeasible);
-            return std::nullopt;
+            return out;
         }
     }
 
@@ -324,25 +306,21 @@ ExactScheduler::trySchedule(int ii, std::int64_t node_budget,
     }
 
     Search search(graph_, *dist_, schedule, order, alternatives, k_edges,
-                  ii, node_budget, cancel);
+                  ii, node_budget);
     const bool found = search.run();
 
-    if (counters_ != nullptr) {
-        counters_->scheduleSteps += static_cast<std::uint64_t>(search.nodes());
-        counters_->unscheduleSteps +=
-            static_cast<std::uint64_t>(search.backtracks());
-        counters_->mrtMaskProbes += schedule.mrt().maskProbes();
-        counters_->mrtSlotScans += schedule.mrt().slotScans();
-    }
+    out.counters.scheduleSteps += static_cast<std::uint64_t>(search.nodes());
+    out.counters.unscheduleSteps +=
+        static_cast<std::uint64_t>(search.backtracks());
+    out.counters.mrtMaskProbes += schedule.mrt().maskProbes();
+    out.counters.mrtSlotScans += schedule.mrt().slotScans();
 
     if (!found) {
-        if (search.cancelled())
-            report(AttemptStatus::kCancelled);
-        else if (search.budgetExhausted())
-            report(AttemptStatus::kBudgetExhausted);
-        else
-            report(AttemptStatus::kInfeasible); // space exhausted: a proof
-        return std::nullopt;
+        // Unless the budget cut it short, the space was exhausted: the
+        // kInfeasible verdict is a proof.
+        if (search.budgetExhausted())
+            out.status = AttemptStatus::kBudgetExhausted;
+        return out;
     }
 
     ScheduleResult result;
@@ -369,8 +347,9 @@ ExactScheduler::trySchedule(int ii, std::int64_t node_budget,
     result.scheduleLength = static_cast<int>(stop_time);
     result.stepsUsed = search.nodes();
     result.unschedules = search.backtracks();
-    report(AttemptStatus::kScheduled);
-    return result;
+    out.status = AttemptStatus::kScheduled;
+    out.schedule = std::move(result);
+    return out;
 }
 
 namespace detail {
@@ -386,14 +365,9 @@ exactBackend(const ir::Loop& loop, const machine::MachineModel& machine,
 
     // One scheduler for the whole walk: trySchedule reuses the MinDist
     // matrix and compiled-table cache across candidate IIs.
-    support::Counters attempt_counters;
-    ExactScheduler scheduler(loop, machine, graph, sccs, &attempt_counters);
+    ExactScheduler scheduler(loop, machine, graph, sccs);
     const IiAttemptFn attempt = [&](int ii) {
-        attempt_counters = {};
-        IiAttemptOutcome out;
-        out.schedule =
-            scheduler.trySchedule(ii, budget, nullptr, &out.status);
-        out.counters = attempt_counters;
+        IiAttemptOutcome out = scheduler.trySchedule(ii, budget);
         if (out.status == AttemptStatus::kBudgetExhausted) {
             // An undecided candidate breaks the optimality chain: the
             // first feasible II is provably optimal only while every II

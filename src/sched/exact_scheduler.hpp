@@ -10,10 +10,8 @@
 #include "machine/compiled_reservations.hpp"
 #include "machine/machine_model.hpp"
 #include "mii/min_dist.hpp"
-#include "sched/iterative_scheduler.hpp"
+#include "sched/attempt.hpp"
 #include "sched/priority.hpp"
-#include "support/cancellation.hpp"
-#include "support/counters.hpp"
 
 namespace ims::sched {
 
@@ -75,28 +73,23 @@ class ExactScheduler
 {
   public:
     ExactScheduler(const ir::Loop& loop, const machine::MachineModel& machine,
-                   const graph::DepGraph& graph, const graph::SccResult& sccs,
-                   support::Counters* counters = nullptr);
+                   const graph::DepGraph& graph, const graph::SccResult& sccs);
 
     /**
      * Decide candidate `ii` within `node_budget` examined candidates.
      *
-     * Returns the schedule when one exists and the search completed; a
-     * nullopt return distinguishes its cause via `status`:
-     * kInfeasible (proven — the full space was searched), kBudgetExhausted
-     * (undecided), or kCancelled (the token's ceiling dropped below `ii`).
+     * The outcome carries the schedule when one exists and the search
+     * completed; otherwise its status names the cause: kInfeasible
+     * (proven — the full space was searched) or kBudgetExhausted
+     * (undecided). Its counters hold this attempt's own delta.
      */
-    std::optional<ScheduleResult>
-    trySchedule(int ii, std::int64_t node_budget,
-                const support::CancellationToken* cancel = nullptr,
-                AttemptStatus* status = nullptr);
+    IiAttemptOutcome trySchedule(int ii, std::int64_t node_budget);
 
   private:
     const ir::Loop& loop_;
     const machine::MachineModel& machine_;
     const graph::DepGraph& graph_;
     const graph::SccResult& sccs_;
-    support::Counters* counters_;
     /** HeightR buffers reused across candidate IIs (branch order). */
     PriorityWorkspace priorityWorkspace_;
     /** Compiled reservation tables shared across attempts and IIs. */

@@ -1,6 +1,7 @@
 #include "sched/ii_search.hpp"
 
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "support/error.hpp"
@@ -29,8 +30,6 @@ attemptStatusName(AttemptStatus status)
         return "budget_exhausted";
       case AttemptStatus::kInfeasible:
         return "infeasible";
-      case AttemptStatus::kCancelled:
-        return "cancelled";
     }
     return "?";
 }

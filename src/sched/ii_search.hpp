@@ -3,11 +3,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "sched/iterative_scheduler.hpp"
+#include "sched/attempt.hpp"
 #include "support/counters.hpp"
 #include "support/telemetry.hpp"
 
@@ -48,20 +47,6 @@ struct IiSearchOptions
 
 /** Stable lowercase name of an AttemptStatus ("scheduled", ...). */
 std::string attemptStatusName(AttemptStatus status);
-
-/**
- * One schedule attempt at a fixed candidate II, as seen by the walk.
- * `counters` is the attempt's *own* batched counter delta; `status`
- * reports *why* the attempt ended — in particular it distinguishes
- * kInfeasible (this II is proven impossible; re-trying with a larger
- * budget is pointless) from kBudgetExhausted (undecided).
- */
-struct IiAttemptOutcome
-{
-    std::optional<ScheduleResult> schedule;
-    AttemptStatus status = AttemptStatus::kBudgetExhausted;
-    support::Counters counters;
-};
 
 /** Callback scheduling one candidate II. */
 using IiAttemptFn = std::function<IiAttemptOutcome(int ii)>;

@@ -19,8 +19,8 @@ namespace {
  *
  * The attempt keeps its instrumentation in an AttemptCounters instead of
  * bumping a support::Counters* on every inner-loop iteration; the
- * scheduler flushes one batched delta per attempt into the unified
- * telemetry counters (see IterativeScheduler::trySchedule).
+ * scheduler flushes one batched delta per attempt into the outcome's
+ * counters (see IterativeScheduler::trySchedule).
  *
  * Estart is maintained incrementally by an EstartTracker (delta updates
  * on place/displace instead of a per-step in-edge rescan); the values it
@@ -34,13 +34,11 @@ class Attempt
             const graph::DepGraph& graph,
             const std::vector<std::int64_t>& priority,
             const IterativeScheduleOptions& options, int ii,
-            machine::CompiledTableCache* cache,
-            const support::CancellationToken* cancel)
+            machine::CompiledTableCache* cache)
         : graph_(graph),
           priority_(priority),
           options_(options),
           ii_(ii),
-          cancel_(cancel),
           schedule_(graph, loop, machine, ii, cache),
           estart_(graph, schedule_, stats_),
           ready_(priority)
@@ -64,13 +62,6 @@ class Attempt
         ++stats_.scheduleSteps;
 
         while (!ready_.empty() && budget > 0) {
-            // Cooperative cancellation: once the token cancels this II,
-            // stop within one budget-loop check. One relaxed load per
-            // scheduling step.
-            if (cancel_ != nullptr && cancel_->cancelled(ii_)) {
-                status_ = AttemptStatus::kCancelled;
-                return false;
-            }
             const graph::VertexId op = ready_.top();
             const int estart = estart_.estart(op);
             const int min_time = estart;
@@ -239,7 +230,6 @@ class Attempt
     const std::vector<std::int64_t>& priority_;
     const IterativeScheduleOptions& options_;
     int ii_;
-    const support::CancellationToken* cancel_;
     AttemptStatus status_ = AttemptStatus::kBudgetExhausted;
     AttemptCounters stats_;
     PartialSchedule schedule_;
@@ -257,46 +247,39 @@ IterativeScheduler::IterativeScheduler(const ir::Loop& loop,
                                        const machine::MachineModel& machine,
                                        const graph::DepGraph& graph,
                                        const graph::SccResult& sccs,
-                                       IterativeScheduleOptions options,
-                                       support::Counters* counters)
+                                       IterativeScheduleOptions options)
     : loop_(loop),
       machine_(machine),
       graph_(graph),
       sccs_(sccs),
-      options_(options),
-      counters_(counters)
+      options_(options)
 {
     assert(loop.size() == graph.numOps());
 }
 
-std::optional<ScheduleResult>
-IterativeScheduler::trySchedule(int ii, std::int64_t budget,
-                                const support::CancellationToken* cancel,
-                                AttemptStatus* status)
+IiAttemptOutcome
+IterativeScheduler::trySchedule(int ii, std::int64_t budget)
 {
+    IiAttemptOutcome out;
     computePrioritiesInto(graph_, sccs_, ii, options_.priority,
-                          options_.randomSeed, counters_,
+                          options_.randomSeed, &out.counters,
                           priorityWorkspace_);
 
     Attempt attempt(loop_, machine_, graph_, priorityWorkspace_.priorities,
-                    options_, ii, &compiledCache_, cancel);
+                    options_, ii, &compiledCache_);
     const bool success = attempt.run(budget);
-    if (status != nullptr)
-        *status = attempt.status();
+    out.status = attempt.status();
 
-    // One batched delta per attempt feeds the unified telemetry counters
-    // (and, through the pipeliner's end-of-run onCounters, every
-    // TelemetrySink) — the hot loop itself never touches the shared
-    // struct.
-    if (counters_ != nullptr)
-        attempt.stats().flushInto(*counters_, attempt.schedule().mrt());
+    // One batched delta per attempt; the walk folds it into the unified
+    // telemetry counters, so the hot loop never touches a shared struct.
+    attempt.stats().flushInto(out.counters, attempt.schedule().mrt());
 
-    if (!success)
-        return std::nullopt;
-
-    return extractScheduleResult(attempt.schedule(), graph_, ii,
-                                 attempt.stepsUsed(),
-                                 attempt.unschedules());
+    if (success) {
+        out.schedule = extractScheduleResult(attempt.schedule(), graph_, ii,
+                                             attempt.stepsUsed(),
+                                             attempt.unschedules());
+    }
+    return out;
 }
 
 namespace detail {
@@ -322,16 +305,9 @@ iterativeBackend(const ir::Loop& loop, const machine::MachineModel& machine,
 
     // One scheduler for the whole walk: trySchedule reuses its priority
     // and compiled-reservation buffers across candidate IIs.
-    support::Counters attempt_counters;
-    IterativeScheduler scheduler(loop, machine, graph, sccs, inner,
-                                 &attempt_counters);
+    IterativeScheduler scheduler(loop, machine, graph, sccs, inner);
     const IiAttemptFn attempt = [&](int ii) {
-        attempt_counters = {};
-        IiAttemptOutcome out;
-        out.schedule =
-            scheduler.trySchedule(ii, budget, nullptr, &out.status);
-        out.counters = attempt_counters;
-        return out;
+        return scheduler.trySchedule(ii, budget);
     };
 
     return walk(budget, attempt, [&] {

@@ -2,7 +2,6 @@
 #define IMS_SCHED_ITERATIVE_SCHEDULER_HPP
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "graph/dep_graph.hpp"
@@ -12,8 +11,6 @@
 #include "machine/machine_model.hpp"
 #include "sched/attempt.hpp"
 #include "sched/priority.hpp"
-#include "support/cancellation.hpp"
-#include "support/counters.hpp"
 
 namespace ims::sched {
 
@@ -35,28 +32,12 @@ struct IterativeScheduleOptions
     std::vector<TraceEvent>* trace = nullptr;
 };
 
-/** A complete modulo schedule for one II. */
-struct ScheduleResult
-{
-    int ii = 0;
-    /** Issue time per loop operation. */
-    std::vector<int> times;
-    /** Chosen machine alternative per loop operation. */
-    std::vector<int> alternatives;
-    /** Schedule time of STOP: the schedule length SL for one iteration. */
-    int scheduleLength = 0;
-    /** Operation scheduling steps consumed (the paper's budget unit). */
-    std::int64_t stepsUsed = 0;
-    /** Operations displaced during the attempt. */
-    std::int64_t unschedules = 0;
-};
-
 /**
  * One invocation of the paper's IterativeSchedule (Figure 3): attempt to
  * schedule `loop` at initiation interval `ii` within `budget` operation
- * scheduling steps. Returns the schedule on success, std::nullopt when the
- * budget is exhausted (or no alternative of some operation is usable at
- * this II).
+ * scheduling steps. The outcome carries the schedule on success; on
+ * failure its status says whether the budget ran out or some operation
+ * has no usable alternative at this II.
  *
  * The dependence graph and SCCs must correspond to `loop` on `machine`.
  *
@@ -71,21 +52,14 @@ class IterativeScheduler
                        const machine::MachineModel& machine,
                        const graph::DepGraph& graph,
                        const graph::SccResult& sccs,
-                       IterativeScheduleOptions options = {},
-                       support::Counters* counters = nullptr);
+                       IterativeScheduleOptions options = {});
 
     /**
-     * Attempt to find a schedule at `ii` within `budget` steps.
-     *
-     * When `cancel` is non-null it is polled once per budget-loop
-     * iteration with key `ii`; a cancelled attempt abandons work within
-     * one scheduling step and returns nullopt. `status`, when non-null,
-     * reports why the attempt ended.
+     * Attempt to find a schedule at `ii` within `budget` steps. The
+     * outcome's counters hold this attempt's own delta (priority
+     * computation included).
      */
-    std::optional<ScheduleResult>
-    trySchedule(int ii, std::int64_t budget,
-                const support::CancellationToken* cancel = nullptr,
-                AttemptStatus* status = nullptr);
+    IiAttemptOutcome trySchedule(int ii, std::int64_t budget);
 
   private:
     const ir::Loop& loop_;
@@ -93,7 +67,6 @@ class IterativeScheduler
     const graph::DepGraph& graph_;
     const graph::SccResult& sccs_;
     IterativeScheduleOptions options_;
-    support::Counters* counters_;
     /** Priority/HeightR buffers reused across candidate IIs, so a failed
      *  attempt does not reallocate (see PriorityWorkspace). */
     PriorityWorkspace priorityWorkspace_;

@@ -7,7 +7,7 @@
 #include "graph/dep_graph.hpp"
 #include "ir/loop.hpp"
 #include "machine/machine_model.hpp"
-#include "sched/iterative_scheduler.hpp"
+#include "sched/attempt.hpp"
 
 namespace ims::sched {
 

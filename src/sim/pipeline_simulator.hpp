@@ -2,7 +2,7 @@
 #define IMS_SIM_PIPELINE_SIMULATOR_HPP
 
 #include "ir/loop.hpp"
-#include "sched/iterative_scheduler.hpp"
+#include "sched/attempt.hpp"
 #include "sim/sequential_interpreter.hpp"
 
 namespace ims::sim {

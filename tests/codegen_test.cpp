@@ -1,14 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "codegen/code_generator.hpp"
 #include "codegen/emit.hpp"
 #include "codegen/lifetimes.hpp"
 #include "codegen/mve.hpp"
 #include "codegen/register_allocator.hpp"
+#include "core/batch_pipeliner.hpp"
 #include "core/pipeliner.hpp"
+#include "ir/parser.hpp"
 #include "machine/cydra5.hpp"
+#include "machine/machines.hpp"
 #include "sim/section_executor.hpp"
 #include "support/error.hpp"
+#include "workloads/corpus.hpp"
 #include "workloads/kernels.hpp"
 
 namespace {
@@ -75,6 +83,95 @@ TEST(LifetimeTest, UnusedResultStillLivesForItsLatency)
         const auto opcode = w.loop.operation(lifetime.def).opcode;
         EXPECT_GE(lifetime.length(), machine.latency(opcode));
     }
+}
+
+/** MaxLive counted one copy at a time: linear in the operand distance. */
+int
+referenceMaxLive(const codegen::LifetimeAnalysis& analysis, int ii)
+{
+    int max_live = 0;
+    for (int c = 0; c < ii; ++c) {
+        int live = 0;
+        for (const auto& lifetime : analysis.lifetimes) {
+            for (int t = c; t < lifetime.endTime; t += ii) {
+                if (t >= lifetime.defTime)
+                    ++live;
+            }
+        }
+        max_live = std::max(max_live, live);
+    }
+    return max_live;
+}
+
+TEST(LifetimeTest, ClosedFormMaxLiveMatchesReferenceOnCorpus)
+{
+    std::vector<ir::Loop> loops;
+    for (const auto& w : workloads::buildCorpus())
+        loops.push_back(w.loop);
+    const auto batch = core::BatchPipeliner(machine::cydra5()).run(loops);
+    ASSERT_EQ(batch.successes(), 1327u);
+    int above_one = 0;
+    for (const auto& item : batch.items) {
+        const auto& artifacts = *item.result.artifacts;
+        const int reference = referenceMaxLive(
+            artifacts.lifetimes, artifacts.outcome.schedule.ii);
+        EXPECT_EQ(artifacts.lifetimes.maxLive, reference) << item.name;
+        above_one += reference > 1;
+    }
+    EXPECT_GT(above_one, 1000); // the check is not vacuous
+}
+
+core::PipelineResult
+pipelineText(const std::string& text, const machine::MachineModel& machine)
+{
+    const auto loop = ir::parseLoop(text);
+    return core::SoftwarePipeliner(machine).pipeline(
+        core::PipelineRequest(loop));
+}
+
+TEST(LifetimeTest, HugeOperandDistanceIsCountedInClosedForm)
+{
+    // A value read 2e9 iterations after its definition at II 1 has
+    // 2e9+1 live copies; counting them one at a time takes seconds.
+    const auto artifacts =
+        pipelineText("loop one\n"
+                     "recurrence n\n"
+                     "n = asub n[2000000000], #3\n"
+                     "_ = branch n\n",
+                     machine::cydra5())
+            .artifactsOrThrow();
+    EXPECT_EQ(artifacts.outcome.schedule.ii, 1);
+    EXPECT_EQ(artifacts.lifetimes.maxLive, 2000000001);
+    EXPECT_EQ(artifacts.code.mve.unroll, 2000000001);
+    EXPECT_EQ(artifacts.registers.rotatingRegisters, 2000000001);
+}
+
+TEST(LifetimeTest, LifetimesPastIntMaxAnswerTooLarge)
+{
+    // Two such values at II 1 need 4e9 registers: MaxLive overflows.
+    const auto two = pipelineText("loop two\n"
+                                  "recurrence n\n"
+                                  "n = asub n[2000000000], #3\n"
+                                  "recurrence m\n"
+                                  "m = asub m[2000000000], #3\n",
+                                  machine::cydra5());
+    // At scalar-toy's II 2 a distance of 1.5e9 puts the lifetime end
+    // itself past INT_MAX.
+    const auto toy = pipelineText("loop toy\n"
+                                  "recurrence x\n"
+                                  "x = asub x[1500000000], #3\n"
+                                  "recurrence y\n"
+                                  "y = asub y[1500000000], #3\n",
+                                  machine::scalarToy());
+    for (const auto* result : {&two, &toy}) {
+        EXPECT_FALSE(result->ok());
+        ASSERT_EQ(result->diagnostics.size(), 1u);
+        EXPECT_EQ(result->diagnostics[0].code, "codegen.too_large");
+    }
+    EXPECT_NE(two.diagnostics[0].message.find("MaxLive 4000000002"),
+              std::string::npos);
+    EXPECT_NE(toy.diagnostics[0].message.find("lifetime end 3000000001"),
+              std::string::npos);
 }
 
 TEST(MveTest, UnrollCoversLongestLifetime)

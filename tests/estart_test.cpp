@@ -120,10 +120,11 @@ checkKernelAgainstOracle(const ir::Loop& loop,
     std::vector<sched::TraceEvent> trace;
     sched::IterativeScheduleOptions options;
     options.trace = &trace;
-    sched::IterativeScheduler scheduler(loop, machine, graph, sccs, options,
-                                        &counters);
-    const auto result =
+    sched::IterativeScheduler scheduler(loop, machine, graph, sccs, options);
+    const auto attempt =
         scheduler.trySchedule(outcome.schedule.ii, outcome.budget);
+    counters += attempt.counters;
+    const auto& result = attempt.schedule;
 
     ASSERT_TRUE(result.has_value()) << loop.name();
     EXPECT_EQ(result->times, outcome.schedule.times) << loop.name();
@@ -140,9 +141,10 @@ checkKernelAgainstOracle(const ir::Loop& loop,
         sched::IterativeScheduleOptions tight_options;
         tight_options.trace = &tight_trace;
         sched::IterativeScheduler tight(loop, machine, graph, sccs,
-                                        tight_options, &counters);
+                                        tight_options);
         const auto failed = tight.trySchedule(outcome.mii, outcome.budget);
-        EXPECT_FALSE(failed.has_value()) << loop.name();
+        counters += failed.counters;
+        EXPECT_FALSE(failed.schedule.has_value()) << loop.name();
         expectTraceMatchesOracle(graph, outcome.mii, tight_trace,
                                  loop.name() + " @mii");
         for (const auto& event : tight_trace)

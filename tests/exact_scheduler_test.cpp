@@ -141,21 +141,24 @@ TEST(ExactSchedulerTest, TryScheduleStatuses)
     const auto sccs = graph::findSccs(g);
     sched::ExactScheduler scheduler(w.loop, machine, g, sccs);
 
-    auto status = sched::AttemptStatus::kScheduled;
-    EXPECT_FALSE(scheduler
-                     .trySchedule(1, sched::kDefaultExactNodeBudget,
-                                  nullptr, &status)
-                     .has_value());
-    EXPECT_EQ(status, sched::AttemptStatus::kInfeasible);
+    const auto infeasible =
+        scheduler.trySchedule(1, sched::kDefaultExactNodeBudget);
+    EXPECT_FALSE(infeasible.schedule.has_value());
+    EXPECT_EQ(infeasible.status, sched::AttemptStatus::kInfeasible);
 
-    const auto feasible = scheduler.trySchedule(
-        2, sched::kDefaultExactNodeBudget, nullptr, &status);
-    ASSERT_TRUE(feasible.has_value());
-    EXPECT_EQ(status, sched::AttemptStatus::kScheduled);
-    EXPECT_EQ(feasible->ii, 2);
+    const auto feasible =
+        scheduler.trySchedule(2, sched::kDefaultExactNodeBudget);
+    ASSERT_TRUE(feasible.schedule.has_value());
+    EXPECT_EQ(feasible.status, sched::AttemptStatus::kScheduled);
+    EXPECT_EQ(feasible.schedule->ii, 2);
+    // The outcome's counters are this attempt's own node count.
+    EXPECT_EQ(feasible.counters.scheduleSteps,
+              static_cast<std::uint64_t>(feasible.schedule->stepsUsed));
 
-    EXPECT_FALSE(scheduler.trySchedule(2, 1, nullptr, &status).has_value());
-    EXPECT_EQ(status, sched::AttemptStatus::kBudgetExhausted);
+    const auto exhausted = scheduler.trySchedule(2, 1);
+    EXPECT_FALSE(exhausted.schedule.has_value());
+    EXPECT_EQ(exhausted.status, sched::AttemptStatus::kBudgetExhausted);
+    EXPECT_EQ(exhausted.counters.scheduleSteps, 2u);
 }
 
 /** Driver-level budget exhaustion surfaces as the coded error the tools

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "graph/delay_model.hpp"
 #include "graph/graph_builder.hpp"
 #include "ir/loop_builder.hpp"
@@ -260,6 +263,136 @@ TEST_F(GraphBuilderTest, EdgeDensityIsAFewPerOp)
     const double density = total_edges / total_ops;
     EXPECT_GT(density, 1.0);
     EXPECT_LT(density, 4.0);
+}
+
+// ---------------------------------------------------------------------------
+// The CSR view behind outEdges/inEdges/outDeps/inDeps.
+
+graph::DepEdge
+edge(graph::VertexId from, graph::VertexId to, int delay, int distance)
+{
+    graph::DepEdge e;
+    e.from = from;
+    e.to = to;
+    e.delay = delay;
+    e.distance = distance;
+    return e;
+}
+
+std::vector<graph::EdgeId>
+ids(std::span<const graph::EdgeId> span)
+{
+    return {span.begin(), span.end()};
+}
+
+/** Every vertex's spans against a scan of the edge list in id order. */
+void
+expectSpansMatchEdgeList(const graph::DepGraph& g)
+{
+    for (graph::VertexId v = 0; v < g.numVertices(); ++v) {
+        std::vector<graph::EdgeId> out;
+        std::vector<graph::EdgeId> in;
+        for (graph::EdgeId id = 0; id < g.numEdges(); ++id) {
+            if (g.edge(id).from == v)
+                out.push_back(id);
+            if (g.edge(id).to == v)
+                in.push_back(id);
+        }
+        EXPECT_EQ(ids(g.outEdges(v)), out) << v;
+        EXPECT_EQ(ids(g.inEdges(v)), in) << v;
+        ASSERT_EQ(g.outDeps(v).size(), out.size()) << v;
+        ASSERT_EQ(g.inDeps(v).size(), in.size()) << v;
+        for (std::size_t i = 0; i < out.size(); ++i) {
+            const graph::DepEdge& e = g.edge(out[i]);
+            EXPECT_EQ(g.outDeps(v)[i].other, e.to);
+            EXPECT_EQ(g.outDeps(v)[i].delay, e.delay);
+            EXPECT_EQ(g.outDeps(v)[i].distance, e.distance);
+        }
+        for (std::size_t i = 0; i < in.size(); ++i) {
+            const graph::DepEdge& e = g.edge(in[i]);
+            EXPECT_EQ(g.inDeps(v)[i].other, e.from);
+            EXPECT_EQ(g.inDeps(v)[i].delay, e.delay);
+            EXPECT_EQ(g.inDeps(v)[i].distance, e.distance);
+        }
+    }
+}
+
+/** Edge ids interleave across vertices, with a self-loop and a parallel
+ *  edge, so insertion order differs from any per-vertex grouping. */
+graph::DepGraph
+interleavedGraph()
+{
+    graph::DepGraph g(3);
+    g.addEdge(edge(0, 1, 1, 0));         // 0
+    g.addEdge(edge(2, 1, 2, 0));         // 1
+    g.addEdge(edge(0, 2, 3, 1));         // 2
+    g.addEdge(edge(1, 1, 4, 1));         // 3: self-loop
+    g.addEdge(edge(0, 1, 5, 2));         // 4: parallel to 0
+    g.addEdge(edge(g.start(), 2, 0, 0)); // 5
+    g.addEdge(edge(1, g.stop(), 6, 0));  // 6
+    return g;
+}
+
+TEST(DepGraphTest, SpansListEachVertexsEdgesInInsertionOrder)
+{
+    const graph::DepGraph g = interleavedGraph();
+    EXPECT_EQ(ids(g.outEdges(0)), (std::vector<graph::EdgeId>{0, 2, 4}));
+    EXPECT_EQ(ids(g.inEdges(1)), (std::vector<graph::EdgeId>{0, 1, 3, 4}));
+    EXPECT_EQ(ids(g.inEdges(2)), (std::vector<graph::EdgeId>{2, 5}));
+    EXPECT_EQ(ids(g.outEdges(1)), (std::vector<graph::EdgeId>{3, 6}));
+    EXPECT_TRUE(g.inEdges(0).empty());
+    EXPECT_TRUE(g.outEdges(g.stop()).empty());
+    expectSpansMatchEdgeList(g);
+    expectSpansMatchEdgeList(
+        graph::buildDepGraph(workloads::kernelByName("tridiag").loop,
+                             machine::cydra5()));
+}
+
+TEST(DepGraphTest, CopiesAndMovesServeTheSameSpans)
+{
+    const graph::DepGraph original = graph::buildDepGraph(
+        workloads::kernelByName("hydro_frag").loop, machine::cydra5());
+    const graph::DepGraph copy = original;
+    graph::DepGraph assigned(1);
+    assigned = original;
+    graph::DepGraph source = original;
+    const graph::DepGraph moved = std::move(source);
+    graph::DepGraph move_assigned(1);
+    graph::DepGraph source2 = original;
+    move_assigned = std::move(source2);
+    const std::vector<const graph::DepGraph*> graphs = {
+        &copy, &assigned, &moved, &move_assigned};
+    for (const graph::DepGraph* g : graphs) {
+        ASSERT_EQ(g->numVertices(), original.numVertices());
+        for (graph::VertexId v = 0; v < original.numVertices(); ++v) {
+            EXPECT_EQ(ids(g->outEdges(v)), ids(original.outEdges(v)));
+            EXPECT_EQ(ids(g->inEdges(v)), ids(original.inEdges(v)));
+        }
+        expectSpansMatchEdgeList(*g);
+    }
+}
+
+TEST(DepGraphTest, AddEdgeAfterAQueryShowsUpInTheNextQuery)
+{
+    graph::DepGraph g = interleavedGraph();
+    ASSERT_TRUE(g.inEdges(0).empty()); // builds the view
+    const graph::DepGraph before = g;
+
+    const graph::EdgeId added = g.addEdge(edge(2, 0, 7, 3));
+    EXPECT_EQ(ids(g.inEdges(0)), (std::vector<graph::EdgeId>{added}));
+    EXPECT_EQ(ids(g.outEdges(2)), (std::vector<graph::EdgeId>{1, added}));
+    EXPECT_EQ(g.outDeps(2)[1].other, 0);
+    EXPECT_EQ(g.outDeps(2)[1].delay, 7);
+    EXPECT_EQ(g.inDeps(0)[0].distance, 3);
+    expectSpansMatchEdgeList(g);
+
+    // A copy taken before the addEdge keeps its own view; a copy taken
+    // while the view is stale builds its own.
+    EXPECT_TRUE(before.inEdges(0).empty());
+    g.addEdge(edge(1, 0, 1, 1));
+    const graph::DepGraph stale_copy = g;
+    EXPECT_EQ(stale_copy.inEdges(0).size(), 2u);
+    expectSpansMatchEdgeList(stale_copy);
 }
 
 } // namespace

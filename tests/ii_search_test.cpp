@@ -1,10 +1,9 @@
 /**
  * @file
  * Tests for the Figure-2 II walk: its mechanics with synthetic attempts,
- * option validation, scheduler-level cancellation, and — on the gapster,
- * a loop with provably infeasible candidate IIs — each backend's
- * per-candidate verdicts, infeasibility proofs, §4.3 step billing and
- * exhaustion diagnostics.
+ * option validation, and — on the gapster, a loop with provably
+ * infeasible candidate IIs — each backend's per-candidate verdicts,
+ * infeasibility proofs, §4.3 step billing and exhaustion diagnostics.
  */
 #include <gtest/gtest.h>
 
@@ -20,9 +19,7 @@
 #include "machine/machine_builder.hpp"
 #include "sched/attempt.hpp"
 #include "sched/ii_search.hpp"
-#include "sched/iterative_scheduler.hpp"
 #include "sched/schedule.hpp"
-#include "support/cancellation.hpp"
 #include "support/error.hpp"
 #include "support/telemetry.hpp"
 #include "workloads/kernels.hpp"
@@ -154,53 +151,6 @@ TEST(IiSearchTest, ThrowingAttemptLeavesCountersAndSinkUntouched)
     EXPECT_EQ(calls, 2);
     EXPECT_EQ(counters.scheduleSteps, 3u);
     EXPECT_TRUE(recorder.record().phases.empty());
-}
-
-// ---------------------------------------------------------------------------
-// Scheduler-level cancellation.
-
-TEST(IiSearchTest, CancelledAttemptStopsBeforeSpendingBudget)
-{
-    const auto machine = machine::cydra5();
-    const auto w = workloads::kernelByName("tridiag");
-    const auto graph = graph::buildDepGraph(w.loop, machine);
-    const auto sccs = graph::findSccs(graph);
-
-    support::CancellationToken token;
-    token.lowerCeiling(5); // cancels every attempt above II 5
-
-    support::Counters counters;
-    sched::IterativeScheduler scheduler(w.loop, machine, graph, sccs, {},
-                                        &counters);
-    sched::AttemptStatus status = sched::AttemptStatus::kScheduled;
-    const auto result =
-        scheduler.trySchedule(9, /*budget=*/1 << 20, &token, &status);
-
-    // The token is polled at the top of every budget-loop iteration, so a
-    // pre-cancelled attempt must give up within one scheduling step —
-    // without touching the (huge) budget.
-    EXPECT_FALSE(result.has_value());
-    EXPECT_EQ(status, sched::AttemptStatus::kCancelled);
-    EXPECT_LE(counters.scheduleSteps, 1u);
-
-    // Without the token the same scheduler still succeeds.
-    status = sched::AttemptStatus::kCancelled;
-    const auto fine = scheduler.trySchedule(9, 1 << 20, nullptr, &status);
-    EXPECT_TRUE(fine.has_value());
-    EXPECT_EQ(status, sched::AttemptStatus::kScheduled);
-}
-
-TEST(IiSearchTest, CancellationTokenCeilingIsMonotonic)
-{
-    support::CancellationToken token;
-    EXPECT_FALSE(token.cancelled(1000));
-    token.lowerCeiling(10);
-    token.lowerCeiling(20); // higher key must not raise the ceiling back
-    EXPECT_EQ(token.ceiling(), 10);
-    EXPECT_TRUE(token.cancelled(11));
-    EXPECT_FALSE(token.cancelled(10));
-    token.cancelAll();
-    EXPECT_TRUE(token.cancelled(0));
 }
 
 // ---------------------------------------------------------------------------

@@ -239,7 +239,8 @@ sweepAndReplay(const ir::Loop& loop, const machine::MachineModel& machine,
         sched::IterativeScheduler scheduler(loop, machine, g, sccs,
                                             options);
         scheduled =
-            scheduler.trySchedule(ii, 2 * (loop.size() + 2)).has_value();
+            scheduler.trySchedule(ii, 2 * (loop.size() + 2))
+                .schedule.has_value();
         replayTrace(loop, machine, g, trace, ii, forced_total);
         if (::testing::Test::HasFatalFailure())
             return;

@@ -43,7 +43,7 @@ TEST(IterativeSchedulerTest, SchedulesDaxpyAtMii)
     Context ctx("daxpy");
     sched::IterativeScheduler scheduler(ctx.loop, ctx.machine, ctx.graph,
                                         ctx.sccs);
-    const auto result = scheduler.trySchedule(ctx.mii.mii, 1000);
+    const auto result = scheduler.trySchedule(ctx.mii.mii, 1000).schedule;
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(result->ii, ctx.mii.mii);
     EXPECT_TRUE(
@@ -67,7 +67,11 @@ TEST(IterativeSchedulerTest, TinyBudgetFails)
     Context ctx("fat_loop");
     sched::IterativeScheduler scheduler(ctx.loop, ctx.machine, ctx.graph,
                                         ctx.sccs);
-    EXPECT_FALSE(scheduler.trySchedule(ctx.mii.mii, 3).has_value());
+    const auto out = scheduler.trySchedule(ctx.mii.mii, 3);
+    EXPECT_FALSE(out.schedule.has_value());
+    EXPECT_EQ(out.status, sched::AttemptStatus::kBudgetExhausted);
+    // The outcome's counters are this attempt's own: START plus two steps.
+    EXPECT_EQ(out.counters.scheduleSteps, 3u);
 }
 
 TEST(IterativeSchedulerTest, BudgetExhaustionRecoversAtLargerIi)
@@ -88,7 +92,7 @@ TEST(IterativeSchedulerTest, StepsAndUnschedulesReported)
     Context ctx("daxpy");
     sched::IterativeScheduler scheduler(ctx.loop, ctx.machine, ctx.graph,
                                         ctx.sccs);
-    const auto result = scheduler.trySchedule(ctx.mii.mii, 1000);
+    const auto result = scheduler.trySchedule(ctx.mii.mii, 1000).schedule;
     ASSERT_TRUE(result.has_value());
     // At minimum every op plus START and STOP is scheduled once.
     EXPECT_GE(result->stepsUsed, ctx.loop.size() + 2);
@@ -100,7 +104,7 @@ TEST(IterativeSchedulerTest, ScheduleLengthCoversEveryCompletion)
     Context ctx("hydro_frag");
     sched::IterativeScheduler scheduler(ctx.loop, ctx.machine, ctx.graph,
                                         ctx.sccs);
-    const auto result = scheduler.trySchedule(ctx.mii.mii, 1000);
+    const auto result = scheduler.trySchedule(ctx.mii.mii, 1000).schedule;
     ASSERT_TRUE(result.has_value());
     int max_completion = 0;
     for (int op = 0; op < ctx.loop.size(); ++op) {
@@ -237,7 +241,7 @@ TEST(TraceTest, TraceRecordsEveryStepInOrder)
     options.trace = &trace;
     sched::IterativeScheduler scheduler(ctx.loop, ctx.machine, ctx.graph,
                                         ctx.sccs, options);
-    const auto result = scheduler.trySchedule(ctx.mii.mii, 1000);
+    const auto result = scheduler.trySchedule(ctx.mii.mii, 1000).schedule;
     ASSERT_TRUE(result.has_value());
     // One event per scheduling step except START's implicit placement.
     EXPECT_EQ(static_cast<std::int64_t>(trace.size()) + 1,
@@ -275,7 +279,7 @@ TEST(VerifierTest, DetectsDependenceViolation)
     Context ctx("daxpy");
     sched::IterativeScheduler scheduler(ctx.loop, ctx.machine, ctx.graph,
                                         ctx.sccs);
-    auto result = scheduler.trySchedule(ctx.mii.mii, 1000);
+    auto result = scheduler.trySchedule(ctx.mii.mii, 1000).schedule;
     ASSERT_TRUE(result.has_value());
     // Corrupt: move the store (a consumer) to time 0.
     for (int op = 0; op < ctx.loop.size(); ++op) {
@@ -292,7 +296,7 @@ TEST(VerifierTest, DetectsResourceConflict)
     Context ctx("multi_array");
     sched::IterativeScheduler scheduler(ctx.loop, ctx.machine, ctx.graph,
                                         ctx.sccs);
-    auto result = scheduler.trySchedule(ctx.mii.mii, 1000);
+    auto result = scheduler.trySchedule(ctx.mii.mii, 1000).schedule;
     ASSERT_TRUE(result.has_value());
     // Force every load onto alternative 0: the memory port double-books.
     int loads = 0;
@@ -314,7 +318,7 @@ TEST(VerifierTest, DetectsBadAlternativeIndex)
     Context ctx("daxpy");
     sched::IterativeScheduler scheduler(ctx.loop, ctx.machine, ctx.graph,
                                         ctx.sccs);
-    auto result = scheduler.trySchedule(ctx.mii.mii, 1000);
+    auto result = scheduler.trySchedule(ctx.mii.mii, 1000).schedule;
     ASSERT_TRUE(result.has_value());
     result->alternatives[0] = 99;
     EXPECT_FALSE(
