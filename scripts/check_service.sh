@@ -13,7 +13,13 @@
 #     `error service.bad_request ...` line and the server exits 0,
 #  5. a loop whose value lifetimes overflow `int` (two registers read
 #     1.5e9 iterations later at II 2) answers promptly with a
-#     `result ... failed code=codegen.too_large` line.
+#     `result ... failed code=codegen.too_large` line,
+#  6. a machine with a negative reservation time answers
+#     `error service.bad_machine`, and a loop whose distance has
+#     trailing bytes answers `error service.bad_loop`,
+#  7. `load` of a cache file with a hostile entry count answers
+#     `error service.bad_cache_file` and the server exits 0,
+#  8. the `stats` line parses with Python's json module.
 #
 # Usage: scripts/check_service.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -172,5 +178,69 @@ if ! grep -q '^result toolong failed code=codegen\.too_large ' \
     exit 1
 fi
 grep '^result' "$SMOKE_DIR/toolong.out"
+
+# Sends the request file $1 to a fresh server and requires exit 0 and a
+# line starting with $2.
+expect_answer() {
+    if ! timeout 10 "$SERVE" --threads 1 < "$1" > "$SMOKE_DIR/answer.out"; then
+        echo "check_service: $1 crashed or hung ims-serve" >&2
+        exit 1
+    fi
+    if ! grep -q "^$2" "$SMOKE_DIR/answer.out"; then
+        echo "check_service: $1 got no '$2' answer" >&2
+        cat "$SMOKE_DIR/answer.out" >&2
+        exit 1
+    fi
+    echo "$(basename "$1") -> $(grep "^$2" "$SMOKE_DIR/answer.out")"
+}
+
+echo "== hostile machine and loop text (structured errors, clean exit) =="
+printf 'machine neg2\nresource r\nresource s\nopcode add 1\nalt a 0:s 0:r -7:r\n' \
+    > "$SMOKE_DIR/neg2.machine"
+printf 'loop fives\nlivein a\nb = add a, a\nc = add b, a\nd = add c, a\ne = add d, a\nf = add e, a\n' \
+    > "$SMOKE_DIR/fives.ir"
+{
+    printf 'register neg2 %s\n' "$(wc -c < "$SMOKE_DIR/neg2.machine")"
+    cat "$SMOKE_DIR/neg2.machine"
+    printf 'schedule %s client=ci machine=neg2\n' \
+        "$(wc -c < "$SMOKE_DIR/fives.ir")"
+    cat "$SMOKE_DIR/fives.ir"
+} > "$SMOKE_DIR/neg2.req"
+expect_answer "$SMOKE_DIR/neg2.req" 'error service\.bad_machine '
+printf 'loop junk\nrecurrence x\nx = add x[1junk], #1\n' > "$SMOKE_DIR/junk.ir"
+{
+    printf 'schedule %s client=ci machine=cydra5\n' \
+        "$(wc -c < "$SMOKE_DIR/junk.ir")"
+    cat "$SMOKE_DIR/junk.ir"
+} > "$SMOKE_DIR/junk.req"
+expect_answer "$SMOKE_DIR/junk.req" 'error service\.bad_loop '
+
+echo "== hostile cache file (structured error, clean exit) =="
+for count in 18446744073709551615 -1; do
+    printf 'ims-schedule-cache v1\nentry %s 0 0\n' "$count" \
+        > "$SMOKE_DIR/hostile.cache"
+    printf 'load %s\n' "$SMOKE_DIR/hostile.cache" > "$SMOKE_DIR/load.req"
+    expect_answer "$SMOKE_DIR/load.req" 'error service\.bad_cache_file '
+done
+
+echo "== stats line is JSON =="
+{ cat "$SMOKE_DIR/pass.req"; echo stats; } | "$SERVE" --threads 1 \
+    | grep '^{' > "$SMOKE_DIR/stats.json"
+python3 - "$SMOKE_DIR/stats.json" <<'PY'
+import json
+import sys
+
+def reject(constant):
+    raise ValueError("not JSON: " + constant)
+
+with open(sys.argv[1]) as f:
+    lines = f.read().splitlines()
+if len(lines) != 1:
+    sys.exit(f"check_service: want one stats line, got {len(lines)}")
+stats = json.loads(lines[0], parse_constant=reject)
+if stats.get("schema") != "ims.service_stats.v1":
+    sys.exit("check_service: stats line has the wrong schema")
+print("stats:", lines[0])
+PY
 
 echo "service smoke: all checks passed"

@@ -34,6 +34,44 @@ build/bench/bench_sched_hotpath --quick \
     --golden bench/data/sched_identity_seed.json \
     --out build/BENCH_sched_hotpath_quick.json
 
+# Independent JSON check: Python's json module, which shares no code with
+# the library's writers, must parse every telemetry record of the kernel
+# corpus on all three backends and every `--program all` summary line.
+# NaN and Infinity are not JSON, so they are rejected too.
+kernel_args=()
+for kernel in $(build/tools/ims-schedule --list-kernels \
+        | grep -v '(program' | awk '{print $1}'); do
+    kernel_args+=(--kernel "$kernel")
+done
+for scheduler in iterative slack exact; do
+    build/tools/ims-schedule --scheduler "$scheduler" --telemetry --quiet \
+        "${kernel_args[@]}" | grep '^{'
+done > build/telemetry-records.jsonl
+build/tools/ims-schedule --program all --quiet > build/program-summary.jsonl
+python3 - "$((3 * ${#kernel_args[@]} / 2))" build/telemetry-records.jsonl \
+    build/program-summary.jsonl <<'PY'
+import json
+import sys
+
+def reject(constant):
+    raise ValueError("not JSON: " + constant)
+
+want_records = int(sys.argv[1])
+for path in sys.argv[2:]:
+    with open(path) as f:
+        lines = [line for line in f if line.strip()]
+    for number, line in enumerate(lines, 1):
+        try:
+            json.loads(line, parse_constant=reject)
+        except ValueError as error:
+            sys.exit(f"ci: {path}:{number}: {error}")
+    if not lines:
+        sys.exit(f"ci: {path} is empty")
+    if path.endswith("telemetry-records.jsonl") and len(lines) != want_records:
+        sys.exit(f"ci: {len(lines)} telemetry records, want {want_records}")
+    print(f"ci: all {len(lines)} lines of {path} parse as JSON")
+PY
+
 if [ "${IMS_CI_SKIP_ASAN:-0}" != "1" ]; then
     echo "==== stage 2/7: AddressSanitizer + UBSan ===="
     # Only the test binaries ctest runs; any sanitizer report (an

@@ -103,37 +103,26 @@ BatchPipeliner::BatchPipeliner(machine::MachineModel machine,
 BatchResult
 BatchPipeliner::run(const std::vector<ir::Loop>& loops) const
 {
-    std::vector<PipelineRequest> requests;
-    requests.reserve(loops.size());
-    for (const auto& loop : loops)
-        requests.emplace_back(loop);
-    return run(requests);
-}
-
-BatchResult
-BatchPipeliner::run(const std::vector<PipelineRequest>& requests) const
-{
     BatchResult batch;
-    batch.items.resize(requests.size());
+    batch.items.resize(loops.size());
 
     const int threads =
-        support::resolveThreads(options_.threads, requests.size());
+        support::resolveThreads(options_.threads, loops.size());
     batch.threadsUsed = threads;
 
     const auto start = std::chrono::steady_clock::now();
 
-    // Deterministic by construction: each request's computation reads only
-    // the request, the immutable machine model and the (copied) options,
+    // Deterministic by construction: each loop's computation reads only
+    // the loop, the immutable machine model and the pipeliner's options,
     // and writes only its own pre-sized slot — which worker runs a slot is
     // the only racy part (see support::parallelFor).
     support::parallelFor(
-        requests.size(), threads,
-        [this, &requests, &batch](std::size_t index) {
-            const PipelineRequest& request = requests[index];
+        loops.size(), threads, [this, &loops, &batch](std::size_t index) {
+            const ir::Loop& loop = loops[index];
             BatchItem& item = batch.items[index];
-            item.name = request.loop->name();
+            item.name = loop.name();
             try {
-                item.result = pipeliner_.pipeline(request);
+                item.result = pipeliner_.pipeline(PipelineRequest(loop));
             } catch (const std::exception& error) {
                 // pipeline() reports input problems via diagnostics;
                 // anything escaping it is unexpected but must not sink

@@ -13,7 +13,7 @@ namespace ims::core {
 /** Options for the batch driver. */
 struct BatchOptions
 {
-    /** Options applied to every loop (per-request overrides still win). */
+    /** Options applied to every loop. */
     PipelinerOptions pipeline;
     /**
      * Worker threads; 0 means std::thread::hardware_concurrency(). The
@@ -95,15 +95,12 @@ class BatchPipeliner
     }
     const BatchOptions& options() const { return options_; }
 
-    /** Pipeline every loop; results in input order. */
-    BatchResult run(const std::vector<ir::Loop>& loops) const;
-
     /**
-     * Pipeline every request (per-request option/sink overrides honoured).
-     * A request-level TelemetrySink shared between requests is invoked
-     * from worker threads and must be thread-safe.
+     * Pipeline every loop; results in input order. A sink in the
+     * pipeline options is invoked from worker threads and must be
+     * thread-safe.
      */
-    BatchResult run(const std::vector<PipelineRequest>& requests) const;
+    BatchResult run(const std::vector<ir::Loop>& loops) const;
 
   private:
     SoftwarePipeliner pipeliner_;

@@ -144,19 +144,13 @@ PipelineResult
 SoftwarePipeliner::pipeline(const PipelineRequest& request) const
 {
     const ir::Loop& loop = *request.loop;
-    // Per-call overrides: the request's options (when set) replace the
-    // pipeliner-level ones wholesale; its sink wins over the options'.
-    PipelinerOptions options =
-        request.options.has_value() ? *request.options : options_;
-    support::TelemetrySink* external = request.telemetry != nullptr
-                                           ? request.telemetry
-                                           : options.telemetry;
 
     PipelineResult result;
     support::TelemetryRecorder recorder;
-    support::TeeSink sink(&recorder, external);
+    support::TeeSink sink(&recorder, options_.telemetry);
     support::Counters counters;
-    options.schedule.telemetry = &sink;
+    sched::ScheduleOptions schedule_options = options_.schedule;
+    schedule_options.telemetry = &sink;
 
     result.telemetry.loop = loop.name();
     result.telemetry.ops = loop.size();
@@ -165,13 +159,13 @@ SoftwarePipeliner::pipeline(const PipelineRequest& request) const
     std::string phase = support::phaseName(support::Phase::kGraphBuild);
     try {
         graph::DepGraph dep_graph =
-            graph::buildDepGraph(loop, machine_, options.graph, &sink);
+            graph::buildDepGraph(loop, machine_, options_.graph, &sink);
         const graph::SccResult sccs = graph::findSccs(dep_graph, &counters);
 
         phase = support::phaseName(support::Phase::kMiiBounds);
         sched::ModuloScheduleOutcome outcome =
             sched::schedule(loop, machine_, dep_graph, sccs,
-                            options.schedule, &counters);
+                            schedule_options, &counters);
 
         result.telemetry.resMii = outcome.resMii;
         result.telemetry.mii = outcome.mii;
@@ -189,7 +183,7 @@ SoftwarePipeliner::pipeline(const PipelineRequest& request) const
         result.telemetry.iiSearchWallSeconds = outcome.search.wallSeconds;
 
         phase = support::phaseName(support::Phase::kVerify);
-        if (options.verify) {
+        if (options_.verify) {
             support::PhaseTimer timer(&sink, support::Phase::kVerify);
             const auto violations =
                 sched::verifySchedule(loop, machine_, dep_graph,
@@ -237,12 +231,12 @@ SoftwarePipeliner::pipeline(const PipelineRequest& request) const
         artifacts.registers = codegen::allocateRegisters(
             loop, artifacts.lifetimes, artifacts.code.mve, &sink);
 
-        if (options.verifySim) {
+        if (options_.verifySim) {
             phase = support::phaseName(support::Phase::kVerify);
             support::PhaseTimer timer(&sink, support::Phase::kVerify);
             auto sim_diagnostics = simEquivalenceDiagnostics(
-                loop, artifacts, options.verifySimTrips,
-                options.verifySimSeed);
+                loop, artifacts, options_.verifySimTrips,
+                options_.verifySimSeed);
             if (!sim_diagnostics.empty()) {
                 for (auto& diagnostic : sim_diagnostics)
                     result.diagnostics.push_back(std::move(diagnostic));

@@ -64,9 +64,9 @@ struct PipelinerOptions
     /** Seed for the simulated input data (live-ins, seeds, arrays). */
     std::uint64_t verifySimSeed = 2026;
     /**
-     * Default sink observing every run made with these options (a
-     * per-request sink, when set, takes precedence). Must outlive the
-     * pipeliner; must be thread-safe if the options are shared by a batch.
+     * Sink observing every run made with these options. Must outlive the
+     * pipeliner; must be thread-safe if the options are shared by a batch
+     * or a service.
      */
     support::TelemetrySink* telemetry = nullptr;
 
@@ -198,8 +198,8 @@ struct PipelineArtifacts
 };
 
 /**
- * One pipelining request: the loop plus per-call overrides. The loop (and
- * any referenced sink/options) must outlive the call.
+ * One pipelining request: the loop to pipeline, which must outlive the
+ * call. It runs under the pipeliner's options and sink.
  */
 struct PipelineRequest
 {
@@ -207,28 +207,6 @@ struct PipelineRequest
 
     /** The loop to pipeline (non-owning; never null). */
     const ir::Loop* loop;
-    /** When set, replaces the pipeliner-level options for this call. */
-    std::optional<PipelinerOptions> options;
-    /**
-     * Per-request sink; takes precedence over the effective options'
-     * `telemetry`. The result's own PipelineTelemetry record is always
-     * produced regardless.
-     */
-    support::TelemetrySink* telemetry = nullptr;
-
-    PipelineRequest&
-    withOptions(PipelinerOptions o)
-    {
-        options = std::move(o);
-        return *this;
-    }
-
-    PipelineRequest&
-    withTelemetry(support::TelemetrySink* sink)
-    {
-        telemetry = sink;
-        return *this;
-    }
 };
 
 /** One structured problem report from a pipelining run. */

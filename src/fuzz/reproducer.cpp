@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "support/error.hpp"
+#include "support/parse_number.hpp"
 
 namespace ims::fuzz {
 
@@ -24,12 +25,11 @@ singleLine(const std::string& text)
 std::uint64_t
 parseU64(const std::string& text, const std::string& key)
 {
-    try {
-        return std::stoull(text);
-    } catch (const std::exception&) {
+    std::uint64_t value = 0;
+    if (!support::parseNumber(text, value))
         throw support::Error("reproducer: bad integer for '" + key +
                              "': " + text);
-    }
+    return value;
 }
 
 } // namespace

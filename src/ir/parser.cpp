@@ -8,36 +8,15 @@
 
 #include "ir/loop_builder.hpp"
 #include "support/error.hpp"
+#include "support/parse_number.hpp"
+#include "support/text.hpp"
 
 namespace ims::ir {
 
 namespace {
 
-/** Strip leading/trailing whitespace and trailing ';' comment. */
-std::string
-cleanLine(std::string line)
-{
-    // ';' starts a comment ('#' cannot: it introduces immediates).
-    const auto semi = line.find(';');
-    if (semi != std::string::npos)
-        line.erase(semi);
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos)
-        return "";
-    const auto last = line.find_last_not_of(" \t\r");
-    return line.substr(first, last - first + 1);
-}
-
-std::vector<std::string>
-splitWords(const std::string& text)
-{
-    std::vector<std::string> words;
-    std::istringstream in(text);
-    std::string word;
-    while (in >> word)
-        words.push_back(word);
-    return words;
-}
+using support::cleanLine;
+using support::splitWords;
 
 [[noreturn]] void
 fail(int line_no, const std::string& message)
@@ -57,11 +36,10 @@ parseRegRef(const std::string& token, int line_no)
     const std::string name = token.substr(0, bracket);
     const std::string dist =
         token.substr(bracket + 1, token.size() - bracket - 2);
-    try {
-        return {name, std::stoi(dist)};
-    } catch (const std::exception&) {
+    int distance = 0;
+    if (!support::parseNumber(dist, distance))
         fail(line_no, "bad distance in '" + token + "'");
-    }
+    return {name, distance};
 }
 
 } // namespace
@@ -142,14 +120,11 @@ parseLoop(const std::string& text)
             auto mem_words = splitWords(tail.substr(at_pos + 1));
             if (mem_words.size() != 2 && mem_words.size() != 3)
                 fail(line_no, "expected '@ <array> <offset> [stride]'");
-            try {
-                mem = MemSpec{mem_words[0], std::stoi(mem_words[1]),
-                              mem_words.size() == 3
-                                  ? std::stoi(mem_words[2])
-                                  : 1};
-            } catch (const std::exception&) {
+            mem = MemSpec{mem_words[0], 0, 1};
+            if (!support::parseNumber(mem_words[1], mem->offset) ||
+                (mem_words.size() == 3 &&
+                 !support::parseNumber(mem_words[2], mem->stride)))
                 fail(line_no, "bad memory offset/stride");
-            }
             tail = cleanLine(tail.substr(0, at_pos));
         }
 

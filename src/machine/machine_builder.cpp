@@ -18,7 +18,6 @@ MachineBuilder::addResource(const std::string& name)
 MachineBuilder::OpcodeConfig
 MachineBuilder::opcode(ir::Opcode opcode, int latency)
 {
-    support::check(latency >= 0, "negative latency");
     opcodes_[opcode].latency = latency;
     return OpcodeConfig(*this, opcode);
 }

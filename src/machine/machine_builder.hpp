@@ -55,7 +55,8 @@ class MachineBuilder
     /** Begin describing `opcode` with the given latency. */
     OpcodeConfig opcode(ir::Opcode opcode, int latency);
 
-    /** Finalize into an immutable MachineModel. */
+    /** Finalize into an immutable MachineModel; @throws support::Error
+     *  for an invalid description (see MachineModel's constructor). */
     MachineModel build() const;
 
   private:

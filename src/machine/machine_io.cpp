@@ -2,37 +2,19 @@
 
 #include <map>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/parse_number.hpp"
+#include "support/text.hpp"
 
 namespace ims::machine {
 
 namespace {
 
-std::string
-cleanLine(std::string line)
-{
-    const auto semi = line.find(';');
-    if (semi != std::string::npos)
-        line.erase(semi);
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos)
-        return "";
-    const auto last = line.find_last_not_of(" \t\r");
-    return line.substr(first, last - first + 1);
-}
-
-std::vector<std::string>
-splitWords(const std::string& text)
-{
-    std::vector<std::string> words;
-    std::istringstream in(text);
-    std::string word;
-    while (in >> word)
-        words.push_back(word);
-    return words;
-}
+using support::cleanLine;
+using support::splitWords;
 
 [[noreturn]] void
 fail(int line_no, const std::string& message)
@@ -116,11 +98,8 @@ parseMachine(const std::string& text)
             if (opcodes.count(*opcode))
                 fail(line_no, "duplicate opcode '" + words[1] + "'");
             OpcodeInfo info;
-            try {
-                info.latency = std::stoi(words[2]);
-            } catch (const std::exception&) {
+            if (!support::parseNumber(words[2], info.latency))
                 fail(line_no, "bad latency '" + words[2] + "'");
-            }
             current = &opcodes.emplace(*opcode, std::move(info))
                            .first->second;
             continue;
@@ -130,26 +109,26 @@ parseMachine(const std::string& text)
                 fail(line_no, "'alt' outside an opcode block");
             if (words.size() < 2)
                 fail(line_no, "expected 'alt <name> [<time>:<resource>...]'");
-            Alternative alt;
-            alt.name = words[1];
+            // The table is built from its uses in one go, so a negative
+            // time reaches MachineModel's check instead of addUse's assert.
+            std::vector<ResourceUse> uses;
             for (std::size_t k = 2; k < words.size(); ++k) {
                 const auto colon = words[k].find(':');
                 if (colon == std::string::npos)
                     fail(line_no, "malformed use '" + words[k] +
                                       "' (want <time>:<resource>)");
                 int time = 0;
-                try {
-                    time = std::stoi(words[k].substr(0, colon));
-                } catch (const std::exception&) {
+                if (!support::parseNumber(
+                        std::string_view(words[k]).substr(0, colon), time))
                     fail(line_no, "bad use time in '" + words[k] + "'");
-                }
                 const std::string resource = words[k].substr(colon + 1);
                 const auto it = resource_by_name.find(resource);
                 if (it == resource_by_name.end())
                     fail(line_no, "undeclared resource '" + resource + "'");
-                alt.table.addUse(time, it->second);
+                uses.push_back(ResourceUse{time, it->second});
             }
-            current->alternatives.push_back(std::move(alt));
+            current->alternatives.push_back(
+                Alternative{words[1], ReservationTable(std::move(uses))});
             continue;
         }
         fail(line_no, "unknown directive '" + words[0] + "'");

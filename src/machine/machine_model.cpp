@@ -24,10 +24,18 @@ MachineModel::MachineModel(std::string name,
             opcodes.emplace(pseudo, std::move(info));
         }
     }
+    // Every machine passes through here (builder, parser, fuzz generator,
+    // minimizer), so this is the one place its validity is decided. A
+    // negative latency or use time would become a negative modulo
+    // rotation in the MRT.
     for (auto& [opcode, info] : opcodes) {
         support::check(!info.alternatives.empty(),
                        "opcode " + ir::opcodeName(opcode) +
                            " has no alternatives");
+        support::check(info.latency >= 0,
+                       "opcode " + ir::opcodeName(opcode) +
+                           " has negative latency " +
+                           std::to_string(info.latency));
         for (const auto& alt : info.alternatives) {
             for (const auto& use : alt.table.uses()) {
                 support::check(use.resource >= 0 &&
@@ -35,6 +43,11 @@ MachineModel::MachineModel(std::string name,
                                "reservation table for " +
                                    ir::opcodeName(opcode) +
                                    " uses undeclared resource");
+                support::check(use.time >= 0,
+                               "reservation table for " +
+                                   ir::opcodeName(opcode) +
+                                   " uses a resource at negative time " +
+                                   std::to_string(use.time));
             }
         }
         infoByOpcode_[static_cast<std::size_t>(opcode)] = std::move(info);

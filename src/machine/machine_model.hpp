@@ -47,6 +47,11 @@ struct OpcodeInfo
 class MachineModel
 {
   public:
+    /**
+     * @throws support::Error when an opcode has no alternatives or a
+     *         negative latency, or a reservation table uses an undeclared
+     *         resource or a negative time.
+     */
     MachineModel(std::string name, std::vector<std::string> resource_names,
                  std::map<ir::Opcode, OpcodeInfo> opcodes);
 

@@ -1,11 +1,14 @@
 #include "service/options_codec.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/parse_number.hpp"
 
 namespace ims::service {
 
@@ -40,6 +43,18 @@ tripsText(const std::vector<int>& trips)
     return out.empty() ? "-" : out;
 }
 
+/** All of `text` as a T; std::invalid_argument (reported by the caller
+ *  as a bad value) otherwise. */
+template <typename T>
+T
+wholeNumber(const std::string& text)
+{
+    T value{};
+    if (!support::parseNumber(text, value))
+        throw std::invalid_argument(text);
+    return value;
+}
+
 std::vector<int>
 parseTrips(const std::string& text)
 {
@@ -49,12 +64,7 @@ parseTrips(const std::string& text)
     std::string item;
     for (const char c : text + ",") {
         if (c == ',') {
-            try {
-                trips.push_back(std::stoi(item));
-            } catch (const std::exception&) {
-                throw support::Error("options text: bad trip '" + item +
-                                     "'");
-            }
+            trips.push_back(wholeNumber<int>(item));
             item.clear();
         } else {
             item += c;
@@ -115,9 +125,12 @@ parseOptionsText(const std::string& text)
                                "unknown strategy '" + value + "'");
                 options.schedule.strategy = *strategy;
             } else if (key == "budget_ratio") {
-                options.schedule.search.budgetRatio = std::stod(value);
+                std::size_t used = 0;
+                options.schedule.search.budgetRatio = std::stod(value, &used);
+                if (used != value.size())
+                    throw std::invalid_argument(value);
             } else if (key == "max_ii_increase") {
-                options.schedule.search.maxIiIncrease = std::stoi(value);
+                options.schedule.search.maxIiIncrease = wholeNumber<int>(value);
             } else if (key == "priority") {
                 const auto scheme = sched::prioritySchemeByName(value);
                 support::check(scheme.has_value(),
@@ -126,9 +139,11 @@ parseOptionsText(const std::string& text)
             } else if (key == "forward_progress") {
                 options.schedule.forwardProgressRule = value == "1";
             } else if (key == "random_seed") {
-                options.schedule.randomSeed = std::stoull(value);
+                options.schedule.randomSeed =
+                    wholeNumber<std::uint64_t>(value);
             } else if (key == "exact_node_budget") {
-                options.schedule.exactNodeBudget = std::stoll(value);
+                options.schedule.exactNodeBudget =
+                    wholeNumber<std::int64_t>(value);
             } else if (key == "delay_mode") {
                 const auto mode = graph::delayModeByName(value);
                 support::check(mode.has_value(),
@@ -143,7 +158,7 @@ parseOptionsText(const std::string& text)
             } else if (key == "verify_sim_trips") {
                 options.verifySimTrips = parseTrips(value);
             } else if (key == "verify_sim_seed") {
-                options.verifySimSeed = std::stoull(value);
+                options.verifySimSeed = wholeNumber<std::uint64_t>(value);
             } else {
                 throw support::Error("unknown key '" + key + "'");
             }

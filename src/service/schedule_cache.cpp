@@ -7,6 +7,8 @@
 #include "core/report.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
+#include "support/parse_number.hpp"
+#include "support/text.hpp"
 
 namespace ims::service {
 
@@ -168,39 +170,41 @@ ScheduleCache::saveText() const
 std::vector<CacheKey>
 ScheduleCache::parseSaveText(const std::string& text)
 {
-    std::istringstream in(text);
-    std::string header;
-    std::getline(in, header);
+    std::size_t pos = 0;
+    const auto read_line = [&text, &pos]() {
+        const std::size_t end = std::min(text.find('\n', pos), text.size());
+        std::string line = text.substr(pos, end - pos);
+        pos = std::min(end + 1, text.size());
+        return line;
+    };
+    const std::string header = read_line();
     support::check(header == "ims-schedule-cache v1",
                    "cache file: unknown header '" + header + "'");
 
     std::vector<CacheKey> keys;
-    std::string line;
-    while (std::getline(in, line)) {
+    while (pos < text.size()) {
+        const std::string line = read_line();
         if (line.empty())
             continue;
-        std::istringstream entry(line);
-        std::string directive;
-        std::size_t loop_bytes = 0;
-        std::size_t machine_bytes = 0;
-        std::size_t options_bytes = 0;
-        entry >> directive >> loop_bytes >> machine_bytes >> options_bytes;
-        support::check(directive == "entry" && !entry.fail(),
+        const auto words = support::splitWords(line);
+        std::size_t bytes[3] = {};
+        support::check(words.size() == 4 && words[0] == "entry" &&
+                           support::parseNumber(words[1], bytes[0]) &&
+                           support::parseNumber(words[2], bytes[1]) &&
+                           support::parseNumber(words[3], bytes[2]),
                        "cache file: malformed entry line '" + line + "'");
-        const auto read_block = [&in](std::size_t bytes) {
-            std::string block(bytes, '\0');
-            in.read(block.data(), static_cast<std::streamsize>(bytes));
-            support::check(in.gcount() ==
-                               static_cast<std::streamsize>(bytes),
+        // Each count is checked against the text that is left before
+        // anything is allocated for it.
+        std::string blocks[3];
+        for (int i = 0; i < 3; ++i) {
+            support::check(bytes[i] <= text.size() - pos,
                            "cache file: truncated entry");
-            return block;
-        };
-        std::string loop_text = read_block(loop_bytes);
-        std::string machine_text = read_block(machine_bytes);
-        std::string options_text = read_block(options_bytes);
-        keys.push_back(CacheKey::make(std::move(loop_text),
-                                      std::move(machine_text),
-                                      std::move(options_text)));
+            blocks[i] = text.substr(pos, bytes[i]);
+            pos += bytes[i];
+        }
+        keys.push_back(CacheKey::make(std::move(blocks[0]),
+                                      std::move(blocks[1]),
+                                      std::move(blocks[2])));
     }
     return keys;
 }

@@ -99,11 +99,9 @@ ScheduleService::handle(const ServiceRequest& request, double queue_seconds)
     response.loop = loop;
     response.loopName = loop->name();
 
-    const core::PipelinerOptions& effective =
-        request.options ? *request.options : options_.pipeline;
-    const CacheKey key = CacheKey::make(std::move(canonical_loop),
-                                        model->canonicalText,
-                                        canonicalOptionsText(effective));
+    const CacheKey key =
+        CacheKey::make(std::move(canonical_loop), model->canonicalText,
+                       canonicalOptionsText(options_.pipeline));
     response.key = key.hash;
 
     if (auto cached = cache_.lookup(key)) {
@@ -115,7 +113,8 @@ ScheduleService::handle(const ServiceRequest& request, double queue_seconds)
     }
 
     try {
-        const core::SoftwarePipeliner pipeliner(model->model, effective);
+        const core::SoftwarePipeliner pipeliner(model->model,
+                                                options_.pipeline);
         core::PipelineResult result =
             pipeliner.pipeline(core::PipelineRequest(*loop));
         response.result = cache_.insert(key, std::move(result));

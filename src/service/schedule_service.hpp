@@ -9,7 +9,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,9 +23,9 @@ namespace ims::service {
 /** Options for a ScheduleService instance. */
 struct ServiceOptions
 {
-    /** Default pipeline options applied to requests without overrides.
-     *  Also the options a loaded cache file is re-materialized under
-     *  when an entry carries no recognizable override. */
+    /** Pipeline options every request is scheduled and keyed under. A
+     *  loaded cache file's entries keep the options they were saved
+     *  with. */
     core::PipelinerOptions pipeline;
     /** Cache capacity / sharding. */
     CacheOptions cache;
@@ -87,8 +86,6 @@ struct ServiceRequest
     std::string machine = "cydra5";
     /** Loop body in the textual mini-IR format (ir/parser). */
     std::string loopText;
-    /** Per-request option overrides; nullopt uses the service default. */
-    std::optional<core::PipelinerOptions> options;
 };
 
 /** What the service answers. */

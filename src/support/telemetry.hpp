@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,9 +37,6 @@ inline constexpr int kNumPhases = 8;
 /** Stable lowercase identifier, e.g. "graph_build" (used in JSON). */
 const char* phaseName(Phase phase);
 
-/** Inverse of phaseName; nullopt for unknown names. */
-std::optional<Phase> phaseByName(std::string_view name);
-
 /** One timed phase execution. */
 struct PhaseSample
 {
@@ -58,8 +54,9 @@ struct PhaseSample
  * interface only; what happens to the events (accumulation, streaming,
  * export) is the sink's business.
  *
- * Sinks passed to the batch driver are used from worker threads; a sink
- * shared between requests must therefore be thread-safe. The per-loop
+ * The sink in PipelinerOptions::telemetry sees every loop run under
+ * those options; BatchPipeliner and ScheduleService call it from worker
+ * threads, so there it must be thread-safe. The per-loop
  * recorders the library creates internally are never shared.
  */
 class TelemetrySink
@@ -105,9 +102,9 @@ class PhaseTimer
  * Structured record of one pipelining run: the paper-level outcome
  * (achieved II vs its MII lower bound, attempts, budget consumption,
  * displacement counts) plus wall time per phase and the unified
- * instrumentation counters. Exportable as JSON (`toJson`) and re-parsable
- * (`parseTelemetryJson`) for downstream consumers; `telemetryTable`
- * renders a fleet of records as a support::TextTable.
+ * instrumentation counters. Exportable as JSON (`toJson`) for downstream
+ * consumers; `telemetryTable` renders a fleet of records as a
+ * support::TextTable.
  */
 struct PipelineTelemetry
 {
@@ -165,17 +162,10 @@ struct PipelineTelemetry
 };
 
 /**
- * Parse a JSON object produced by PipelineTelemetry::toJson.
- * @throws support::Error on malformed input.
- */
-PipelineTelemetry parseTelemetryJson(const std::string& json);
-
-/**
  * The library's one JSON string escaper: append `text` to `out` as a
  * quoted JSON string. `"` and `\` are backslash-escaped, newline,
  * carriage return and tab use their short escapes, every other byte
  * below 0x20 becomes \u00XX, and all other bytes are copied as is.
- * parseTelemetryJson decodes every one of these escapes.
  */
 void appendJsonString(std::string& out, std::string_view text);
 

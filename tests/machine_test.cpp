@@ -2,6 +2,7 @@
 
 #include "machine/cydra5.hpp"
 #include "machine/machine_builder.hpp"
+#include "machine/machine_io.hpp"
 #include "machine/machines.hpp"
 #include "machine/reservation_table.hpp"
 #include "support/error.hpp"
@@ -224,6 +225,37 @@ TEST(MachineModelTest, UndeclaredResourceRejected)
     machine::OpcodeInfo info;
     info.latency = 1;
     info.alternatives = {machine::Alternative{"x", bad}};
+    opcodes[Opcode::kAdd] = info;
+    EXPECT_THROW(machine::MachineModel("bad", {"r0"}, opcodes),
+                 support::Error);
+}
+
+TEST(MachineModelTest, NegativeLatencyOrUseTimeRejected)
+{
+    // Every machine passes through the constructor: the text format,
+    // the builder and direct construction all reject these. A negative
+    // time would otherwise become a negative MRT rotation.
+    EXPECT_THROW(machine::parseMachine("machine neg2\n"
+                                       "resource r\n"
+                                       "resource s\n"
+                                       "opcode add 1\n"
+                                       "alt a 0:s 0:r -7:r\n"),
+                 support::Error);
+    EXPECT_THROW(machine::parseMachine("machine neg\n"
+                                       "resource r\n"
+                                       "opcode add -3\n"
+                                       "alt a 0:r\n"),
+                 support::Error);
+
+    machine::MachineBuilder builder("neg");
+    const auto alu = builder.addResource("alu");
+    builder.opcode(Opcode::kAdd, -3).simpleAlternative("alu", alu);
+    EXPECT_THROW(builder.build(), support::Error);
+
+    std::map<ir::Opcode, machine::OpcodeInfo> opcodes;
+    machine::OpcodeInfo info;
+    info.alternatives = {
+        machine::Alternative{"x", ReservationTable({{-1, 0}})}};
     opcodes[Opcode::kAdd] = info;
     EXPECT_THROW(machine::MachineModel("bad", {"r0"}, opcodes),
                  support::Error);

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "fuzz/reproducer.hpp"
 #include "ir/parser.hpp"
+#include "machine/machine_io.hpp"
+#include "service/options_codec.hpp"
 #include "support/error.hpp"
 
 namespace {
@@ -168,6 +171,38 @@ TEST(ParserTest, MalformedMemRefRejected)
 {
     const char* text = "loop t\nlivein a\nx = load a @ X\n";
     EXPECT_THROW(ir::parseLoop(text), support::Error);
+}
+
+TEST(TextFormatTest, NumbersAreReadWhole)
+{
+    // A number with trailing bytes, or a sign on an unsigned field, is an
+    // error in every text format, not a prefix read or a wrapped value.
+    for (const char* loop : {
+             "loop t\nrecurrence x\nx = add x[1junk], #1\n",
+             "loop t\nlivein a\nx = load a @ A 5junk\n",
+             "loop t\nlivein a\nx = load a @ A 5 2junk\n",
+         })
+        EXPECT_THROW(ir::parseLoop(loop), support::Error) << loop;
+    for (const char* machine : {
+             "machine m\nresource r\nopcode add 1x\nalt a 0:r\n",
+             "machine m\nresource r\nopcode add 1\nalt a 0junk:r\n",
+         })
+        EXPECT_THROW(machine::parseMachine(machine), support::Error)
+            << machine;
+    for (const char* options : {
+             "random_seed -1\n",
+             "max_ii_increase 4096x\n",
+             "exact_node_budget 1e6\n",
+             "verify_sim_seed 2026 \n",
+             "verify_sim_trips 0,1x\n",
+             "budget_ratio 2junk\n",
+         })
+        EXPECT_THROW(service::parseOptionsText(options), support::Error)
+            << options;
+    EXPECT_THROW(fuzz::parseReproducer("code: x\ncase-seed: -1\n"
+                                       "%% machine\nmachine m\n"
+                                       "%% loop\nloop t\n"),
+                 support::Error);
 }
 
 } // namespace

@@ -97,11 +97,12 @@ TEST(PipelinerTest, RequestApiCountersAggregateAcrossPhases)
 TEST(PipelinerTest, RequestResultReportsDiagnosticsInsteadOfThrowing)
 {
     const auto w = workloads::kernelByName("daxpy");
-    core::SoftwarePipeliner pipeliner(machine::cydra5());
+    // Non-DSA mode rejects the distance>1 operands daxpy's
+    // back-substituted counter uses.
+    core::SoftwarePipeliner pipeliner(
+        machine::cydra5(), core::PipelinerOptions{}.withDsaForm(false));
 
-    auto request = core::PipelineRequest(w.loop).withOptions(
-        core::PipelinerOptions{}.withDsaForm(false));
-    const auto result = pipeliner.pipeline(request);
+    const auto result = pipeliner.pipeline(core::PipelineRequest(w.loop));
     EXPECT_FALSE(result.ok());
     ASSERT_EQ(result.diagnostics.size(), 1u);
     EXPECT_EQ(result.diagnostics[0].severity,
@@ -112,19 +113,6 @@ TEST(PipelinerTest, RequestResultReportsDiagnosticsInsteadOfThrowing)
     // The failed run still carries its identity in the telemetry record.
     EXPECT_EQ(result.telemetry.loop, w.loop.name());
     EXPECT_FALSE(result.telemetry.succeeded);
-}
-
-TEST(PipelinerTest, RequestOptionsOverridePipelinerOptions)
-{
-    const auto w = workloads::kernelByName("daxpy");
-    // Pipeliner-level options would reject the loop; the per-request
-    // override restores the defaults, so the call must succeed.
-    core::SoftwarePipeliner pipeliner(
-        machine::cydra5(), core::PipelinerOptions{}.withDsaForm(false));
-    const auto result = pipeliner.pipeline(
-        core::PipelineRequest(w.loop).withOptions(core::PipelinerOptions{}));
-    EXPECT_TRUE(result.ok());
-    EXPECT_EQ(result.telemetry.ii, result.telemetry.mii);
 }
 
 TEST(PipelinerTest, BuilderStyleOptionSettersCompose)

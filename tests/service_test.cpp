@@ -186,6 +186,24 @@ TEST(ScheduleCacheTest, PersistenceRoundTripServesHitsAfterRestart)
     EXPECT_THROW(reloaded.loadCacheText("bogus header\n"), support::Error);
 }
 
+TEST(ScheduleCacheTest, HostileEntryCountsAreRejected)
+{
+    // Each count is read whole and checked against the bytes left before
+    // anything is allocated: a structured error, never length_error.
+    service::ScheduleService server(service::ServiceOptions{}.withThreads(1));
+    for (const char* text : {
+             "ims-schedule-cache v1\nentry 18446744073709551615 0 0\n",
+             "ims-schedule-cache v1\nentry -1 0 0\n",
+             "ims-schedule-cache v1\nentry 0 0 5\nabc",
+             "ims-schedule-cache v1\nentry 1x 0 0\n",
+         }) {
+        EXPECT_THROW(service::ScheduleCache::parseSaveText(text),
+                     support::Error)
+            << text;
+        EXPECT_THROW(server.loadCacheText(text), support::Error) << text;
+    }
+}
+
 TEST(ScheduleCacheTest, HashCollisionsNeverShareAnEntry)
 {
     // Forge two keys with identical digests but different material: the

@@ -1,12 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 
 #include "core/pipeliner.hpp"
 #include "machine/cydra5.hpp"
-#include "support/error.hpp"
 #include "support/table.hpp"
 #include "support/telemetry.hpp"
 #include "workloads/kernels.hpp"
@@ -21,17 +20,6 @@ pipelineKernel(const std::string& name)
     core::SoftwarePipeliner pipeliner(machine::cydra5());
     const auto w = workloads::kernelByName(name);
     return pipeliner.pipeline(core::PipelineRequest(w.loop));
-}
-
-TEST(TelemetryTest, PhaseNamesRoundTrip)
-{
-    for (int i = 0; i < support::kNumPhases; ++i) {
-        const auto phase = static_cast<support::Phase>(i);
-        const auto back = support::phaseByName(support::phaseName(phase));
-        ASSERT_TRUE(back.has_value()) << support::phaseName(phase);
-        EXPECT_EQ(*back, phase);
-    }
-    EXPECT_FALSE(support::phaseByName("no_such_phase").has_value());
 }
 
 TEST(TelemetryTest, EveryPhaseReportedForAPipelinedLoop)
@@ -91,163 +79,86 @@ TEST(TelemetryTest, EveryPhaseAppearsInJson)
     }
 }
 
-TEST(TelemetryTest, JsonRoundTripPreservesCountersAndSummary)
+TEST(TelemetryTest, JsonPinsEveryFieldExactly)
 {
-    const auto result = pipelineKernel("tridiag");
-    ASSERT_TRUE(result.ok());
-    const auto& original = result.telemetry;
+    // One hand-built record against its full expected text: the escaper
+    // (control bytes, quote, backslash), non-finite doubles (NaN is null,
+    // infinities clamp to the largest finite double), %.17g timings,
+    // 64-bit integers past 2^53, every phase name and every counter key.
+    support::PipelineTelemetry t;
+    t.loop = "\x01\x08\t\n\x0b\x0c\r\x1f\"q\\";
+    t.ops = 7;
+    t.succeeded = true;
+    t.resMii = 2;
+    t.mii = 3;
+    t.ii = 4;
+    t.attempts = 2;
+    t.scheduleLength = 13;
+    t.budget = 14;
+    t.stepsTotal = std::numeric_limits<std::int64_t>::min();
+    t.backtracks = 5;
+    t.scheduler = "iterative";
+    t.iiStrategy = "linear";
+    t.iiWorkers = 1;
+    t.iiAttemptsProvenInfeasible = 1;
+    t.iiSearchWallSeconds = std::numeric_limits<double>::quiet_NaN();
+    t.wallSeconds = -std::numeric_limits<double>::infinity();
+    using support::Phase;
+    t.phases = {
+        {Phase::kGraphBuild, -1, 0.5, true},
+        {Phase::kMiiBounds, -1, 0.1, true},
+        {Phase::kIiAttempt, 3, std::numeric_limits<double>::infinity(),
+         false},
+        {Phase::kIiAttempt, 4, 2.0, true},
+        {Phase::kListSchedule, -1, 0.0, true},
+        {Phase::kCodegen, -1, 0.25, true},
+        {Phase::kLifetimes, -1, std::numeric_limits<double>::quiet_NaN(),
+         true},
+        {Phase::kRegAlloc, -1, 3e-05, true},
+        {Phase::kVerify, -1, 0.125, false},
+    };
+    t.counters.sccEdgeVisits = 1;
+    t.counters.resMiiInspections = 2;
+    t.counters.minDistInnerSteps = 3;
+    t.counters.minDistInvocations = 4;
+    t.counters.heightRInnerSteps = 5;
+    t.counters.estartPredecessorVisits = 6;
+    t.counters.estartIncrementalHits = 7;
+    t.counters.findTimeSlotProbes = 8;
+    t.counters.scheduleSteps = (std::uint64_t{1} << 53) + 1;
+    t.counters.unscheduleSteps = 10;
+    t.counters.mrtMaskProbes = 11;
+    t.counters.mrtSlotScans = std::numeric_limits<std::uint64_t>::max();
 
-    const auto reparsed = support::parseTelemetryJson(original.toJson());
-
-    EXPECT_EQ(reparsed.loop, original.loop);
-    EXPECT_EQ(reparsed.ops, original.ops);
-    EXPECT_EQ(reparsed.succeeded, original.succeeded);
-    EXPECT_EQ(reparsed.resMii, original.resMii);
-    EXPECT_EQ(reparsed.mii, original.mii);
-    EXPECT_EQ(reparsed.ii, original.ii);
-    EXPECT_EQ(reparsed.attempts, original.attempts);
-    EXPECT_EQ(reparsed.scheduleLength, original.scheduleLength);
-    EXPECT_EQ(reparsed.budget, original.budget);
-    EXPECT_EQ(reparsed.stepsTotal, original.stepsTotal);
-    EXPECT_EQ(reparsed.backtracks, original.backtracks);
-    EXPECT_DOUBLE_EQ(reparsed.wallSeconds, original.wallSeconds);
-
-    // Counters: every field must survive the round trip exactly.
-    EXPECT_EQ(reparsed.counters.sccEdgeVisits,
-              original.counters.sccEdgeVisits);
-    EXPECT_EQ(reparsed.counters.resMiiInspections,
-              original.counters.resMiiInspections);
-    EXPECT_EQ(reparsed.counters.minDistInnerSteps,
-              original.counters.minDistInnerSteps);
-    EXPECT_EQ(reparsed.counters.minDistInvocations,
-              original.counters.minDistInvocations);
-    EXPECT_EQ(reparsed.counters.heightRInnerSteps,
-              original.counters.heightRInnerSteps);
-    EXPECT_EQ(reparsed.counters.estartPredecessorVisits,
-              original.counters.estartPredecessorVisits);
-    EXPECT_EQ(reparsed.counters.findTimeSlotProbes,
-              original.counters.findTimeSlotProbes);
-    EXPECT_EQ(reparsed.counters.scheduleSteps,
-              original.counters.scheduleSteps);
-    EXPECT_EQ(reparsed.counters.unscheduleSteps,
-              original.counters.unscheduleSteps);
-
-    ASSERT_EQ(reparsed.phases.size(), original.phases.size());
-    for (std::size_t i = 0; i < original.phases.size(); ++i) {
-        EXPECT_EQ(reparsed.phases[i].phase, original.phases[i].phase);
-        EXPECT_EQ(reparsed.phases[i].detail, original.phases[i].detail);
-        EXPECT_DOUBLE_EQ(reparsed.phases[i].seconds,
-                         original.phases[i].seconds);
-        EXPECT_EQ(reparsed.phases[i].succeeded,
-                  original.phases[i].succeeded);
-    }
-}
-
-TEST(TelemetryTest, NonFiniteDoublesProduceValidJson)
-{
-    // A crashed phase timer or a degenerate summary must never leak a
-    // bare `nan`/`inf` token into the JSON stream (neither is a JSON
-    // literal): NaN becomes null, infinities clamp to the largest
-    // finite double of the same sign, and the result stays parseable.
-    auto result = pipelineKernel("daxpy");
-    ASSERT_TRUE(result.ok());
-    auto telemetry = result.telemetry;
-    telemetry.wallSeconds = std::numeric_limits<double>::quiet_NaN();
-    ASSERT_FALSE(telemetry.phases.empty());
-    telemetry.phases[0].seconds = std::numeric_limits<double>::infinity();
-
-    const std::string json = telemetry.toJson();
-    // Bare non-finite tokens appear right after a ':' separator; field
-    // names like "...proven_infeasible" legitimately contain "inf".
-    EXPECT_EQ(json.find(":nan"), std::string::npos) << json;
-    EXPECT_EQ(json.find(":inf"), std::string::npos) << json;
-    EXPECT_EQ(json.find(":-inf"), std::string::npos) << json;
-
-    const auto reparsed = support::parseTelemetryJson(json);
-    EXPECT_TRUE(std::isnan(reparsed.wallSeconds));
-    EXPECT_EQ(reparsed.phases[0].seconds,
-              std::numeric_limits<double>::max());
-}
-
-TEST(TelemetryTest, LoopNameWithControlBytesRoundTrips)
-{
-    // Every byte the escaper writes as an escape: 0x01-0x1f (short
-    // escapes and \u00XX), the quote and the backslash.
-    support::PipelineTelemetry telemetry;
-    for (int c = 0x01; c < 0x20; ++c)
-        telemetry.loop += static_cast<char>(c);
-    telemetry.loop += "\"q\\";
-    const std::string json = telemetry.toJson();
-    for (const char c : json)
-        EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
-    EXPECT_EQ(support::parseTelemetryJson(json).loop, telemetry.loop);
-}
-
-TEST(TelemetryTest, ParserRejectsMalformedInput)
-{
-    EXPECT_THROW(support::parseTelemetryJson(""), support::Error);
-    EXPECT_THROW(support::parseTelemetryJson("{"), support::Error);
-    EXPECT_THROW(support::parseTelemetryJson("{\"loop\":}"),
-                 support::Error);
-    EXPECT_THROW(support::parseTelemetryJson(
-                     "{\"schema\":\"ims.telemetry.v99\"}"),
-                 support::Error);
-    // Integer fields take exact integers in range: no fraction, no
-    // exponent, no wrap-around and no negative counter.
-    for (const char* bad : {
-             "{\"ii\":1e300}",
-             "{\"ii\":2.5}",
-             "{\"ii\":null}",
-             "{\"attempts\":3000000000}",
-             "{\"attempts\":3e9}",
-             "{\"budget\":9223372036854775808}",
-             "{\"phases\":[{\"name\":\"verify\",\"detail\":1.5}]}",
-             "{\"counters\":{\"schedule_steps\":-1}}",
-             "{\"counters\":{\"schedule_steps\":18446744073709551616}}",
-         }) {
-        EXPECT_THROW(support::parseTelemetryJson(bad), support::Error)
-            << bad;
-    }
-    // Unknown keys are skipped for forward compatibility, and so is the
-    // ii_skipped key that records of the removed feedback search carry.
-    const auto t = support::parseTelemetryJson(
-        "{\"schema\":\"ims.telemetry.v1\",\"future_field\":[1,{\"a\":2}],"
-        "\"loop\":\"x\",\"ii\":3,\"ii_skipped\":4}");
-    EXPECT_EQ(t.loop, "x");
-    EXPECT_EQ(t.ii, 3);
-}
-
-TEST(TelemetryTest, CountersAbove2To53RoundTripExactly)
-{
-    // A double holds integers exactly only up to 2^53; counters are
-    // 64-bit and must not be rounded through one.
-    support::PipelineTelemetry telemetry;
-    telemetry.counters.scheduleSteps = (std::uint64_t{1} << 53) + 1;
-    telemetry.counters.mrtSlotScans =
-        std::numeric_limits<std::uint64_t>::max();
-    telemetry.stepsTotal = std::numeric_limits<std::int64_t>::min();
-    const auto reparsed = support::parseTelemetryJson(telemetry.toJson());
-    EXPECT_EQ(reparsed.counters.scheduleSteps, (std::uint64_t{1} << 53) + 1);
-    EXPECT_EQ(reparsed.counters.mrtSlotScans,
-              std::numeric_limits<std::uint64_t>::max());
-    EXPECT_EQ(reparsed.stepsTotal, std::numeric_limits<std::int64_t>::min());
-}
-
-TEST(TelemetryTest, ExternalSinkSeesTheSameStream)
-{
-    support::TelemetryRecorder external;
-    core::SoftwarePipeliner pipeliner(machine::cydra5());
-    const auto w = workloads::kernelByName("daxpy");
-    const auto result = pipeliner.pipeline(
-        core::PipelineRequest(w.loop).withTelemetry(&external));
-    ASSERT_TRUE(result.ok());
-
-    EXPECT_EQ(external.record().phases.size(),
-              result.telemetry.phases.size());
-    EXPECT_EQ(external.record().counters.scheduleSteps,
-              result.telemetry.counters.scheduleSteps);
-    EXPECT_EQ(external.record().counters.findTimeSlotProbes,
-              result.telemetry.counters.findTimeSlotProbes);
+    const std::string expected =
+        R"({"schema":"ims.telemetry.v1",)"
+        R"("loop":"\u0001\u0008\t\n\u000b\u000c\r\u001f\"q\\",)"
+        R"("ops":7,"succeeded":true,"res_mii":2,"mii":3,"ii":4,)"
+        R"("attempts":2,"schedule_length":13,"budget":14,)"
+        R"("steps_total":-9223372036854775808,"backtracks":5,)"
+        R"("scheduler":"iterative","ii_strategy":"linear",)"
+        R"("ii_workers":1,"ii_attempts_proven_infeasible":1,)"
+        R"("ii_search_wall_seconds":null,)"
+        R"("wall_seconds":-1.7976931348623157e+308,"phases":[)"
+        R"({"name":"graph_build","detail":-1,"seconds":0.5,"ok":true},)"
+        R"({"name":"mii_bounds","detail":-1,)"
+        R"("seconds":0.10000000000000001,"ok":true},)"
+        R"({"name":"ii_attempt","detail":3,)"
+        R"("seconds":1.7976931348623157e+308,"ok":false},)"
+        R"({"name":"ii_attempt","detail":4,"seconds":2,"ok":true},)"
+        R"({"name":"list_schedule","detail":-1,"seconds":0,"ok":true},)"
+        R"({"name":"codegen","detail":-1,"seconds":0.25,"ok":true},)"
+        R"({"name":"lifetimes","detail":-1,"seconds":null,"ok":true},)"
+        R"({"name":"regalloc","detail":-1,)"
+        R"("seconds":3.0000000000000001e-05,"ok":true},)"
+        R"({"name":"verify","detail":-1,"seconds":0.125,"ok":false}],)"
+        R"("counters":{"scc_edge_visits":1,"res_mii_inspections":2,)"
+        R"("min_dist_inner_steps":3,"min_dist_invocations":4,)"
+        R"("height_r_inner_steps":5,"estart_predecessor_visits":6,)"
+        R"("estart_incremental_hits":7,"find_time_slot_probes":8,)"
+        R"("schedule_steps":9007199254740993,"unschedule_steps":10,)"
+        R"("mrt_mask_probes":11,"mrt_slot_scans":18446744073709551615}})";
+    EXPECT_EQ(t.toJson(), expected);
 }
 
 TEST(TelemetryTest, OptionsLevelSinkReceivesEvents)
@@ -259,8 +170,13 @@ TEST(TelemetryTest, OptionsLevelSinkReceivesEvents)
     const auto w = workloads::kernelByName("daxpy");
     const auto result = pipeliner.pipeline(core::PipelineRequest(w.loop));
     ASSERT_TRUE(result.ok());
+
     EXPECT_EQ(external.record().phases.size(),
               result.telemetry.phases.size());
+    EXPECT_EQ(external.record().counters.scheduleSteps,
+              result.telemetry.counters.scheduleSteps);
+    EXPECT_EQ(external.record().counters.findTimeSlotProbes,
+              result.telemetry.counters.findTimeSlotProbes);
 }
 
 TEST(TelemetryTest, TableRendersOneRowPerRecord)
