@@ -57,12 +57,10 @@ main()
                            const sched::ModuloScheduleOutcome& outcome) {
             const auto violations = sched::verifySchedule(
                 w.loop, machine, g, outcome.schedule);
-            support::check(violations.empty(),
-                           "illegal schedule from " + w.loop.name() +
-                               ": " +
-                               (violations.empty()
-                                    ? ""
-                                    : violations[0].toString()));
+            support::check(violations.empty(), [&] {
+                return "illegal schedule from " + w.loop.name() + ": " +
+                       violations[0].toString();
+            });
             row.atMii += outcome.schedule.ii == outcome.mii;
             row.iiRatio += static_cast<double>(outcome.schedule.ii) /
                            outcome.mii;

@@ -97,9 +97,10 @@ measureLoop(const workloads::Workload& workload,
 
     const auto violations =
         sched::verifySchedule(loop, machine, graph, outcome.schedule);
-    support::check(violations.empty(),
-                   "illegal schedule for '" + loop.name() +
-                       "': " + (violations.empty() ? "" : violations[0].toString()));
+    support::check(violations.empty(), [&] {
+        return "illegal schedule for '" + loop.name() +
+               "': " + violations[0].toString();
+    });
 
     record.listScheduleLength =
         sched::listSchedule(loop, machine, graph).scheduleLength;

@@ -34,6 +34,15 @@ build/bench/bench_sched_hotpath --quick \
     --golden bench/data/sched_identity_seed.json \
     --out build/BENCH_sched_hotpath_quick.json
 
+# perfbench's traced replica re-enacts pipeline() call by call and checks
+# that its results and counters match the library's (the digest check
+# that keeps the post-schedule MinDist in place); every workload must be
+# correct with it. One second each: this checks outputs, not speed.
+for workload in corpus_batch unroll_ladder hard_ii serve_mix; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+        --trace 1 | tail -n 1
+done
+
 # Independent JSON check: Python's json module, which shares no code with
 # the library's writers, must parse every telemetry record of the kernel
 # corpus on all three backends and every `--program all` summary line.

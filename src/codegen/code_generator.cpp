@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <vector>
 
 #include "codegen/lifetimes.hpp"
 
@@ -31,6 +32,34 @@ GeneratedCode::totalInstances(int trip_count) const
            epilogue.numInstances();
 }
 
+namespace {
+
+/**
+ * Lay out a section of `num_cycles` cycles by counting sort. `visit(emit)`
+ * must call emit(cycle, instance) for every instance, in the same order
+ * each time: it runs once to count each cycle's instances and once to
+ * place them, so a cycle lists its instances in visiting order.
+ */
+template <typename Visit>
+CodeSection
+layoutSection(int num_cycles, const Visit& visit)
+{
+    CodeSection section;
+    section.cycleStart.assign(num_cycles + 1, 0);
+    visit([&](int cycle, OpInstance) { ++section.cycleStart[cycle + 1]; });
+    for (int c = 0; c < num_cycles; ++c)
+        section.cycleStart[c + 1] += section.cycleStart[c];
+    section.instances.resize(section.cycleStart[num_cycles]);
+    std::vector<int> next(section.cycleStart.begin(),
+                          section.cycleStart.end() - 1);
+    visit([&](int cycle, OpInstance instance) {
+        section.instances[next[cycle]++] = instance;
+    });
+    return section;
+}
+
+} // namespace
+
 GeneratedCode
 generateCode(const ir::Loop& loop, const machine::MachineModel& machine,
              const sched::ScheduleResult& schedule,
@@ -48,32 +77,31 @@ generateCode(const ir::Loop& loop, const machine::MachineModel& machine,
 
     // Prologue: flat cycles [0, ramp); instance (P, j) issues at
     // j*II + t_P.
-    code.prologue.cycles.assign(ramp_cycles, {});
-    for (int op = 0; op < loop.size(); ++op) {
-        const int t = schedule.times[op];
-        for (int j = 0; t + j * ii < ramp_cycles; ++j)
-            code.prologue.cycles[t + j * ii].push_back(OpInstance{op, j});
-    }
+    code.prologue = layoutSection(ramp_cycles, [&](auto&& emit) {
+        for (int op = 0; op < loop.size(); ++op) {
+            const int t = schedule.times[op];
+            for (int j = 0; t + j * ii < ramp_cycles; ++j)
+                emit(t + j * ii, OpInstance{op, j});
+        }
+    });
 
     // Kernel: II rows; row r issues every op with t_P mod II == r on
     // behalf of the iteration started stage(P) repetitions ago.
-    code.kernelSection.cycles.assign(ii, {});
-    for (const auto& placement : code.kernel.placements) {
-        code.kernelSection.cycles[placement.slot].push_back(
-            OpInstance{placement.op, -placement.stage});
-    }
+    code.kernelSection = layoutSection(ii, [&](auto&& emit) {
+        for (const auto& placement : code.kernel.placements)
+            emit(placement.slot, OpInstance{placement.op, -placement.stage});
+    });
 
     // Epilogue: cycles [0, ramp) after the final kernel repetition;
     // instance (P, m) for the iteration m-from-last issues at epilogue
     // cycle t_P - m*II when that is within range.
-    code.epilogue.cycles.assign(ramp_cycles, {});
-    for (int op = 0; op < loop.size(); ++op) {
-        const int t = schedule.times[op];
-        for (int m = 1; t - m * ii >= 0; ++m) {
-            code.epilogue.cycles[t - m * ii].push_back(
-                OpInstance{op, -m});
+    code.epilogue = layoutSection(ramp_cycles, [&](auto&& emit) {
+        for (int op = 0; op < loop.size(); ++op) {
+            const int t = schedule.times[op];
+            for (int m = 1; t - m * ii >= 0; ++m)
+                emit(t - m * ii, OpInstance{op, -m});
         }
-    }
+    });
 
     return code;
 }

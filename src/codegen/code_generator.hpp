@@ -1,6 +1,7 @@
 #ifndef IMS_CODEGEN_CODE_GENERATOR_HPP
 #define IMS_CODEGEN_CODE_GENERATOR_HPP
 
+#include <span>
 #include <vector>
 
 #include "codegen/kernel.hpp"
@@ -25,20 +26,32 @@ struct OpInstance
     int iterationOffset = 0;
 };
 
-/** A straight-line section of VLIW code: one op list per cycle. */
+/**
+ * A straight-line section of VLIW code. Every op instance sits in one
+ * flat array, cycle after cycle: cycle c issues
+ * instances[cycleStart[c], cycleStart[c + 1]).
+ */
 struct CodeSection
 {
-    std::vector<std::vector<OpInstance>> cycles;
-
-    int numCycles() const { return static_cast<int>(cycles.size()); }
+    std::vector<OpInstance> instances;
+    /** numCycles() + 1 offsets into `instances` (empty: no cycles). */
+    std::vector<int> cycleStart;
 
     int
-    numInstances() const
+    numCycles() const
     {
-        int count = 0;
-        for (const auto& cycle : cycles)
-            count += static_cast<int>(cycle.size());
-        return count;
+        return cycleStart.empty() ? 0
+                                  : static_cast<int>(cycleStart.size()) - 1;
+    }
+
+    int numInstances() const { return static_cast<int>(instances.size()); }
+
+    /** The instances issued in cycle `c`, in emission order. */
+    std::span<const OpInstance>
+    cycle(int c) const
+    {
+        return {instances.data() + cycleStart[c],
+                instances.data() + cycleStart[c + 1]};
     }
 };
 

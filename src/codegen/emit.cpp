@@ -70,12 +70,12 @@ renderSection(std::ostringstream& out, const ir::Loop& loop,
     out << label << ":\n";
     for (int cycle = 0; cycle < section.numCycles(); ++cycle) {
         out << "  " << cycle << ":";
-        if (section.cycles[cycle].empty()) {
+        if (section.cycle(cycle).empty()) {
             out << "  (nop)\n";
             continue;
         }
         bool first = true;
-        for (const auto& instance : section.cycles[cycle]) {
+        for (const auto& instance : section.cycle(cycle)) {
             out << (first ? "  " : " || ")
                 << renderInstance(loop, allocation, mve, instance,
                                   kernel_copy);

@@ -30,31 +30,42 @@ analyzeLifetimes(const ir::Loop& loop, const machine::MachineModel& machine,
     LifetimeAnalysis analysis;
     const std::int64_t ii = schedule.ii;
 
+    // One pass: each value ends no earlier than its definition's latency,
+    // and each register operand raises its value's end to the reader's
+    // time + distance * II + 1. Pure live-ins are allocated outside the
+    // loop and get no lifetime.
+    std::vector<std::int64_t> end_time(loop.numRegisters(), 0);
+    for (ir::RegId reg = 0; reg < loop.numRegisters(); ++reg) {
+        const ir::OpId def = loop.definingOp(reg);
+        if (def >= 0) {
+            end_time[reg] = static_cast<std::int64_t>(schedule.times[def]) +
+                            machine.latency(loop.operation(def).opcode);
+        }
+    }
+    for (const auto& op : loop.operations()) {
+        const auto consider = [&](const ir::Operand& src) {
+            if (!src.isRegister())
+                return;
+            const std::int64_t use_end =
+                schedule.times[op.id] + src.distance * ii + 1;
+            end_time[src.reg] = std::max(end_time[src.reg], use_end);
+        };
+        for (const auto& src : op.sources)
+            consider(src);
+        if (op.guard)
+            consider(*op.guard);
+    }
+
+    analysis.lifetimes.reserve(loop.numRegisters());
     for (ir::RegId reg = 0; reg < loop.numRegisters(); ++reg) {
         const ir::OpId def = loop.definingOp(reg);
         if (def < 0)
-            continue; // pure live-in: allocated outside the loop
+            continue;
         RegisterLifetime lifetime;
         lifetime.reg = reg;
         lifetime.def = def;
         lifetime.defTime = schedule.times[def];
-        std::int64_t end_time = static_cast<std::int64_t>(lifetime.defTime) +
-                                machine.latency(loop.operation(def).opcode);
-
-        for (const auto& op : loop.operations()) {
-            auto consider = [&](const ir::Operand& src) {
-                if (!src.isRegister() || src.reg != reg)
-                    return;
-                const std::int64_t use_end =
-                    schedule.times[op.id] + src.distance * ii + 1;
-                end_time = std::max(end_time, use_end);
-            };
-            for (const auto& src : op.sources)
-                consider(src);
-            if (op.guard)
-                consider(*op.guard);
-        }
-        lifetime.endTime = checkedLifetimeInt(end_time, "lifetime end");
+        lifetime.endTime = checkedLifetimeInt(end_time[reg], "lifetime end");
         analysis.lifetimes.push_back(lifetime);
     }
 

@@ -7,12 +7,11 @@ namespace ims::codegen {
 const RegisterAssignment&
 RegisterAllocation::of(ir::RegId reg) const
 {
-    for (const auto& assignment : assignments) {
-        if (assignment.reg == reg)
-            return assignment;
-    }
-    assert(false && "register has no assignment");
-    return assignments.front();
+    // allocateRegisters emits one assignment per register, in id order.
+    assert(reg >= 0 && reg < static_cast<ir::RegId>(assignments.size()));
+    const RegisterAssignment& assignment = assignments[reg];
+    assert(assignment.reg == reg && "assignments not indexed by register");
+    return assignment;
 }
 
 std::string
@@ -35,6 +34,7 @@ allocateRegisters(const ir::Loop& loop, const LifetimeAnalysis& lifetimes,
     std::int64_t next_rotating = 0;
     int next_static = 0;
 
+    allocation.assignments.reserve(loop.numRegisters());
     for (ir::RegId reg = 0; reg < loop.numRegisters(); ++reg) {
         RegisterAssignment assignment;
         assignment.reg = reg;

@@ -30,13 +30,14 @@ struct RegisterAssignment
 /** Result of kernel register allocation. */
 struct RegisterAllocation
 {
+    /** One per loop register, indexed by register id. */
     std::vector<RegisterAssignment> assignments;
     /** Rotating registers consumed (the EVR-backing file, [35]). */
     int rotatingRegisters = 0;
     /** Static registers consumed (loop invariants / pure live-ins). */
     int staticRegisters = 0;
 
-    /** Assignment for `reg` (must exist). */
+    /** Assignment for `reg` (must exist), in O(1). */
     const RegisterAssignment& of(ir::RegId reg) const;
 
     /**

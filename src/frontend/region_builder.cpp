@@ -16,8 +16,9 @@ RegionBuilder::RegionBuilder(std::string name)
 RegionBuilder&
 RegionBuilder::liveIn(const std::string& name)
 {
-    support::check(kinds_.count(name) == 0,
-                   "variable '" + name + "' already declared");
+    support::check(kinds_.count(name) == 0, [&] {
+        return "variable '" + name + "' already declared";
+    });
     kinds_[name] = VarKind::kInvariant;
     builder_.liveIn(name);
     return *this;
@@ -26,8 +27,9 @@ RegionBuilder::liveIn(const std::string& name)
 RegionBuilder&
 RegionBuilder::recurrence(const std::string& name)
 {
-    support::check(kinds_.count(name) == 0,
-                   "variable '" + name + "' already declared");
+    support::check(kinds_.count(name) == 0, [&] {
+        return "variable '" + name + "' already declared";
+    });
     kinds_[name] = VarKind::kRecurrence;
     builder_.liveIn(name);
     return *this;
@@ -73,16 +75,18 @@ RegionBuilder::use(const std::string& name, int distance)
     if (distance > 0) {
         support::check(kind_it != kinds_.end() &&
                            kind_it->second == VarKind::kRecurrence,
-                       "cross-iteration read of non-recurrence variable "
-                       "'" + name + "'");
+                       [&] {
+                           return "cross-iteration read of non-recurrence "
+                                  "variable '" + name + "'";
+                       });
         return builder_.reg(name, distance);
     }
     const std::string version = lookupVersion(name);
     if (!version.empty())
         return builder_.reg(version);
-    support::check(kind_it != kinds_.end(),
-                   "read of undeclared, unassigned variable '" + name +
-                       "'");
+    support::check(kind_it != kinds_.end(), [&] {
+        return "read of undeclared, unassigned variable '" + name + "'";
+    });
     if (kind_it->second == VarKind::kRecurrence) {
         // Source semantics: the not-yet-assigned carried variable holds
         // the previous iteration's final value.
@@ -105,7 +109,9 @@ RegionBuilder::assign(Opcode opcode, const std::string& name,
     const auto kind_it = kinds_.find(name);
     support::check(kind_it == kinds_.end() ||
                        kind_it->second != VarKind::kInvariant,
-                   "cannot assign to invariant '" + name + "'");
+                   [&] {
+                       return "cannot assign to invariant '" + name + "'";
+                   });
     if (kind_it == kinds_.end())
         kinds_[name] = VarKind::kLocal;
     const std::string version = freshName(name);
@@ -121,7 +127,9 @@ RegionBuilder::load(const std::string& name, const std::string& array,
     const auto kind_it = kinds_.find(name);
     support::check(kind_it == kinds_.end() ||
                        kind_it->second != VarKind::kInvariant,
-                   "cannot assign to invariant '" + name + "'");
+                   [&] {
+                       return "cannot assign to invariant '" + name + "'";
+                   });
     if (kind_it == kinds_.end())
         kinds_[name] = VarKind::kLocal;
     const std::string version = freshName(name);

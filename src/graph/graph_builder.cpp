@@ -8,18 +8,17 @@ namespace ims::graph {
 
 namespace {
 
-/** All register-read operands of `op`, guard included. */
-std::vector<ir::Operand>
-registerReads(const ir::Operation& op)
+/** Call `visit` on each register-read operand of `op`, guard last. */
+template <typename Visit>
+void
+forEachRegisterRead(const ir::Operation& op, Visit&& visit)
 {
-    std::vector<ir::Operand> reads;
     for (const auto& src : op.sources) {
         if (src.isRegister())
-            reads.push_back(src);
+            visit(src);
     }
     if (op.guard)
-        reads.push_back(*op.guard);
-    return reads;
+        visit(*op.guard);
 }
 
 } // namespace
@@ -53,21 +52,22 @@ buildDepGraph(const ir::Loop& loop, const machine::MachineModel& machine,
 
     // Collect readers of each register for the non-DSA anti-dependences.
     for (const auto& op : loop.operations()) {
-        support::check(machine.supports(op.opcode),
-                       "machine '" + machine.name() +
-                           "' does not implement opcode " +
-                           ir::opcodeName(op.opcode));
-        for (const auto& read : registerReads(op)) {
+        support::check(machine.supports(op.opcode), [&] {
+            return "machine '" + machine.name() +
+                   "' does not implement opcode " +
+                   ir::opcodeName(op.opcode);
+        });
+        forEachRegisterRead(op, [&](const ir::Operand& read) {
             const ir::OpId def = loop.definingOp(read.reg);
             if (def < 0)
-                continue; // pure live-in: no producing operation
+                return; // pure live-in: no producing operation
             const bool is_control = op.guard && read.reg == op.guard->reg &&
                                     read.distance == op.guard->distance &&
                                     loop.reg(read.reg).isPredicate;
             add_dep(def, op.id,
                     is_control ? DepKind::kControl : DepKind::kFlow,
                     read.distance, false);
-        }
+        });
     }
 
     if (!options.dsaForm) {
@@ -81,17 +81,17 @@ buildDepGraph(const ir::Loop& loop, const machine::MachineModel& machine,
             add_dep(op.id, op.id, DepKind::kOutput, 1, false);
         }
         for (const auto& op : loop.operations()) {
-            for (const auto& read : registerReads(op)) {
+            forEachRegisterRead(op, [&](const ir::Operand& read) {
                 const ir::OpId def = loop.definingOp(read.reg);
                 if (def < 0)
-                    continue;
+                    return;
                 // The read (of the value written `distance` back) must
                 // precede the overwriting definition, which occurs
                 // 1 - distance iterations later.
                 const int anti_distance = 1 - read.distance;
                 if (anti_distance >= 0)
                     add_dep(op.id, def, DepKind::kAnti, anti_distance, false);
-            }
+            });
         }
     }
 
@@ -101,12 +101,32 @@ buildDepGraph(const ir::Loop& loop, const machine::MachineModel& machine,
     // s*(j - i) == oA - oB, i.e. at a single iteration distance (or never,
     // when s does not divide the offset difference). Mixed strides are
     // handled conservatively with distance-0 and distance-1 edges.
+    //
+    // Each array's accesses are listed once, in id order (a counting sort
+    // into one flat array), so pairing visits only same-array pairs, in
+    // the order an all-pairs scan over the operations would.
+    std::vector<int> first_access(loop.numArrays() + 1, 0);
+    for (const auto& op : loop.operations()) {
+        if (op.memRef)
+            ++first_access[op.memRef->array + 1];
+    }
+    for (ir::ArrayId array = 0; array < loop.numArrays(); ++array)
+        first_access[array + 1] += first_access[array];
+    std::vector<ir::OpId> accesses(first_access.back());
+    {
+        std::vector<int> next(first_access.begin(), first_access.end() - 1);
+        for (const auto& op : loop.operations()) {
+            if (op.memRef)
+                accesses[next[op.memRef->array]++] = op.id;
+        }
+    }
     for (const auto& a : loop.operations()) {
         if (!a.memRef)
             continue;
-        for (const auto& b : loop.operations()) {
-            if (!b.memRef || b.memRef->array != a.memRef->array)
-                continue;
+        const ir::ArrayId array = a.memRef->array;
+        for (int k = first_access[array]; k < first_access[array + 1];
+             ++k) {
+            const ir::Operation& b = loop.operation(accesses[k]);
             if (!a.isStore() && !b.isStore())
                 continue; // load-load pairs never conflict
             const bool same_op = a.id == b.id;

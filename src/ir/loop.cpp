@@ -29,10 +29,11 @@ Loop::addOperation(Operation operation)
     operation.id = static_cast<OpId>(operations_.size());
     if (operation.hasDest()) {
         assert(operation.dest >= 0 && operation.dest < numRegisters());
-        support::check(defOf_[operation.dest] < 0,
-                       "register '" + registers_[operation.dest].name +
-                           "' defined more than once (loop is in single "
-                           "assignment form)");
+        support::check(defOf_[operation.dest] < 0, [&] {
+            return "register '" + registers_[operation.dest].name +
+                   "' defined more than once (loop is in single "
+                   "assignment form)";
+        });
         defOf_[operation.dest] = operation.id;
     }
     operations_.push_back(std::move(operation));
@@ -68,70 +69,85 @@ Loop::validate() const
                                 const char* what) {
         if (!src.isRegister())
             return;
-        support::check(src.reg >= 0 && src.reg < numRegisters(),
-                       "operation " + std::to_string(op.id) +
-                           " reads undeclared register");
-        support::check(src.distance >= 0,
-                       "negative operand distance on op " +
-                           std::to_string(op.id));
+        support::check(src.reg >= 0 && src.reg < numRegisters(), [&] {
+            return "operation " + std::to_string(op.id) +
+                   " reads undeclared register";
+        });
+        support::check(src.distance >= 0, [&] {
+            return "negative operand distance on op " +
+                   std::to_string(op.id);
+        });
         const RegisterInfo& info = registers_[src.reg];
         if (src.distance == 0 && !info.isLiveIn) {
-            support::check(defOf_[src.reg] >= 0,
-                           std::string(what) + " of op " +
-                               std::to_string(op.id) + " reads register '" +
-                               info.name + "' which is never defined");
+            support::check(defOf_[src.reg] >= 0, [&] {
+                return std::string(what) + " of op " +
+                       std::to_string(op.id) + " reads register '" +
+                       info.name + "' which is never defined";
+            });
         }
         if (src.distance > 0) {
             // Cross-iteration reads need a live-in seed: at iteration
             // i < distance the value read predates the loop.
-            support::check(info.isLiveIn,
-                           "cross-iteration read of register '" + info.name +
-                               "' which has no pre-loop seed; declare it "
-                               "live-in (recurrence)");
+            support::check(info.isLiveIn, [&] {
+                return "cross-iteration read of register '" + info.name +
+                       "' which has no pre-loop seed; declare it "
+                       "live-in (recurrence)";
+            });
         }
     };
 
     for (const auto& op : operations_) {
         support::check(!isPseudo(op.opcode),
                        "pseudo opcodes may not appear in loop bodies");
-        support::check(static_cast<int>(op.sources.size()) ==
-                           sourceCount(op.opcode),
-                       "operation " + std::to_string(op.id) + " (" +
-                           opcodeName(op.opcode) + ") has " +
-                           std::to_string(op.sources.size()) +
-                           " operands, expected " +
-                           std::to_string(sourceCount(op.opcode)));
-        support::check(definesRegister(op.opcode) == op.hasDest(),
-                       "operation " + std::to_string(op.id) +
-                           " dest does not match opcode");
+        support::check(
+            static_cast<int>(op.sources.size()) == sourceCount(op.opcode),
+            [&] {
+                return "operation " + std::to_string(op.id) + " (" +
+                       opcodeName(op.opcode) + ") has " +
+                       std::to_string(op.sources.size()) +
+                       " operands, expected " +
+                       std::to_string(sourceCount(op.opcode));
+            });
+        support::check(definesRegister(op.opcode) == op.hasDest(), [&] {
+            return "operation " + std::to_string(op.id) +
+                   " dest does not match opcode";
+        });
         if (op.hasDest()) {
             const bool pred_dest = registers_[op.dest].isPredicate;
-            support::check(pred_dest == definesPredicate(op.opcode),
-                           "operation " + std::to_string(op.id) +
-                               " result register class mismatch");
+            support::check(pred_dest == definesPredicate(op.opcode), [&] {
+                return "operation " + std::to_string(op.id) +
+                       " result register class mismatch";
+            });
         }
-        support::check(accessesMemory(op.opcode) == op.memRef.has_value(),
-                       "operation " + std::to_string(op.id) +
-                           " memory reference mismatch");
+        support::check(
+            accessesMemory(op.opcode) == op.memRef.has_value(), [&] {
+                return "operation " + std::to_string(op.id) +
+                       " memory reference mismatch";
+            });
         if (op.memRef) {
-            support::check(op.memRef->array >= 0 &&
-                               op.memRef->array < numArrays(),
-                           "operation " + std::to_string(op.id) +
-                               " references undeclared array");
-            support::check(op.memRef->stride >= 1,
-                           "operation " + std::to_string(op.id) +
-                               " has a non-positive memory stride");
+            support::check(
+                op.memRef->array >= 0 && op.memRef->array < numArrays(),
+                [&] {
+                    return "operation " + std::to_string(op.id) +
+                           " references undeclared array";
+                });
+            support::check(op.memRef->stride >= 1, [&] {
+                return "operation " + std::to_string(op.id) +
+                       " has a non-positive memory stride";
+            });
         }
         for (const auto& src : op.sources)
             check_operand(op, src, "operand");
         if (op.guard) {
-            support::check(op.guard->isRegister(),
-                           "guard of op " + std::to_string(op.id) +
-                               " must be a predicate register");
+            support::check(op.guard->isRegister(), [&] {
+                return "guard of op " + std::to_string(op.id) +
+                       " must be a predicate register";
+            });
             check_operand(op, *op.guard, "guard");
-            support::check(registers_[op.guard->reg].isPredicate,
-                           "guard of op " + std::to_string(op.id) +
-                               " is not a predicate register");
+            support::check(registers_[op.guard->reg].isPredicate, [&] {
+                return "guard of op " + std::to_string(op.id) +
+                       " is not a predicate register";
+            });
         }
     }
 }

@@ -53,10 +53,11 @@ Operand
 LoopBuilder::reg(const std::string& name, int distance)
 {
     auto it = regByName_.find(name);
-    support::check(it != regByName_.end(),
-                   "operand register '" + name +
-                       "' read before any definition; declare it with "
-                       "liveIn()/recurrence() or define it first");
+    support::check(it != regByName_.end(), [&] {
+        return "operand register '" + name +
+               "' read before any definition; declare it with "
+               "liveIn()/recurrence() or define it first";
+    });
     return Operand::makeReg(it->second, distance);
 }
 

@@ -29,25 +29,29 @@ MachineModel::MachineModel(std::string name,
     // negative latency or use time would become a negative modulo
     // rotation in the MRT.
     for (auto& [opcode, info] : opcodes) {
-        support::check(!info.alternatives.empty(),
-                       "opcode " + ir::opcodeName(opcode) +
-                           " has no alternatives");
-        support::check(info.latency >= 0,
-                       "opcode " + ir::opcodeName(opcode) +
-                           " has negative latency " +
-                           std::to_string(info.latency));
+        support::check(!info.alternatives.empty(), [&] {
+            return "opcode " + ir::opcodeName(opcode) +
+                   " has no alternatives";
+        });
+        support::check(info.latency >= 0, [&] {
+            return "opcode " + ir::opcodeName(opcode) +
+                   " has negative latency " + std::to_string(info.latency);
+        });
         for (const auto& alt : info.alternatives) {
             for (const auto& use : alt.table.uses()) {
-                support::check(use.resource >= 0 &&
-                                   use.resource < numResources(),
-                               "reservation table for " +
-                                   ir::opcodeName(opcode) +
-                                   " uses undeclared resource");
-                support::check(use.time >= 0,
-                               "reservation table for " +
-                                   ir::opcodeName(opcode) +
-                                   " uses a resource at negative time " +
-                                   std::to_string(use.time));
+                support::check(
+                    use.resource >= 0 && use.resource < numResources(),
+                    [&] {
+                        return "reservation table for " +
+                               ir::opcodeName(opcode) +
+                               " uses undeclared resource";
+                    });
+                support::check(use.time >= 0, [&] {
+                    return "reservation table for " +
+                           ir::opcodeName(opcode) +
+                           " uses a resource at negative time " +
+                           std::to_string(use.time);
+                });
             }
         }
         infoByOpcode_[static_cast<std::size_t>(opcode)] = std::move(info);

@@ -34,57 +34,58 @@ void
 validateStatement(const Block& block, const Statement& statement,
                   const std::string& trip_var)
 {
-    const std::string where =
-        "block '" + block.name + "': statement '" +
-        ir::opcodeName(statement.opcode) +
-        (statement.dest.empty() ? "" : " " + statement.dest) + "'";
+    const auto where = [&] {
+        return "block '" + block.name + "': statement '" +
+               ir::opcodeName(statement.opcode) +
+               (statement.dest.empty() ? "" : " " + statement.dest) + "'";
+    };
+    const auto require = [&](bool condition, const char* what) {
+        support::check(condition, [&] { return where() + ": " + what; });
+    };
 
-    support::check(blockOpcodeAllowed(statement.opcode),
-                   where + ": opcode not allowed in straight-line blocks");
-    support::check(!isControlVar(statement.dest),
-                   where + ": '" + std::string(1, kControlVarPrefix) +
-                       "'-prefixed variables are reserved for the "
-                       "compiler's loop-control state");
-    support::check(statement.dest != trip_var,
-                   where + ": blocks must not assign the trip-count "
-                           "variable '" +
-                       trip_var + "'");
+    require(blockOpcodeAllowed(statement.opcode),
+            "opcode not allowed in straight-line blocks");
+    support::check(!isControlVar(statement.dest), [&] {
+        return where() + ": '" + std::string(1, kControlVarPrefix) +
+               "'-prefixed variables are reserved for the "
+               "compiler's loop-control state";
+    });
+    support::check(statement.dest != trip_var, [&] {
+        return where() + ": blocks must not assign the trip-count "
+                         "variable '" +
+               trip_var + "'";
+    });
     for (const auto& source : statement.sources) {
         if (source.isVariable()) {
-            support::check(!source.var.empty(),
-                           where + ": empty source variable name");
-            support::check(!isControlVar(source.var),
-                           where + ": reads reserved control variable '" +
-                               source.var + "'");
+            require(!source.var.empty(), "empty source variable name");
+            support::check(!isControlVar(source.var), [&] {
+                return where() + ": reads reserved control variable '" +
+                       source.var + "'";
+            });
         }
     }
 
     if (statement.opcode == ir::Opcode::kLoad) {
-        support::check(!statement.dest.empty(),
-                       where + ": load needs a destination variable");
-        support::check(!statement.array.empty(),
-                       where + ": load needs an array");
-        support::check(statement.sources.empty(),
-                       where + ": load takes no value operands (the "
-                               "element index is part of the statement)");
+        require(!statement.dest.empty(), "load needs a destination variable");
+        require(!statement.array.empty(), "load needs an array");
+        require(statement.sources.empty(),
+                "load takes no value operands (the element index is part "
+                "of the statement)");
         return;
     }
     if (statement.opcode == ir::Opcode::kStore) {
-        support::check(statement.dest.empty(),
-                       where + ": store has no destination variable");
-        support::check(!statement.array.empty(),
-                       where + ": store needs an array");
-        support::check(statement.sources.size() == 1,
-                       where + ": store takes exactly the stored value");
+        require(statement.dest.empty(), "store has no destination variable");
+        require(!statement.array.empty(), "store needs an array");
+        require(statement.sources.size() == 1,
+                "store takes exactly the stored value");
         return;
     }
-    support::check(!statement.dest.empty(),
-                   where + ": arithmetic statement needs a destination");
-    support::check(statement.array.empty(),
-                   where + ": only load/store reference arrays");
-    support::check(static_cast<int>(statement.sources.size()) ==
-                       ir::sourceCount(statement.opcode),
-                   where + ": operand count does not match the opcode");
+    require(!statement.dest.empty(),
+            "arithmetic statement needs a destination");
+    require(statement.array.empty(), "only load/store reference arrays");
+    require(static_cast<int>(statement.sources.size()) ==
+                ir::sourceCount(statement.opcode),
+            "operand count does not match the opcode");
 }
 
 } // namespace
@@ -105,17 +106,18 @@ Program::validate() const
     support::check(!name.empty(), "program needs a name");
     loop.body.validate();
 
-    support::check(!loop.tripVar.empty(),
-                   "program '" + name + "': loop section needs a "
-                                        "trip-count variable");
-    support::check(!isControlVar(loop.tripVar),
-                   "program '" + name + "': trip variable uses the "
-                                        "reserved control prefix");
+    const auto require = [&](bool condition, const char* what) {
+        support::check(condition,
+                       [&] { return "program '" + name + "': " + what; });
+    };
+    require(!loop.tripVar.empty(),
+            "loop section needs a trip-count variable");
+    require(!isControlVar(loop.tripVar),
+            "trip variable uses the reserved control prefix");
 
     for (const auto* blocks : {&preBlocks, &postBlocks}) {
         for (const auto& block : *blocks) {
-            support::check(!block.name.empty(),
-                           "program '" + name + "': block needs a name");
+            require(!block.name.empty(), "block needs a name");
             for (const auto& statement : block.statements)
                 validateStatement(block, statement, loop.tripVar);
         }
@@ -132,47 +134,51 @@ Program::validate() const
 
     for (const auto& [reg, var] : loop.liveInBindings) {
         const ir::RegId id = regIdByName(reg);
-        support::check(id != ir::kNoReg && loop.body.reg(id).isLiveIn,
-                       "program '" + name + "': live-in binding for '" +
-                           reg + "' names no live-in loop register");
-        support::check(!var.empty() && !isControlVar(var),
-                       "program '" + name + "': live-in binding for '" +
-                           reg + "' uses an invalid variable name");
+        support::check(id != ir::kNoReg && loop.body.reg(id).isLiveIn, [&] {
+            return "program '" + name + "': live-in binding for '" + reg +
+                   "' names no live-in loop register";
+        });
+        support::check(!var.empty() && !isControlVar(var), [&] {
+            return "program '" + name + "': live-in binding for '" + reg +
+                   "' uses an invalid variable name";
+        });
     }
     for (const auto& [reg, vars] : loop.seedBindings) {
         const ir::RegId id = regIdByName(reg);
-        support::check(id != ir::kNoReg && loop.body.definingOp(id) >= 0,
-                       "program '" + name + "': seed binding for '" + reg +
-                           "' names no in-loop-defined register");
+        support::check(
+            id != ir::kNoReg && loop.body.definingOp(id) >= 0, [&] {
+                return "program '" + name + "': seed binding for '" + reg +
+                       "' names no in-loop-defined register";
+            });
         for (const auto& var : vars) {
-            support::check(!var.empty() && !isControlVar(var),
-                           "program '" + name + "': seed binding for '" +
-                               reg + "' uses an invalid variable name");
+            support::check(!var.empty() && !isControlVar(var), [&] {
+                return "program '" + name + "': seed binding for '" + reg +
+                       "' uses an invalid variable name";
+            });
         }
     }
     const bool early_exit = loop.hasEarlyExit();
-    support::check(!early_exit || loop.outputs.empty(),
-                   "program '" + name + "': WHILE-loops cannot bind "
-                                        "register outputs (post-exit state "
-                                        "is speculative)");
+    require(!early_exit || loop.outputs.empty(),
+            "WHILE-loops cannot bind register outputs (post-exit state is "
+            "speculative)");
     for (const auto& [var, reg] : loop.outputs) {
         const ir::RegId id = regIdByName(reg);
-        support::check(id != ir::kNoReg && loop.body.definingOp(id) >= 0,
-                       "program '" + name + "': output '" + var +
-                           "' binds no in-loop-defined register");
-        support::check(!var.empty() && !isControlVar(var) &&
-                           var != loop.tripVar,
-                       "program '" + name + "': output variable '" + var +
-                           "' is invalid");
+        support::check(
+            id != ir::kNoReg && loop.body.definingOp(id) >= 0, [&] {
+                return "program '" + name + "': output '" + var +
+                       "' binds no in-loop-defined register";
+            });
+        support::check(
+            !var.empty() && !isControlVar(var) && var != loop.tripVar, [&] {
+                return "program '" + name + "': output variable '" + var +
+                       "' is invalid";
+            });
     }
     if (!loop.itersVar.empty()) {
-        support::check(!isControlVar(loop.itersVar) &&
-                           loop.itersVar != loop.tripVar &&
-                           loop.outputs.find(loop.itersVar) ==
-                               loop.outputs.end(),
-                       "program '" + name + "': iteration-count variable "
-                                            "collides with another "
-                                            "binding");
+        require(!isControlVar(loop.itersVar) &&
+                    loop.itersVar != loop.tripVar &&
+                    loop.outputs.find(loop.itersVar) == loop.outputs.end(),
+                "iteration-count variable collides with another binding");
     }
 }
 

@@ -23,14 +23,17 @@ isControlVar(const std::string& name)
     return !name.empty() && name[0] == kControlVarPrefix;
 }
 
+/** `variables[name]`; `who()` names the reader when the variable is
+    undefined. */
+template <typename WhoFn>
 sim::Value
 readVariable(const Variables& variables, const std::string& name,
-             const std::string& who)
+             WhoFn&& who)
 {
     const auto it = variables.find(name);
-    support::check(it != variables.end(),
-                   who + " reads undefined program variable '" + name +
-                       "'");
+    support::check(it != variables.end(), [&] {
+        return who() + " reads undefined program variable '" + name + "'";
+    });
     return it->second;
 }
 
@@ -94,17 +97,20 @@ makeLoopSpec(const LoopSection& loop, int trip, const Variables& variables,
     for (const auto& reg : loop.body.registers()) {
         if (!reg.isLiveIn)
             continue;
-        spec.liveIn[reg.name] = readVariable(
-            variables, loop.liveInVar(reg.name),
-            "loop '" + loop.body.name() + "' live-in '" + reg.name + "'");
+        spec.liveIn[reg.name] =
+            readVariable(variables, loop.liveInVar(reg.name), [&] {
+                return "loop '" + loop.body.name() + "' live-in '" +
+                       reg.name + "'";
+            });
     }
     for (const auto& [reg, vars] : loop.seedBindings) {
         std::vector<sim::Value> seeds;
         seeds.reserve(vars.size());
         for (const auto& var : vars) {
-            seeds.push_back(readVariable(variables, var,
-                                         "loop '" + loop.body.name() +
-                                             "' seed for '" + reg + "'"));
+            seeds.push_back(readVariable(variables, var, [&] {
+                return "loop '" + loop.body.name() + "' seed for '" + reg +
+                       "'";
+            }));
         }
         spec.seeds[reg] = std::move(seeds);
     }
@@ -151,10 +157,10 @@ applyLoopOutputs(const LoopSection& loop,
     if (trip >= 1 && !loop.hasEarlyExit()) {
         for (const auto& [var, reg] : loop.outputs) {
             const auto it = final_registers.find(reg);
-            support::check(it != final_registers.end(),
-                           "loop '" + loop.body.name() + "' output '" +
-                               var + "': register '" + reg +
-                               "' has no final value");
+            support::check(it != final_registers.end(), [&] {
+                return "loop '" + loop.body.name() + "' output '" + var +
+                       "': register '" + reg + "' has no final value";
+            });
             variables[var] = it->second;
         }
     }
@@ -170,9 +176,10 @@ void
 runStatement(const Block& block, const Statement& statement,
              Variables& variables, ArrayStore& store)
 {
-    const std::string who =
-        "block '" + block.name + "' statement '" +
-        ir::opcodeName(statement.opcode) + "'";
+    const auto who = [&] {
+        return "block '" + block.name + "' statement '" +
+               ir::opcodeName(statement.opcode) + "'";
+    };
     if (statement.opcode == ir::Opcode::kLoad) {
         variables[statement.dest] =
             readCell(store, statement.array, statement.index);
@@ -225,6 +232,7 @@ struct BlockRun
         regs.assign(compiled.body.numRegisters(), 0.0);
         written.assign(compiled.body.numRegisters(), 0);
         deferred.assign(compiled.body.numRegisters(), 0);
+        const auto reader = [&] { return "block '" + compiled.name + "'"; };
         for (ir::RegId id = 0; id < compiled.body.numRegisters(); ++id) {
             if (!compiled.body.reg(id).isLiveIn)
                 continue;
@@ -232,8 +240,8 @@ struct BlockRun
                 deferred[id] = 1;
                 continue;
             }
-            regs[id] = readVariable(variables, compiled.body.reg(id).name,
-                                    "block '" + compiled.name + "'");
+            regs[id] =
+                readVariable(variables, compiled.body.reg(id).name, reader);
             written[id] = 1;
         }
     }
@@ -242,11 +250,12 @@ struct BlockRun
     void
     refreshLiveIns(const Variables& variables)
     {
+        const auto reader = [&] { return "block '" + block->name + "'"; };
         for (ir::RegId id = 0; id < block->body.numRegisters(); ++id) {
             if (!deferred[id])
                 continue;
-            regs[id] = readVariable(variables, block->body.reg(id).name,
-                                    "block '" + block->name + "'");
+            regs[id] =
+                readVariable(variables, block->body.reg(id).name, reader);
             written[id] = 1;
             deferred[id] = 0;
         }
@@ -257,16 +266,17 @@ struct BlockRun
     {
         if (!op.isRegister())
             return op.immediate;
-        support::check(!deferred[op.reg],
-                       "block '" + block->name + "' reads variable '" +
-                           block->body.reg(op.reg).name +
-                           "' before the loop marshaled it out "
-                           "(compression eligibility bug)");
-        support::check(written[op.reg],
-                       "block '" + block->name + "' reads register '" +
-                           block->body.reg(op.reg).name +
-                           "' before its definition executed (schedule "
-                           "bug)");
+        support::check(!deferred[op.reg], [&] {
+            return "block '" + block->name + "' reads variable '" +
+                   block->body.reg(op.reg).name +
+                   "' before the loop marshaled it out "
+                   "(compression eligibility bug)";
+        });
+        support::check(written[op.reg], [&] {
+            return "block '" + block->name + "' reads register '" +
+                   block->body.reg(op.reg).name +
+                   "' before its definition executed (schedule bug)";
+        });
         return regs[op.reg];
     }
 
@@ -320,12 +330,13 @@ struct BlockRun
 };
 
 long long
-roundedCount(sim::Value value, const std::string& what)
+roundedCount(sim::Value value, const char* what)
 {
     const long long count = std::llround(value);
-    support::check(std::isfinite(value) && count >= 0,
-                   what + " must be a non-negative count, got " +
-                       std::to_string(value));
+    support::check(std::isfinite(value) && count >= 0, [&] {
+        return std::string(what) + " must be a non-negative count, got " +
+               std::to_string(value);
+    });
     return count;
 }
 
@@ -476,16 +487,16 @@ runProgramCompiled(const CompiledProgram& compiled,
 
     // The EC/LC registers were computed by the lowered statements above;
     // their values now control the remaining phases.
+    const auto loop_control = [] { return std::string("loop control"); };
     const long long lc = roundedCount(
-        readVariable(variables, compiled.control.lc, "loop control"),
-        "$lc");
+        readVariable(variables, compiled.control.lc, loop_control), "$lc");
     const long long ec = roundedCount(
-        readVariable(variables, compiled.control.ec, "loop control"),
-        "$ec");
-    support::check(lc + ec == trip,
-                   "EC/LC lowering is inconsistent: lc + ec = " +
-                       std::to_string(lc + ec) + " but trip = " +
-                       std::to_string(trip));
+        readVariable(variables, compiled.control.ec, loop_control), "$ec");
+    support::check(lc + ec == trip, [&] {
+        return "EC/LC lowering is inconsistent: lc + ec = " +
+               std::to_string(lc + ec) + " but trip = " +
+               std::to_string(trip);
+    });
 
     // Steady state: $lc unpredicated repetitions.
     for (long long s = 0; s < lc; ++s) {

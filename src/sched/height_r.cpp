@@ -94,10 +94,10 @@ computeAcyclicHeight(const graph::DepGraph& graph,
     std::vector<int> state(n, 0); // 0 unvisited, 1 in progress, 2 done
 
     // Iterative DFS computing heights bottom-up.
+    std::vector<std::pair<graph::VertexId, std::size_t>> stack;
     for (graph::VertexId root = 0; root < n; ++root) {
         if (state[root] != 0)
             continue;
-        std::vector<std::pair<graph::VertexId, std::size_t>> stack;
         stack.emplace_back(root, 0);
         state[root] = 1;
         while (!stack.empty()) {

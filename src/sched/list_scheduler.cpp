@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
-#include <utility>
+#include <numeric>
+#include <vector>
 
 #include "sched/height_r.hpp"
 
@@ -11,15 +11,26 @@ namespace ims::sched {
 
 namespace {
 
-/** Unbounded (linear) schedule reservation table. */
+/**
+ * Unbounded (linear) schedule reservation table. Each resource keeps its
+ * busy cycles in one sorted vector: a probe is a binary search and a
+ * reservation an in-place insertion, so memory follows the reservations
+ * made, not the schedule length or the reservation-use times.
+ */
 class LinearReservationTable
 {
   public:
+    explicit LinearReservationTable(int num_resources) : busy_(num_resources)
+    {
+    }
+
     bool
     conflicts(const machine::ReservationTable& table, int time) const
     {
         for (const auto& use : table.uses()) {
-            if (cells_.count({time + use.time, use.resource}) != 0)
+            const std::vector<int>& cycles = busy_[use.resource];
+            if (std::binary_search(cycles.begin(), cycles.end(),
+                                   time + use.time))
                 return true;
         }
         return false;
@@ -29,14 +40,17 @@ class LinearReservationTable
     reserve(const machine::ReservationTable& table, int time)
     {
         for (const auto& use : table.uses()) {
-            [[maybe_unused]] const bool inserted =
-                cells_.insert({time + use.time, use.resource}).second;
-            assert(inserted);
+            std::vector<int>& cycles = busy_[use.resource];
+            const int cycle = time + use.time;
+            const auto at =
+                std::lower_bound(cycles.begin(), cycles.end(), cycle);
+            assert(at == cycles.end() || *at != cycle);
+            cycles.insert(at, cycle);
         }
     }
 
   private:
-    std::set<std::pair<int, machine::ResourceId>> cells_;
+    std::vector<std::vector<int>> busy_;
 };
 
 } // namespace
@@ -56,9 +70,8 @@ listSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
     // conflict-free slot at or after its Estart over already-placed
     // predecessors. Every predecessor of an op has strictly greater
     // height + delay, hence is placed earlier in this order.
-    std::vector<graph::VertexId> order;
-    for (graph::VertexId v = 0; v < graph.numVertices(); ++v)
-        order.push_back(v);
+    std::vector<graph::VertexId> order(graph.numVertices());
+    std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(),
               [&](graph::VertexId a, graph::VertexId b) {
                   return height[a] != height[b] ? height[a] > height[b]
@@ -68,7 +81,7 @@ listSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
     std::vector<int> time(graph.numVertices(), 0);
     std::vector<int> alternative(graph.numVertices(), 0);
     std::vector<bool> placed(graph.numVertices(), false);
-    LinearReservationTable reservations;
+    LinearReservationTable reservations(machine.numResources());
 
     for (graph::VertexId v : order) {
         // Estart over placed predecessors (distance-0 edges only).

@@ -113,16 +113,18 @@ parseOptionsText(const std::string& text)
         if (line.empty())
             continue;
         const auto space = line.find(' ');
-        support::check(space != std::string::npos,
-                       "options text line " + std::to_string(line_no) +
-                           ": expected 'key value'");
+        support::check(space != std::string::npos, [&] {
+            return "options text line " + std::to_string(line_no) +
+                   ": expected 'key value'";
+        });
         const std::string key = line.substr(0, space);
         const std::string value = line.substr(space + 1);
         try {
             if (key == "strategy") {
                 const auto strategy = sched::schedulerStrategyByName(value);
-                support::check(strategy.has_value(),
-                               "unknown strategy '" + value + "'");
+                support::check(strategy.has_value(), [&] {
+                    return "unknown strategy '" + value + "'";
+                });
                 options.schedule.strategy = *strategy;
             } else if (key == "budget_ratio") {
                 std::size_t used = 0;
@@ -133,8 +135,9 @@ parseOptionsText(const std::string& text)
                 options.schedule.search.maxIiIncrease = wholeNumber<int>(value);
             } else if (key == "priority") {
                 const auto scheme = sched::prioritySchemeByName(value);
-                support::check(scheme.has_value(),
-                               "unknown priority '" + value + "'");
+                support::check(scheme.has_value(), [&] {
+                    return "unknown priority '" + value + "'";
+                });
                 options.schedule.priority = *scheme;
             } else if (key == "forward_progress") {
                 options.schedule.forwardProgressRule = value == "1";
@@ -146,8 +149,9 @@ parseOptionsText(const std::string& text)
                     wholeNumber<std::int64_t>(value);
             } else if (key == "delay_mode") {
                 const auto mode = graph::delayModeByName(value);
-                support::check(mode.has_value(),
-                               "unknown delay mode '" + value + "'");
+                support::check(mode.has_value(), [&] {
+                    return "unknown delay mode '" + value + "'";
+                });
                 options.graph.delayMode = *mode;
             } else if (key == "dsa_form") {
                 options.graph.dsaForm = value == "1";

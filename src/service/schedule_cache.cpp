@@ -178,8 +178,9 @@ ScheduleCache::parseSaveText(const std::string& text)
         return line;
     };
     const std::string header = read_line();
-    support::check(header == "ims-schedule-cache v1",
-                   "cache file: unknown header '" + header + "'");
+    support::check(header == "ims-schedule-cache v1", [&] {
+        return "cache file: unknown header '" + header + "'";
+    });
 
     std::vector<CacheKey> keys;
     while (pos < text.size()) {
@@ -192,7 +193,10 @@ ScheduleCache::parseSaveText(const std::string& text)
                            support::parseNumber(words[1], bytes[0]) &&
                            support::parseNumber(words[2], bytes[1]) &&
                            support::parseNumber(words[3], bytes[2]),
-                       "cache file: malformed entry line '" + line + "'");
+                       [&] {
+                           return "cache file: malformed entry line '" +
+                                  line + "'";
+                       });
         // Each count is checked against the text that is left before
         // anything is allocated for it.
         std::string blocks[3];

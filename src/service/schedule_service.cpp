@@ -278,19 +278,26 @@ ScheduleService::loadCacheText(const std::string& text)
         // any mismatch means the file was edited or corrupted and the
         // entry would be keyed inconsistently.
         const ir::Loop loop = ir::parseLoop(saved.loopText);
-        support::check(ir::printLoop(loop) == saved.loopText,
-                       "cache file: non-canonical loop text for entry " +
-                           loop.name());
+        support::check(ir::printLoop(loop) == saved.loopText, [&] {
+            return "cache file: non-canonical loop text for entry " +
+                   loop.name();
+        });
         const machine::MachineModel machine =
             machine::parseMachine(saved.machineText);
         support::check(machine::printMachine(machine) == saved.machineText,
-                       "cache file: non-canonical machine text for entry " +
-                           loop.name());
+                       [&] {
+                           return "cache file: non-canonical machine text "
+                                  "for entry " +
+                                  loop.name();
+                       });
         const core::PipelinerOptions options =
             parseOptionsText(saved.optionsText);
         support::check(canonicalOptionsText(options) == saved.optionsText,
-                       "cache file: non-canonical options text for entry " +
-                           loop.name());
+                       [&] {
+                           return "cache file: non-canonical options text "
+                                  "for entry " +
+                                  loop.name();
+                       });
 
         const core::SoftwarePipeliner pipeliner(machine, options);
         core::PipelineResult result =

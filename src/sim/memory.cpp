@@ -31,8 +31,12 @@ Memory::cellIndex(ir::ArrayId array, int index) const
     const long long cell = static_cast<long long>(index) + margin_;
     support::check(cell >= 0 &&
                        cell < static_cast<long long>(arrays_[array].size()),
-                   "array access out of simulated bounds (index " +
-                       std::to_string(index) + "); increase the margin");
+                   [&] {
+                       return "array access out of simulated bounds "
+                              "(index " +
+                              std::to_string(index) +
+                              "); increase the margin";
+                   });
     return static_cast<std::size_t>(cell);
 }
 

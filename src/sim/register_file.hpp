@@ -53,11 +53,12 @@ class RegisterFile
             }
             return liveIn_[reg];
         }
-        support::check(written_[reg][iter],
-                       "read of register '" + loop_.reg(reg).name +
-                           "' at iteration " + std::to_string(iter) +
-                           " before its definition executed (body not in "
-                           "topological order, or schedule bug)");
+        support::check(written_[reg][iter], [&] {
+            return "read of register '" + loop_.reg(reg).name +
+                   "' at iteration " + std::to_string(iter) +
+                   " before its definition executed (body not in "
+                   "topological order, or schedule bug)";
+        });
         return values_[reg][iter];
     }
 

@@ -56,10 +56,10 @@ executeSection(const ir::Loop& loop, const codegen::CodeSection& section,
                int iteration_base, int trip, RegisterFile& registers,
                Memory& memory)
 {
-    for (const auto& cycle : section.cycles) {
+    for (int c = 0; c < section.numCycles(); ++c) {
         // Loads and ALU ops first, then stores (same-cycle ordering).
         for (const bool store_phase : {false, true}) {
-            for (const auto& instance : cycle) {
+            for (const auto& instance : section.cycle(c)) {
                 const int iter = iteration_base + instance.iterationOffset;
                 if (iter < 0 || iter >= trip)
                     continue;

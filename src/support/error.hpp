@@ -3,6 +3,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 namespace ims::support {
@@ -44,8 +45,28 @@ class CodedError : public Error
     std::string code_;
 };
 
-/** Throw ims::support::Error with the given message if `condition` fails. */
-void check(bool condition, const std::string& message);
+/** Throw ims::support::Error with `message` if `condition` fails. */
+inline void
+check(bool condition, const char* message)
+{
+    if (!condition) [[unlikely]]
+        throw Error(message);
+}
+
+/**
+ * Throw ims::support::Error with the text `message()` returns if
+ * `condition` fails. The message is built only then, so a check on a hot
+ * path costs one branch: pass `[&] { return "..." + name; }` wherever
+ * the text is assembled at run time.
+ */
+template <typename MessageFn>
+    requires std::is_invocable_r_v<std::string, MessageFn&>
+inline void
+check(bool condition, MessageFn&& message)
+{
+    if (!condition) [[unlikely]]
+        throw Error(message());
+}
 
 } // namespace ims::support
 

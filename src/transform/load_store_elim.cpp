@@ -146,9 +146,10 @@ forwardedSimSpec(const ForwardingResult& result, const sim::SimSpec& spec)
     const int depth = result.loop.maxDistance();
     for (const auto& rule : result.seedRules) {
         const auto array_it = spec.arrays.find(rule.array);
-        support::check(array_it != spec.arrays.end(),
-                       "forwarded array '" + rule.array +
-                           "' has no initial image in the spec");
+        support::check(array_it != spec.arrays.end(), [&] {
+            return "forwarded array '" + rule.array +
+                   "' has no initial image in the spec";
+        });
         const int first = array_it->second.first;
         const auto& contents = array_it->second.second;
         std::vector<sim::Value> seeds;

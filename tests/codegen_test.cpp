@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,8 @@
 #include "ir/parser.hpp"
 #include "machine/cydra5.hpp"
 #include "machine/machines.hpp"
+#include "reference_loops.hpp"
+#include "sched/schedule.hpp"
 #include "sim/section_executor.hpp"
 #include "support/error.hpp"
 #include "workloads/corpus.hpp"
@@ -406,6 +410,177 @@ TEST(EmitTest, MveUnrolledKernelEmitsEachCopy)
         w.loop, artifacts.code, artifacts.registers);
     EXPECT_NE(listing.find("kernel (copy 0)"), std::string::npos);
     EXPECT_NE(listing.find("kernel (copy 1)"), std::string::npos);
+}
+
+/**
+ * Each defined register's lifetime end by the scan the analysis did before
+ * it became one pass: for every register, every operand and guard of
+ * every operation. O(registers x operands).
+ */
+std::vector<std::int64_t>
+referenceLifetimeEnds(const ir::Loop& loop,
+                      const machine::MachineModel& machine,
+                      const sched::ScheduleResult& schedule)
+{
+    std::vector<std::int64_t> ends;
+    for (ir::RegId reg = 0; reg < loop.numRegisters(); ++reg) {
+        const ir::OpId def = loop.definingOp(reg);
+        if (def < 0)
+            continue;
+        std::int64_t end = static_cast<std::int64_t>(schedule.times[def]) +
+                           machine.latency(loop.operation(def).opcode);
+        for (const auto& op : loop.operations()) {
+            std::vector<ir::Operand> reads = op.sources;
+            if (op.guard)
+                reads.push_back(*op.guard);
+            for (const auto& src : reads) {
+                if (src.isRegister() && src.reg == reg) {
+                    end = std::max<std::int64_t>(
+                        end, schedule.times[op.id] +
+                                 static_cast<std::int64_t>(src.distance) *
+                                     schedule.ii +
+                                 1);
+                }
+            }
+        }
+        ends.push_back(end);
+    }
+    return ends;
+}
+
+/** The schedules of the reference loops on every stock machine. */
+struct ScheduledLoop
+{
+    const ir::Loop* loop;
+    machine::MachineModel machine;
+    sched::ScheduleResult schedule;
+};
+
+const std::vector<ScheduledLoop>&
+scheduledReferenceLoops()
+{
+    static const std::vector<ir::Loop> loops = test_loops::referenceLoops();
+    static const std::vector<ScheduledLoop> scheduled = [] {
+        std::vector<ScheduledLoop> out;
+        for (const auto& machine : test_loops::stockMachines()) {
+            for (const auto& loop : loops) {
+                out.push_back({&loop, machine,
+                               sched::schedule(loop, machine).schedule});
+            }
+        }
+        return out;
+    }();
+    return scheduled;
+}
+
+TEST(LifetimeTest, OnePassMatchesThePerRegisterScan)
+{
+    std::size_t compared = 0;
+    for (const auto& [loop, machine, schedule] : scheduledReferenceLoops()) {
+        const auto analysis =
+            codegen::analyzeLifetimes(*loop, machine, schedule);
+        const auto want = referenceLifetimeEnds(*loop, machine, schedule);
+        ASSERT_EQ(analysis.lifetimes.size(), want.size()) << loop->name();
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(analysis.lifetimes[i].endTime, want[i])
+                << loop->name() << " on " << machine.name() << " register "
+                << analysis.lifetimes[i].reg;
+        }
+        compared += want.size();
+    }
+    EXPECT_GT(compared, 10000u);
+}
+
+TEST(LifetimeTest, TooLargeNamesTheFirstOverflowingRegister)
+{
+    // At scalar-toy's II 2 every end below is past INT_MAX; the message
+    // must carry the first register's end in id order, whichever is
+    // larger.
+    const auto machine = machine::scalarToy();
+    for (const char* text : {"loop small_first\n"
+                             "recurrence x\n"
+                             "x = asub x[1500000000], #3\n"
+                             "recurrence y\n"
+                             "y = asub y[1600000000], #3\n",
+                             "loop large_first\n"
+                             "recurrence x\n"
+                             "x = asub x[1600000000], #3\n"
+                             "recurrence y\n"
+                             "y = asub y[1500000000], #3\n"}) {
+        const auto loop = ir::parseLoop(text);
+        const auto schedule = sched::schedule(loop, machine).schedule;
+        const auto ends = referenceLifetimeEnds(loop, machine, schedule);
+        ASSERT_GT(ends.front(), std::numeric_limits<int>::max());
+        try {
+            codegen::analyzeLifetimes(loop, machine, schedule);
+            FAIL() << loop.name() << ": lifetimes past INT_MAX must throw";
+        } catch (const support::CodedError& error) {
+            EXPECT_EQ(error.code(), "codegen.too_large");
+            EXPECT_EQ(error.what(), "lifetime end " +
+                                        std::to_string(ends.front()) +
+                                        " does not fit in int")
+                << loop.name();
+        }
+    }
+}
+
+/** A code section as nested per-cycle vectors. */
+using NestedSection = std::vector<std::vector<codegen::OpInstance>>;
+
+/**
+ * The three sections as code generation built them before they became
+ * flat arrays: one vector per cycle, filled in the same visiting order.
+ */
+std::vector<NestedSection>
+referenceSections(const ir::Loop& loop, const codegen::Kernel& kernel,
+                  const sched::ScheduleResult& schedule)
+{
+    const int ii = schedule.ii;
+    const int ramp = (kernel.stageCount - 1) * ii;
+    NestedSection prologue(ramp), kernel_rows(ii), epilogue(ramp);
+    for (int op = 0; op < loop.size(); ++op) {
+        const int t = schedule.times[op];
+        for (int j = 0; t + j * ii < ramp; ++j)
+            prologue[t + j * ii].push_back({op, j});
+    }
+    for (const auto& placement : kernel.placements) {
+        kernel_rows[placement.slot].push_back(
+            {placement.op, -placement.stage});
+    }
+    for (int op = 0; op < loop.size(); ++op) {
+        const int t = schedule.times[op];
+        for (int m = 1; t - m * ii >= 0; ++m)
+            epilogue[t - m * ii].push_back({op, -m});
+    }
+    return {prologue, kernel_rows, epilogue};
+}
+
+TEST(CodeGenTest, FlatSectionsMatchNestedVectors)
+{
+    std::size_t instances = 0;
+    for (const auto& [loop, machine, schedule] : scheduledReferenceLoops()) {
+        const auto code = codegen::generateCode(*loop, machine, schedule);
+        const auto want = referenceSections(*loop, code.kernel, schedule);
+        const codegen::CodeSection* got[] = {&code.prologue,
+                                             &code.kernelSection,
+                                             &code.epilogue};
+        for (int s = 0; s < 3; ++s) {
+            ASSERT_EQ(got[s]->numCycles(), static_cast<int>(want[s].size()))
+                << loop->name() << " section " << s;
+            for (int c = 0; c < got[s]->numCycles(); ++c) {
+                const auto cycle = got[s]->cycle(c);
+                ASSERT_EQ(cycle.size(), want[s][c].size())
+                    << loop->name() << " section " << s << " cycle " << c;
+                for (std::size_t i = 0; i < cycle.size(); ++i) {
+                    ASSERT_EQ(cycle[i].op, want[s][c][i].op);
+                    ASSERT_EQ(cycle[i].iterationOffset,
+                              want[s][c][i].iterationOffset);
+                }
+            }
+            instances += got[s]->numInstances();
+        }
+    }
+    EXPECT_GT(instances, 100000u);
 }
 
 } // namespace

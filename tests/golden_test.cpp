@@ -1,11 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <utility>
+#include <vector>
+
+#include "codegen/emit.hpp"
 #include "core/pipeliner.hpp"
 #include "graph/graph_builder.hpp"
 #include "graph/scc.hpp"
+#include "ir/parser.hpp"
 #include "machine/cydra5.hpp"
+#include "machine/machine_io.hpp"
 #include "mii/mii.hpp"
+#include "reference_loops.hpp"
 #include "sched/schedule.hpp"
+#include "service/schedule_cache.hpp"
+#include "support/hash.hpp"
 #include "support/stats.hpp"
 #include "workloads/corpus.hpp"
 #include "workloads/kernels.hpp"
@@ -150,6 +161,152 @@ TEST(GoldenTest, BudgetRatioCurveShape)
     // And a lavish budget spends more per op than the optimum region
     // (the right side of the U rises slowly).
     EXPECT_GE(ineff_4, ineff_2 * 0.95);
+}
+
+/**
+ * Loops that `Loop::validate` rejects, one per message family, so the
+ * rejection texts that reach diagnostics and fingerprints are pinned.
+ */
+std::vector<ir::Loop>
+invalidLoops()
+{
+    std::vector<ir::Loop> loops;
+    {
+        ir::Loop loop("bad_arity");
+        const ir::RegId a = loop.addRegister({"a", false, true});
+        const ir::RegId d = loop.addRegister({"d", false, false});
+        ir::Operation op;
+        op.opcode = ir::Opcode::kAdd;
+        op.dest = d;
+        op.sources = {ir::Operand::makeReg(a)};
+        loop.addOperation(op);
+        loops.push_back(loop);
+    }
+    {
+        ir::Loop loop("bad_seed");
+        const ir::RegId x = loop.addRegister({"x", false, false});
+        ir::Operation op;
+        op.opcode = ir::Opcode::kCopy;
+        op.dest = x;
+        op.sources = {ir::Operand::makeReg(x, 1)};
+        loop.addOperation(op);
+        loops.push_back(loop);
+    }
+    {
+        ir::Loop loop("bad_guard");
+        const ir::RegId d = loop.addRegister({"d", false, true});
+        const ir::RegId y = loop.addRegister({"y", false, false});
+        ir::Operation op;
+        op.opcode = ir::Opcode::kCopy;
+        op.dest = y;
+        op.sources = {ir::Operand::makeReg(d)};
+        op.guard = ir::Operand::makeReg(d);
+        loop.addOperation(op);
+        loops.push_back(loop);
+    }
+    {
+        ir::Loop loop("bad_undefined");
+        const ir::RegId u = loop.addRegister({"u", false, false});
+        const ir::RegId y = loop.addRegister({"y", false, false});
+        ir::Operation op;
+        op.opcode = ir::Opcode::kCopy;
+        op.dest = y;
+        op.sources = {ir::Operand::makeReg(u)};
+        loop.addOperation(op);
+        loops.push_back(loop);
+    }
+    {
+        ir::Loop loop("bad_stride");
+        const ir::ArrayId array = loop.addArray({"A"});
+        const ir::RegId a = loop.addRegister({"a", false, true});
+        const ir::RegId d = loop.addRegister({"d", false, false});
+        ir::Operation op;
+        op.opcode = ir::Opcode::kLoad;
+        op.dest = d;
+        op.sources = {ir::Operand::makeReg(a)};
+        op.memRef = ir::MemRef{array, 0, 0};
+        loop.addOperation(op);
+        loops.push_back(loop);
+    }
+    return loops;
+}
+
+/** Fold one pipeline() call into `digest`: its fingerprint and listing. */
+void
+digestPipeline(support::Fnv1a& digest,
+               const core::SoftwarePipeliner& pipeliner, const ir::Loop& loop)
+{
+    const core::PipelineResult result =
+        pipeliner.pipeline(core::PipelineRequest(loop));
+    digest.update(
+        service::fingerprintResult(loop, pipeliner.machine(), result));
+    if (result.ok()) {
+        digest.update(codegen::emitListing(loop, result.artifacts->code,
+                                           result.artifacts->registers));
+    }
+}
+
+/**
+ * Cross-commit identity: one FNV digest per stock machine over the
+ * result fingerprint (which covers the report: kernel rows, MVE plan,
+ * register allocation, minimum schedule length, diagnostics) and the
+ * full emitted listing of every kernel-library loop, the unroll ladder
+ * (daxpy, stencil3 and hydro_frag unrolled to about 75/300/600 ops),
+ * loops `validate` rejects and loops whose lifetimes overflow
+ * (codegen.too_large). A fifth digest runs the kernel library on a
+ * machine that implements only `add` and `load`, so the graph builder's
+ * unsupported-opcode texts are pinned as well. The values were recorded
+ * before the non-scheduling layers of pipeline() were made linear; a
+ * change here means an output, a counter or a message text changed.
+ */
+TEST(GoldenTest, PipelineOutputsArePinned)
+{
+    std::vector<ir::Loop> loops = test_loops::kernelLoops();
+    for (auto& loop : test_loops::unrollLadder())
+        loops.push_back(std::move(loop));
+    for (auto& loop : invalidLoops())
+        loops.push_back(std::move(loop));
+    loops.push_back(ir::parseLoop("loop too_large_live\n"
+                                  "recurrence n\n"
+                                  "n = asub n[2000000000], #3\n"
+                                  "recurrence m\n"
+                                  "m = asub m[2000000000], #3\n"));
+    loops.push_back(ir::parseLoop("loop too_large_end\n"
+                                  "recurrence x\n"
+                                  "x = asub x[1500000000], #3\n"
+                                  "recurrence y\n"
+                                  "y = asub y[1500000000], #3\n"));
+
+    // One digest per test_loops::stockMachines() entry, in its order.
+    const std::uint64_t want[] = {
+        0x786bc05e77b6d2e0ULL, // cydra5
+        0x97b7826c8b85e6dbULL, // clean64
+        0x9ee8fe3c49f00d00ULL, // wide-vliw
+        0x6b800e9565c4564aULL, // scalar-toy
+    };
+    const auto machines = test_loops::stockMachines();
+    ASSERT_EQ(machines.size(), std::size(want));
+    for (std::size_t m = 0; m < machines.size(); ++m) {
+        const core::SoftwarePipeliner pipeliner(machines[m]);
+        support::Fnv1a digest;
+        for (const auto& loop : loops)
+            digestPipeline(digest, pipeliner, loop);
+        EXPECT_EQ(digest.digest(), want[m])
+            << machines[m].name() << ": 0x" << std::hex << digest.digest();
+    }
+
+    const core::SoftwarePipeliner partial(
+        machine::parseMachine("machine add_load\n"
+                              "resource alu\n"
+                              "opcode add 1\n"
+                              "alt a 0:alu\n"
+                              "opcode load 2\n"
+                              "alt l 0:alu\n"));
+    support::Fnv1a digest;
+    for (const auto& loop : test_loops::kernelLoops())
+        digestPipeline(digest, partial, loop);
+    EXPECT_EQ(digest.digest(), 0x4e8ebaa4e5294e8dULL)
+        << "add_load: 0x" << std::hex << digest.digest();
 }
 
 } // namespace

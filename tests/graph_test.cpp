@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -9,6 +11,7 @@
 #include "machine/cydra5.hpp"
 #include "machine/machine_builder.hpp"
 #include "machine/machines.hpp"
+#include "reference_loops.hpp"
 #include "support/error.hpp"
 #include "workloads/kernels.hpp"
 
@@ -247,7 +250,83 @@ TEST_F(GraphBuilderTest, UnsupportedOpcodeRejected)
     const auto m = b.build();
 
     const auto w = workloads::kernelByName("daxpy");
-    EXPECT_THROW(graph::buildDepGraph(w.loop, m), support::Error);
+    try {
+        graph::buildDepGraph(w.loop, m);
+        FAIL() << "daxpy needs opcodes no-mul lacks";
+    } catch (const support::Error& error) {
+        EXPECT_STREQ(error.what(),
+                     "machine 'no-mul' does not implement opcode aadd");
+    }
+}
+
+/** One memory dependence: (from, to, kind, distance). */
+using MemoryEdge = std::tuple<graph::VertexId, graph::VertexId, DepKind, int>;
+
+/**
+ * The memory dependences as the builder found them before it paired
+ * accesses within per-array lists: the scan over every (a, b) pair of
+ * operations, in operation order.
+ */
+std::vector<MemoryEdge>
+referenceMemoryEdges(const ir::Loop& loop)
+{
+    std::vector<MemoryEdge> edges;
+    for (const auto& a : loop.operations()) {
+        for (const auto& b : loop.operations()) {
+            if (!a.memRef || !b.memRef ||
+                b.memRef->array != a.memRef->array)
+                continue;
+            if (!a.isStore() && !b.isStore())
+                continue;
+            const DepKind kind = a.isStore() && !b.isStore() ? DepKind::kFlow
+                                 : !a.isStore() && b.isStore()
+                                     ? DepKind::kAnti
+                                     : DepKind::kOutput;
+            const bool before = a.id < b.id;
+            if (a.memRef->stride == b.memRef->stride) {
+                const int diff = a.memRef->offset - b.memRef->offset;
+                if (diff % a.memRef->stride != 0)
+                    continue;
+                const int distance = diff / a.memRef->stride;
+                if (distance > 0 || (distance == 0 && before))
+                    edges.emplace_back(a.id, b.id, kind, distance);
+            } else {
+                if (before)
+                    edges.emplace_back(a.id, b.id, kind, 0);
+                edges.emplace_back(a.id, b.id, kind, 1);
+            }
+        }
+    }
+    return edges;
+}
+
+TEST_F(GraphBuilderTest, MemoryPairingMatchesTheAllPairsScan)
+{
+    auto loops = test_loops::referenceLoops();
+    ir::LoopBuilder b("mixed_strides");
+    b.recurrence("ax");
+    b.op(Opcode::kAddrAdd, "ax", {b.reg("ax", 3), b.imm(24)});
+    b.load("v", "X", 0, b.reg("ax"), "", 1);
+    b.load("w", "Y", 1, b.reg("ax"), "", 3);
+    b.store("X", 0, b.reg("ax"), b.reg("v"), "", 2);
+    b.store("Y", 4, b.reg("ax"), b.reg("w"), "", 3);
+    b.store("X", 1, b.reg("ax"), b.reg("w"), "", 1);
+    b.closeLoopBackSubstituted();
+    loops.push_back(b.build());
+
+    std::size_t total = 0;
+    for (const auto& loop : loops) {
+        const auto g = graph::buildDepGraph(loop, machine_);
+        std::vector<MemoryEdge> got;
+        for (const auto& edge : g.edges()) {
+            if (edge.throughMemory)
+                got.emplace_back(edge.from, edge.to, edge.kind,
+                                 edge.distance);
+        }
+        ASSERT_EQ(got, referenceMemoryEdges(loop)) << loop.name();
+        total += got.size();
+    }
+    EXPECT_GT(total, 1000u); // the comparison is not vacuous
 }
 
 TEST_F(GraphBuilderTest, EdgeDensityIsAFewPerOp)

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "ir/loop.hpp"
 #include "ir/loop_builder.hpp"
 #include "ir/opcode.hpp"
@@ -72,10 +76,63 @@ TEST(LoopBuilderTest, BuildsValidDaxpyShapedLoop)
     }
 }
 
+/** The what() text of the support::Error `action` throws; "" if none. */
+template <typename Action>
+std::string
+errorText(Action&& action)
+{
+    try {
+        action();
+    } catch (const support::Error& error) {
+        return error.what();
+    }
+    return "";
+}
+
+/** The text `loop.validate()` rejects `loop` with; "" if it accepts. */
+std::string
+validateError(const ir::Loop& loop)
+{
+    return errorText([&] { loop.validate(); });
+}
+
+/**
+ * A loop with registers a (live-in data), x (data, not live-in), p
+ * (live-in predicate), q (predicate, not live-in), array A, and `op` as
+ * its only operation.
+ */
+ir::Loop
+loopWith(const ir::Operation& op)
+{
+    ir::Loop loop("t");
+    loop.addRegister({"a", false, true});
+    loop.addRegister({"x", false, false});
+    loop.addRegister({"p", true, true});
+    loop.addRegister({"q", true, false});
+    loop.addArray({"A"});
+    loop.addOperation(op);
+    return loop;
+}
+
+constexpr ir::RegId kA = 0, kX = 1, kP = 2, kQ = 3;
+
+/** An operation `opcode` writing `dest` from `sources`. */
+ir::Operation
+makeOp(Opcode opcode, ir::RegId dest, std::vector<ir::Operand> sources)
+{
+    ir::Operation op;
+    op.opcode = opcode;
+    op.dest = dest;
+    op.sources = std::move(sources);
+    return op;
+}
+
 TEST(LoopBuilderTest, ReadOfUndeclaredRegisterThrows)
 {
     ir::LoopBuilder b("t");
-    EXPECT_THROW(b.reg("nope"), support::Error);
+    EXPECT_EQ(errorText([&] { b.reg("nope"); }),
+              "operand register 'nope' read before any definition; "
+              "declare it with liveIn()/recurrence() or define it first");
 }
 
 TEST(LoopBuilderTest, DoubleDefinitionThrows)
@@ -83,85 +140,127 @@ TEST(LoopBuilderTest, DoubleDefinitionThrows)
     ir::LoopBuilder b("t");
     b.liveIn("a");
     b.op(Opcode::kCopy, "x", {b.reg("a")});
-    EXPECT_THROW(b.op(Opcode::kCopy, "x", {b.reg("a")}),
-                 support::Error);
+    EXPECT_EQ(errorText([&] { b.op(Opcode::kCopy, "x", {b.reg("a")}); }),
+              "register 'x' defined more than once (loop is in single "
+              "assignment form)");
 }
 
-TEST(LoopValidateTest, OperandArityMismatch)
+TEST(LoopAddOperationTest, SecondDefinitionOfARegisterThrows)
 {
-    ir::Loop loop("t");
-    const ir::RegId a = loop.addRegister({"a", false, true});
-    const ir::RegId d = loop.addRegister({"d", false, false});
-    ir::Operation op;
-    op.opcode = Opcode::kAdd;
-    op.dest = d;
-    op.sources = {ir::Operand::makeReg(a)}; // needs two
-    loop.addOperation(op);
-    EXPECT_THROW(loop.validate(), support::Error);
-}
-
-TEST(LoopValidateTest, CrossIterationReadWithoutSeedThrows)
-{
-    ir::Loop loop("t");
-    const ir::RegId x = loop.addRegister({"x", false, false}); // not live-in
-    ir::Operation def;
-    def.opcode = Opcode::kCopy;
-    def.dest = x;
-    def.sources = {ir::Operand::makeReg(x, 1)};
-    loop.addOperation(def);
-    EXPECT_THROW(loop.validate(), support::Error);
-}
-
-TEST(LoopValidateTest, GuardMustBePredicate)
-{
-    ir::Loop loop("t");
-    const ir::RegId d = loop.addRegister({"d", false, true}); // data reg
-    const ir::RegId y = loop.addRegister({"y", false, false});
-    ir::Operation op;
-    op.opcode = Opcode::kCopy;
-    op.dest = y;
-    op.sources = {ir::Operand::makeReg(d)};
-    op.guard = ir::Operand::makeReg(d);
-    loop.addOperation(op);
-    EXPECT_THROW(loop.validate(), support::Error);
-}
-
-TEST(LoopValidateTest, MemoryOpNeedsMemRef)
-{
-    ir::Loop loop("t");
-    const ir::RegId a = loop.addRegister({"a", false, true});
-    const ir::RegId d = loop.addRegister({"d", false, false});
-    ir::Operation op;
-    op.opcode = Opcode::kLoad;
-    op.dest = d;
-    op.sources = {ir::Operand::makeReg(a)};
-    // no memRef
-    loop.addOperation(op);
-    EXPECT_THROW(loop.validate(), support::Error);
+    ir::Loop loop =
+        loopWith(makeOp(Opcode::kCopy, kX, {ir::Operand::makeReg(kA)}));
+    EXPECT_EQ(errorText([&] {
+                  loop.addOperation(
+                      makeOp(Opcode::kCopy, kX, {ir::Operand::makeReg(kA)}));
+              }),
+              "register 'x' defined more than once (loop is in single "
+              "assignment form)");
 }
 
 TEST(LoopValidateTest, PseudoOpcodeRejected)
 {
-    ir::Loop loop("t");
     ir::Operation op;
     op.opcode = Opcode::kStart;
-    loop.addOperation(op);
-    EXPECT_THROW(loop.validate(), support::Error);
+    EXPECT_EQ(validateError(loopWith(op)),
+              "pseudo opcodes may not appear in loop bodies");
+}
+
+TEST(LoopValidateTest, OperandArityMismatch)
+{
+    EXPECT_EQ(validateError(loopWith(
+                  makeOp(Opcode::kAdd, kX, {ir::Operand::makeReg(kA)}))),
+              "operation 0 (add) has 1 operands, expected 2");
+}
+
+TEST(LoopValidateTest, DestMustMatchOpcode)
+{
+    EXPECT_EQ(validateError(loopWith(makeOp(
+                  Opcode::kBranch, kX, {ir::Operand::makeReg(kA)}))),
+              "operation 0 dest does not match opcode");
+}
+
+TEST(LoopValidateTest, ResultRegisterClassMustMatchOpcode)
+{
+    EXPECT_EQ(validateError(loopWith(makeOp(
+                  Opcode::kCopy, kQ, {ir::Operand::makeReg(kA)}))),
+              "operation 0 result register class mismatch");
+}
+
+TEST(LoopValidateTest, MemoryOpNeedsMemRef)
+{
+    EXPECT_EQ(validateError(loopWith(makeOp(
+                  Opcode::kLoad, kX, {ir::Operand::makeReg(kA)}))),
+              "operation 0 memory reference mismatch");
+}
+
+TEST(LoopValidateTest, UndeclaredArrayRejected)
+{
+    auto op = makeOp(Opcode::kLoad, kX, {ir::Operand::makeReg(kA)});
+    op.memRef = ir::MemRef{1, 0, 1};
+    EXPECT_EQ(validateError(loopWith(op)),
+              "operation 0 references undeclared array");
 }
 
 TEST(LoopValidateTest, NonPositiveStrideRejected)
 {
+    auto op = makeOp(Opcode::kLoad, kX, {ir::Operand::makeReg(kA)});
+    op.memRef = ir::MemRef{0, 0, 0};
+    EXPECT_EQ(validateError(loopWith(op)),
+              "operation 0 has a non-positive memory stride");
+}
+
+TEST(LoopValidateTest, UndeclaredRegisterRejected)
+{
+    EXPECT_EQ(validateError(loopWith(
+                  makeOp(Opcode::kCopy, kX, {ir::Operand::makeReg(7)}))),
+              "operation 0 reads undeclared register");
+}
+
+TEST(LoopValidateTest, NegativeDistanceRejected)
+{
+    EXPECT_EQ(validateError(loopWith(makeOp(
+                  Opcode::kCopy, kX, {ir::Operand::makeReg(kA, -1)}))),
+              "negative operand distance on op 0");
+}
+
+TEST(LoopValidateTest, ReadOfNeverDefinedRegisterRejected)
+{
     ir::Loop loop("t");
-    const ir::ArrayId arr = loop.addArray({"A"});
-    const ir::RegId a = loop.addRegister({"a", false, true});
-    const ir::RegId d = loop.addRegister({"d", false, false});
-    ir::Operation op;
-    op.opcode = Opcode::kLoad;
-    op.dest = d;
-    op.sources = {ir::Operand::makeReg(a)};
-    op.memRef = ir::MemRef{arr, 0, 0};
-    loop.addOperation(op);
-    EXPECT_THROW(loop.validate(), support::Error);
+    loop.addRegister({"u", false, false});
+    const ir::RegId y = loop.addRegister({"y", false, false});
+    loop.addOperation(makeOp(Opcode::kCopy, y, {ir::Operand::makeReg(0)}));
+    EXPECT_EQ(validateError(loop),
+              "operand of op 0 reads register 'u' which is never defined");
+
+    auto guarded = makeOp(Opcode::kCopy, kX, {ir::Operand::makeReg(kA)});
+    guarded.guard = ir::Operand::makeReg(kQ);
+    EXPECT_EQ(validateError(loopWith(guarded)),
+              "guard of op 0 reads register 'q' which is never defined");
+}
+
+TEST(LoopValidateTest, CrossIterationReadWithoutSeedThrows)
+{
+    EXPECT_EQ(validateError(loopWith(makeOp(
+                  Opcode::kCopy, kX, {ir::Operand::makeReg(kX, 1)}))),
+              "cross-iteration read of register 'x' which has no pre-loop "
+              "seed; declare it live-in (recurrence)");
+}
+
+TEST(LoopValidateTest, GuardMustBePredicate)
+{
+    auto immediate = makeOp(Opcode::kCopy, kX, {ir::Operand::makeReg(kA)});
+    immediate.guard = ir::Operand::makeImm(1.0);
+    EXPECT_EQ(validateError(loopWith(immediate)),
+              "guard of op 0 must be a predicate register");
+
+    auto data = makeOp(Opcode::kCopy, kX, {ir::Operand::makeReg(kA)});
+    data.guard = ir::Operand::makeReg(kA);
+    EXPECT_EQ(validateError(loopWith(data)),
+              "guard of op 0 is not a predicate register");
+
+    auto predicate = makeOp(Opcode::kCopy, kX, {ir::Operand::makeReg(kA)});
+    predicate.guard = ir::Operand::makeReg(kP);
+    EXPECT_EQ(validateError(loopWith(predicate)), "");
 }
 
 TEST(LoopPrintTest, OperationToStringShowsDistanceAndMemRef)

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "graph/graph_builder.hpp"
 #include "machine/cydra5.hpp"
 #include "machine/machines.hpp"
+#include "reference_loops.hpp"
+#include "sched/height_r.hpp"
 #include "sched/list_scheduler.hpp"
 #include "workloads/kernels.hpp"
 
@@ -115,6 +121,92 @@ TEST(ListSchedulerTest, IndependentOpsPackUpToResourceLimit)
     for (const auto& [t, n] : loads_at)
         peak = std::max(peak, n);
     EXPECT_GE(peak, 2); // must exploit some parallelism
+}
+
+/**
+ * The list scheduler as it was before its reservation table became one
+ * sorted vector per resource: the same height order and Estart, with
+ * every reserved (cycle, resource) cell in one std::set.
+ */
+sched::ListScheduleResult
+referenceListSchedule(const ir::Loop& loop,
+                      const machine::MachineModel& machine,
+                      const graph::DepGraph& graph)
+{
+    const auto height = sched::computeAcyclicHeight(graph, nullptr);
+    std::vector<graph::VertexId> order(graph.numVertices());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&](graph::VertexId a, graph::VertexId b) {
+                  return height[a] != height[b] ? height[a] > height[b]
+                                                : a < b;
+              });
+
+    std::set<std::pair<int, machine::ResourceId>> cells;
+    const auto conflicts = [&](const machine::ReservationTable& table,
+                               int time) {
+        for (const auto& use : table.uses()) {
+            if (cells.count({time + use.time, use.resource}) != 0)
+                return true;
+        }
+        return false;
+    };
+
+    std::vector<int> time(graph.numVertices(), 0);
+    std::vector<int> alternative(graph.numVertices(), 0);
+    std::vector<bool> placed(graph.numVertices(), false);
+    for (const graph::VertexId v : order) {
+        int estart = 0;
+        for (const graph::EdgeId eid : graph.inEdges(v)) {
+            const graph::DepEdge& edge = graph.edge(eid);
+            if (edge.distance == 0 && placed[edge.from])
+                estart = std::max(estart, time[edge.from] + edge.delay);
+        }
+        placed[v] = true;
+        time[v] = estart;
+        if (graph.isPseudo(v))
+            continue;
+        const auto& alternatives =
+            machine.info(loop.operation(v).opcode).alternatives;
+        int chosen = -1;
+        for (int t = estart; chosen < 0; ++t) {
+            for (std::size_t alt = 0; alt < alternatives.size(); ++alt) {
+                if (!conflicts(alternatives[alt].table, t)) {
+                    chosen = static_cast<int>(alt);
+                    time[v] = t;
+                    break;
+                }
+            }
+        }
+        for (const auto& use : alternatives[chosen].table.uses())
+            cells.insert({time[v] + use.time, use.resource});
+        alternative[v] = chosen;
+    }
+
+    sched::ListScheduleResult result;
+    result.times.assign(time.begin(), time.begin() + graph.numOps());
+    result.alternatives.assign(alternative.begin(),
+                               alternative.begin() + graph.numOps());
+    result.scheduleLength = time[graph.stop()];
+    return result;
+}
+
+TEST(ListSchedulerTest, MatchesTheSetTableReference)
+{
+    const auto loops = test_loops::referenceLoops();
+    for (const auto& machine : test_loops::stockMachines()) {
+        for (const auto& loop : loops) {
+            const auto graph = graph::buildDepGraph(loop, machine);
+            const auto got = sched::listSchedule(loop, machine, graph);
+            const auto want = referenceListSchedule(loop, machine, graph);
+            ASSERT_EQ(got.times, want.times)
+                << loop.name() << " on " << machine.name();
+            ASSERT_EQ(got.alternatives, want.alternatives)
+                << loop.name() << " on " << machine.name();
+            ASSERT_EQ(got.scheduleLength, want.scheduleLength)
+                << loop.name() << " on " << machine.name();
+        }
+    }
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "support/error.hpp"
 #include "support/regression.hpp"
@@ -161,6 +162,24 @@ TEST(ErrorTest, CheckThrowsWithMessage)
     } catch (const Error& e) {
         EXPECT_STREQ(e.what(), "broken widget");
     }
+}
+
+TEST(ErrorTest, CheckBuildsItsMessageOnlyWhenItFails)
+{
+    int calls = 0;
+    const auto message = [&] {
+        ++calls;
+        return "widget " + std::to_string(calls) + " broke";
+    };
+    EXPECT_NO_THROW(check(true, message));
+    EXPECT_EQ(calls, 0);
+    try {
+        check(false, message);
+        FAIL() << "check(false) must throw";
+    } catch (const Error& e) {
+        EXPECT_STREQ(e.what(), "widget 1 broke");
+    }
+    EXPECT_EQ(calls, 1);
 }
 
 TEST(TableTest, RendersHeaderRuleAndRows)
