@@ -19,7 +19,10 @@
 #     trailing bytes answers `error service.bad_loop`,
 #  7. `load` of a cache file with a hostile entry count answers
 #     `error service.bad_cache_file` and the server exits 0,
-#  8. the `stats` line parses with Python's json module.
+#  8. on a registered machine whose `asub` takes 2e9 cycles, a
+#     self-recurrence answers `code=mii.too_large` and a chain of three
+#     `asub`s answers `code=sched.too_large`,
+#  9. the `stats` line parses with Python's json module.
 #
 # Usage: scripts/check_service.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -214,6 +217,25 @@ printf 'loop junk\nrecurrence x\nx = add x[1junk], #1\n' > "$SMOKE_DIR/junk.ir"
     cat "$SMOKE_DIR/junk.ir"
 } > "$SMOKE_DIR/junk.req"
 expect_answer "$SMOKE_DIR/junk.req" 'error service\.bad_loop '
+
+echo "== hostile latencies (structured too_large results) =="
+printf 'machine big\nresource r\nopcode asub 2000000000\nalt a 0:r\n' \
+    > "$SMOKE_DIR/big.machine"
+printf 'loop rec1\nrecurrence n\nn = asub n[1], #3\n' > "$SMOKE_DIR/rec1.ir"
+printf 'loop chain3\nlivein a\nb = asub a, #1\nc = asub b, #1\nd = asub c, #1\n' \
+    > "$SMOKE_DIR/chain3.ir"
+for case in rec1:mii chain3:sched; do
+    loop="${case%%:*}"
+    {
+        printf 'register big %s\n' "$(wc -c < "$SMOKE_DIR/big.machine")"
+        cat "$SMOKE_DIR/big.machine"
+        printf 'schedule %s client=ci machine=big\n' \
+            "$(wc -c < "$SMOKE_DIR/$loop.ir")"
+        cat "$SMOKE_DIR/$loop.ir"
+    } > "$SMOKE_DIR/$loop.req"
+    expect_answer "$SMOKE_DIR/$loop.req" \
+        "result $loop failed code=${case#*:}\\.too_large "
+done
 
 echo "== hostile cache file (structured error, clean exit) =="
 for count in 18446744073709551615 -1; do

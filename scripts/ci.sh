@@ -22,7 +22,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==== stage 1/7: tier-1 tests ===="
-cmake -B build -S . >/dev/null
+# The -Wall -Wextra build is warning-free, and -Werror keeps it so.
+cmake -B build -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON >/dev/null
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 

@@ -102,33 +102,42 @@ buildDepGraph(const ir::Loop& loop, const machine::MachineModel& machine,
     // when s does not divide the offset difference). Mixed strides are
     // handled conservatively with distance-0 and distance-1 edges.
     //
-    // Each array's accesses are listed once, in id order (a counting sort
-    // into one flat array), so pairing visits only same-array pairs, in
-    // the order an all-pairs scan over the operations would.
-    std::vector<int> first_access(loop.numArrays() + 1, 0);
+    // One counting sort lists, in id order, each array's accesses in
+    // bucket `array` and its stores again in bucket `arrays + array`. A
+    // store pairs with every access of its array and a load only with its
+    // stores, since load-load pairs never conflict: the pairs an all-pairs
+    // scan over the operations would turn into edges, in its order.
+    const int arrays = loop.numArrays();
+    const auto for_each_bucket = [arrays](const ir::Operation& op,
+                                          auto&& visit) {
+        visit(op.memRef->array);
+        if (op.isStore())
+            visit(arrays + op.memRef->array);
+    };
+    std::vector<int> first(2 * arrays + 1, 0);
     for (const auto& op : loop.operations()) {
         if (op.memRef)
-            ++first_access[op.memRef->array + 1];
+            for_each_bucket(op, [&first](int bucket) { ++first[bucket + 1]; });
     }
-    for (ir::ArrayId array = 0; array < loop.numArrays(); ++array)
-        first_access[array + 1] += first_access[array];
-    std::vector<ir::OpId> accesses(first_access.back());
+    for (int bucket = 0; bucket < 2 * arrays; ++bucket)
+        first[bucket + 1] += first[bucket];
+    std::vector<ir::OpId> bucketed(first.back());
     {
-        std::vector<int> next(first_access.begin(), first_access.end() - 1);
+        std::vector<int> next(first.begin(), first.end() - 1);
         for (const auto& op : loop.operations()) {
-            if (op.memRef)
-                accesses[next[op.memRef->array]++] = op.id;
+            if (op.memRef) {
+                for_each_bucket(op, [&](int bucket) {
+                    bucketed[next[bucket]++] = op.id;
+                });
+            }
         }
     }
     for (const auto& a : loop.operations()) {
         if (!a.memRef)
             continue;
-        const ir::ArrayId array = a.memRef->array;
-        for (int k = first_access[array]; k < first_access[array + 1];
-             ++k) {
-            const ir::Operation& b = loop.operation(accesses[k]);
-            if (!a.isStore() && !b.isStore())
-                continue; // load-load pairs never conflict
+        const int partners = (a.isStore() ? 0 : arrays) + a.memRef->array;
+        for (int k = first[partners]; k < first[partners + 1]; ++k) {
+            const ir::Operation& b = loop.operation(bucketed[k]);
             const bool same_op = a.id == b.id;
 
             DepKind kind;

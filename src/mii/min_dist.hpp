@@ -20,14 +20,17 @@ namespace ims::mii {
  *   MinDist[i][j] >= Delay(e) - II * Distance(e),
  * then closure with the O(N^3) all-pairs longest-path (Floyd-Warshall)
  * step. Each pivot k relaxes only the finite cells of row k against the
- * finite cells of column k, so on sparse dependence graphs the closure
- * costs O(N^2) scanning plus one step per productive (i, k, j), not N^3.
+ * finite cells of column k. A row-major and a column-major bitset record
+ * which cells are finite, so a pivot reads both lists from N/64 words
+ * each and marks the cells it relaxed in (|rows| + |cols|) * N/64 words;
+ * on sparse dependence graphs the closure costs little more than one step
+ * per productive (i, k, j), not N^3.
  * A positive diagonal entry means an operation would have to be scheduled
  * after itself: the candidate II is infeasible.
  *
  * The matrix is *reusable across candidate IIs*: construction caches the
  * vertex-subset index and the per-edge (i, j, delay, distance) tuples and
- * sizes the closure's scratch row, and `recompute(ii)` re-runs
+ * sizes the closure's scratch lists, and `recompute(ii)` re-runs
  * initialisation + closure in the existing buffers without touching the
  * graph or allocating. The per-II slack-priority computation and the
  * exact backend call `recompute` once per candidate instead of building a
@@ -96,7 +99,11 @@ class MinDistMatrix
     int ii_;
     std::vector<std::int64_t> matrix_;
     std::vector<EdgeInit> edgeInits_; // cached across recomputes
-    std::vector<int> finiteCols_;     // closure scratch: one pivot row
+    std::size_t words_;               // 64-bit words per bitset row
+    std::vector<std::uint64_t> rowFinite_; // [i]: bit j set iff [i][j] finite
+    std::vector<std::uint64_t> colFinite_; // [j]: bit i set iff [i][j] finite
+    std::vector<int> finiteRows_;          // closure scratch: pivot column
+    std::vector<int> finiteCols_;          // closure scratch: pivot row
 };
 
 } // namespace ims::mii

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <string>
 
 #include "graph/circuits.hpp"
 #include "mii/min_dist.hpp"
@@ -130,8 +131,11 @@ searchFeasibleIi(const graph::DepGraph& graph,
     FeasibilityProbe probe(graph, vertices);
     auto feasible = [&](int ii) { return probe.feasible(ii, counters); };
 
-    const int cap = static_cast<int>(
-        std::min<std::int64_t>(candidateCap(graph, vertices), INT32_MAX / 2));
+    // Candidates stay at most INT32_MAX / 2 so that `candidate + step`
+    // cannot overflow.
+    const std::int64_t useful_cap = candidateCap(graph, vertices);
+    const int cap =
+        static_cast<int>(std::min<std::int64_t>(useful_cap, INT32_MAX / 2));
     if (feasible(start))
         return start;
 
@@ -139,6 +143,13 @@ searchFeasibleIi(const graph::DepGraph& graph,
     int step = 1;
     int candidate = start;
     do {
+        if (candidate >= cap && cap < useful_cap) {
+            throw support::CodedError(
+                "mii.too_large",
+                "no initiation interval up to " + std::to_string(cap) +
+                    " satisfies the dependence recurrences: the "
+                    "recurrence-constrained MII is too large");
+        }
         support::check(candidate < cap,
                        "dependence cycle with zero iteration distance: no "
                        "initiation interval is feasible");

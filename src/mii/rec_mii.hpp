@@ -22,6 +22,9 @@ namespace ims::mii {
  * @returns the smallest II >= start_candidate feasible for every SCC.
  * @throws support::Error on a zero-distance dependence cycle (no II can
  *         ever be feasible).
+ * @throws support::CodedError "mii.too_large" when no II up to
+ *         INT32_MAX / 2 is feasible and a component's delays sum to more
+ *         than that, so the RecMII may lie beyond the search's range.
  */
 int computeRecMiiPerScc(const graph::DepGraph& graph,
                         const graph::SccResult& sccs, int start_candidate,

@@ -464,9 +464,8 @@ runProgramCompiled(const CompiledProgram& compiled,
                 const int iter = rep - placement.stage;
                 if (iter < 0 || iter >= trip)
                     continue;
-                sim::executeOpInstance(body, body.operation(placement.op),
-                                       iter, registers, memory,
-                                       store_phase);
+                sim::executeOpInstance(body.operation(placement.op), iter,
+                                       registers, memory, store_phase);
             }
         }
     };

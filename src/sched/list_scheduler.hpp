@@ -33,6 +33,9 @@ struct ListScheduleResult
  * Its schedule length provides (together with MinDist[START, STOP]) the
  * lower bound on the modulo schedule length used in Table 3, and its cost
  * per operation is the paper's baseline for scheduling effort.
+ *
+ * @throws support::CodedError "sched.too_large" when the schedule's
+ *         times could exceed an int (sched::TimeBound).
  */
 ListScheduleResult listSchedule(const ir::Loop& loop,
                                 const machine::MachineModel& machine,

@@ -2,6 +2,7 @@
 
 #include "graph/graph_builder.hpp"
 #include "mii/mii.hpp"
+#include "sched/time_bound.hpp"
 #include "support/error.hpp"
 
 namespace ims::sched {
@@ -46,14 +47,22 @@ schedule(const ir::Loop& loop, const machine::MachineModel& machine,
                    "trace capture requires the iterative backend");
 
     // The walk every backend runs under: compute the MII, then walk the
-    // candidate IIs.
+    // candidate IIs, each after checking that its times fit in an int
+    // (the exact backend's node budget does not move its times).
     const detail::Walk walk =
         [&](std::int64_t budget, const IiAttemptFn& attempt,
             const std::function<std::string()>& exhausted_message) {
             const mii::MiiResult mii = mii::computeMii(
                 loop, machine, graph, sccs, counters, options.telemetry);
+            const TimeBound bound(
+                loop, machine, graph,
+                options.strategy == SchedulerStrategy::kExact ? 0 : budget);
+            const IiAttemptFn bounded = [&bound, &attempt](int ii) {
+                bound.check(ii);
+                return attempt(ii);
+            };
             ModuloScheduleOutcome outcome = runIiSearch(
-                options.search, mii.resMii, mii.mii, budget, attempt,
+                options.search, mii.resMii, mii.mii, budget, bounded,
                 counters, options.telemetry, exhausted_message);
             outcome.scheduler = schedulerStrategyName(options.strategy);
             return outcome;

@@ -173,8 +173,11 @@ ModuloScheduleOutcome exactBackend(const ir::Loop& loop,
  * been removed; see docs/api.md for the migration table.)
  *
  * @throws support::CodedError "sched.ii_exhausted" when every candidate
- *         II fails, and "exact.budget_exhausted" when the exact backend
- *         runs out of nodes at a candidate the walk reaches.
+ *         II fails, "exact.budget_exhausted" when the exact backend
+ *         runs out of nodes at a candidate the walk reaches,
+ *         "sched.too_large" before an attempt whose schedule times could
+ *         exceed an int (sched::TimeBound) and "mii.too_large" when the
+ *         RecMII lies beyond the MII search's range.
  * @throws support::Error before any backend work when `options` is
  *         invalid (non-positive BudgetRatio or exact node budget,
  *         negative maxIiIncrease, a trace outside the iterative

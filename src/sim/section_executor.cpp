@@ -8,9 +8,8 @@
 namespace ims::sim {
 
 void
-executeOpInstance(const ir::Loop& loop, const ir::Operation& op, int iter,
-                  RegisterFile& registers, Memory& memory,
-                  bool store_phase)
+executeOpInstance(const ir::Operation& op, int iter,
+                  RegisterFile& registers, Memory& memory, bool store_phase)
 {
     if (op.opcode == ir::Opcode::kBranch)
         return;
@@ -63,8 +62,8 @@ executeSection(const ir::Loop& loop, const codegen::CodeSection& section,
                 const int iter = iteration_base + instance.iterationOffset;
                 if (iter < 0 || iter >= trip)
                     continue;
-                executeOpInstance(loop, loop.operation(instance.op), iter,
-                                registers, memory, store_phase);
+                executeOpInstance(loop.operation(instance.op), iter,
+                                  registers, memory, store_phase);
             }
         }
     }
@@ -151,8 +150,8 @@ runKernelOnly(const ir::Loop& loop, const codegen::KernelOnlyCode& code,
                     const int iter = rep - placement.stage;
                     if (iter < 0 || iter >= trip)
                         continue;
-                    executeOpInstance(loop, loop.operation(placement.op),
-                                    iter, registers, memory, store_phase);
+                    executeOpInstance(loop.operation(placement.op), iter,
+                                      registers, memory, store_phase);
                 }
             }
         }

@@ -17,8 +17,8 @@ namespace ims::sim {
  * Guarded instances whose predicate is false store nothing and write 0.0
  * to their destination, like both reference engines.
  */
-void executeOpInstance(const ir::Loop& loop, const ir::Operation& op,
-                       int iter, RegisterFile& registers, Memory& memory,
+void executeOpInstance(const ir::Operation& op, int iter,
+                       RegisterFile& registers, Memory& memory,
                        bool store_phase);
 
 /**

@@ -309,4 +309,47 @@ TEST(GoldenTest, PipelineOutputsArePinned)
         << "add_load: 0x" << std::hex << digest.digest();
 }
 
+/**
+ * Cross-commit identity of the work done: one FNV digest per stock
+ * machine over every support::Counters field pipeline() reports for each
+ * kernel-library loop, ladder rung and §4.1 corpus loop. The values were
+ * recorded before the MinDist closure and the list schedule stopped
+ * scanning cells and cycles that cannot change their answer; a change
+ * here means some layer counts different work.
+ */
+TEST(GoldenTest, PipelineCountersArePinned)
+{
+    static_assert(sizeof(support::Counters) == 12 * sizeof(std::uint64_t),
+                  "fold the new Counters field into the digest below");
+    const std::vector<ir::Loop> loops = test_loops::referenceLoops();
+
+    // One digest per test_loops::stockMachines() entry, in its order.
+    const std::uint64_t want[] = {
+        0x4382f0be56525159ULL, // cydra5
+        0x23f5c9cdf45c86a7ULL, // clean64
+        0x5c83a979c4274c1bULL, // wide-vliw
+        0xa1308c063913e96eULL, // scalar-toy
+    };
+    const auto machines = test_loops::stockMachines();
+    ASSERT_EQ(machines.size(), std::size(want));
+    for (std::size_t m = 0; m < machines.size(); ++m) {
+        const core::SoftwarePipeliner pipeliner(machines[m]);
+        support::Fnv1a digest;
+        for (const auto& loop : loops) {
+            const support::Counters c =
+                pipeliner.pipeline(core::PipelineRequest(loop))
+                    .telemetry.counters;
+            for (const std::uint64_t field :
+                 {c.sccEdgeVisits, c.resMiiInspections, c.minDistInnerSteps,
+                  c.minDistInvocations, c.heightRInnerSteps,
+                  c.estartPredecessorVisits, c.estartIncrementalHits,
+                  c.findTimeSlotProbes, c.scheduleSteps, c.unscheduleSteps,
+                  c.mrtMaskProbes, c.mrtSlotScans})
+                digest.update(field);
+        }
+        EXPECT_EQ(digest.digest(), want[m])
+            << machines[m].name() << ": 0x" << std::hex << digest.digest();
+    }
+}
+
 } // namespace

@@ -128,8 +128,9 @@ TEST(HeightRTest, TopologicalPropertyForAcyclicLoops)
     const auto sccs = graph::findSccs(g);
     const auto h = sched::computeHeightR(g, sccs, 5);
     for (const auto& e : g.edges()) {
-        if (e.distance == 0)
+        if (e.distance == 0) {
             EXPECT_GE(h[e.from], h[e.to] + e.delay);
+        }
     }
 }
 

@@ -71,8 +71,9 @@ TEST(LoopBuilderTest, BuildsValidDaxpyShapedLoop)
     EXPECT_EQ(loop.maxDistance(), 3);
     // Defs resolve.
     for (const auto& op : loop.operations()) {
-        if (op.hasDest())
+        if (op.hasDest()) {
             EXPECT_EQ(loop.definingOp(op.dest), op.id);
+        }
     }
 }
 

@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "graph/graph_builder.hpp"
+#include "ir/parser.hpp"
 #include "machine/cydra5.hpp"
+#include "machine/machine_io.hpp"
 #include "machine/machines.hpp"
 #include "reference_loops.hpp"
 #include "sched/height_r.hpp"
@@ -124,9 +126,9 @@ TEST(ListSchedulerTest, IndependentOpsPackUpToResourceLimit)
 }
 
 /**
- * The list scheduler as it was before its reservation table became one
- * sorted vector per resource: the same height order and Estart, with
- * every reserved (cycle, resource) cell in one std::set.
+ * The list scheduler with the plainest table: the same height order and
+ * Estart, a cycle-by-cycle walk from Estart trying the alternatives in
+ * index order, and every reserved (cycle, resource) cell in one std::set.
  */
 sched::ListScheduleResult
 referenceListSchedule(const ir::Loop& loop,
@@ -191,22 +193,100 @@ referenceListSchedule(const ir::Loop& loop,
     return result;
 }
 
+/**
+ * listSchedule's result, after checking that it equals the reference's
+ * field by field.
+ */
+sched::ListScheduleResult
+matchingReference(const ir::Loop& loop, const machine::MachineModel& machine)
+{
+    const auto graph = graph::buildDepGraph(loop, machine);
+    const auto got = sched::listSchedule(loop, machine, graph);
+    const auto want = referenceListSchedule(loop, machine, graph);
+    EXPECT_EQ(got.times, want.times)
+        << loop.name() << " on " << machine.name();
+    EXPECT_EQ(got.alternatives, want.alternatives)
+        << loop.name() << " on " << machine.name();
+    EXPECT_EQ(got.scheduleLength, want.scheduleLength)
+        << loop.name() << " on " << machine.name();
+    return got;
+}
+
+/**
+ * A hand-built machine for the busy-run table's corner cases: `mul`'s
+ * alternative 1 (`fast`, on y) can start before alternative 0 (`slow`,
+ * three cycles of x); `div` holds d for four cycles, one run per op;
+ * `sub` uses d one cycle in and x two cycles in, so a jump past a d run
+ * lands its x use elsewhere; `max` holds x for three cycles, so a jump
+ * on its second use can move its first into a busy run.
+ */
+constexpr const char* kRunsMachine = "machine runs\n"
+                                     "resource x\n"
+                                     "resource y\n"
+                                     "resource d\n"
+                                     "opcode add 3\n"
+                                     "alt a 0:x\n"
+                                     "opcode mul 1\n"
+                                     "alt slow 0:x 1:x 2:x\n"
+                                     "alt fast 0:y\n"
+                                     "opcode div 4\n"
+                                     "alt d 0:d 1:d 2:d 3:d\n"
+                                     "opcode sub 1\n"
+                                     "alt s 1:d 2:x\n"
+                                     "opcode max 1\n"
+                                     "alt b 0:x 1:x 2:x\n";
+
+/**
+ * The adds take x at cycles 0-2, so the mul's `slow` fits at 3 but `fast`
+ * at 0: the op takes the smallest start, not the first alternative that
+ * fits somewhere.
+ */
+ir::Loop
+altFitsEarlier()
+{
+    return ir::parseLoop("loop alt_fits_earlier\n"
+                         "livein a\n"
+                         "b = add a, a\n"
+                         "c = add a, a\n"
+                         "d = add a, a\n"
+                         "e = mul a, a\n");
+}
+
+/**
+ * q and r leave d busy at 0-3 and 7-10; the subs fill the gap and merge
+ * the runs; `p` (max) at 0 finds x busy, jumps to 3 for its first use,
+ * then past the run at 4-7 for its second, which puts its first use on
+ * busy cycle 7 and needs one more jump, to 8.
+ */
+ir::Loop
+blockRuns()
+{
+    return ir::parseLoop("loop block_runs\n"
+                         "livein a\n"
+                         "q = div a, a\n"
+                         "g = add q, a\n"
+                         "r = div g, a\n"
+                         "s = sub a, a\n"
+                         "t = sub a, a\n"
+                         "w = sub a, a\n"
+                         "m = mul a, a\n"
+                         "n = mul a, a\n"
+                         "p = max a, a\n");
+}
+
 TEST(ListSchedulerTest, MatchesTheSetTableReference)
 {
     const auto loops = test_loops::referenceLoops();
     for (const auto& machine : test_loops::stockMachines()) {
-        for (const auto& loop : loops) {
-            const auto graph = graph::buildDepGraph(loop, machine);
-            const auto got = sched::listSchedule(loop, machine, graph);
-            const auto want = referenceListSchedule(loop, machine, graph);
-            ASSERT_EQ(got.times, want.times)
-                << loop.name() << " on " << machine.name();
-            ASSERT_EQ(got.alternatives, want.alternatives)
-                << loop.name() << " on " << machine.name();
-            ASSERT_EQ(got.scheduleLength, want.scheduleLength)
-                << loop.name() << " on " << machine.name();
-        }
+        for (const auto& loop : loops)
+            matchingReference(loop, machine);
     }
+    const auto runs = machine::parseMachine(kRunsMachine);
+    const auto alt = matchingReference(altFitsEarlier(), runs);
+    EXPECT_EQ(alt.times[3], 0);
+    EXPECT_EQ(alt.alternatives[3], 1);
+    EXPECT_EQ(matchingReference(blockRuns(), runs).times,
+              (std::vector<int>{0, 4, 7, 3, 4, 5, 0, 0, 8}));
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include "mii/min_dist.hpp"
 #include "mii/rec_mii.hpp"
 #include "mii/res_mii.hpp"
+#include "reference_loops.hpp"
 #include "sched/schedule.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -150,8 +151,9 @@ TEST(MinDistTest, DiagonalDetectsInfeasibleIi)
     for (int ii = 1; ii <= 12; ++ii) {
         const mii::MinDistMatrix m(g, {0, 1}, ii);
         EXPECT_EQ(m.feasible(), ii >= 9) << "II " << ii;
-        if (ii == 9)
+        if (ii == 9) {
             EXPECT_EQ(m.maxDiagonal(), 0); // tight at the RecMII
+        }
     }
 }
 
@@ -198,7 +200,7 @@ TEST(MinDistTest, RecomputeMatchesFreshConstruction)
 /**
  * Reference closure: the plain Floyd-Warshall triple loop, billing one
  * inner step per (i, k, j) with both path halves finite. MinDistMatrix's
- * gathered-pivot closure must reproduce its matrix and both counters bit
+ * bitset-gathered closure must reproduce its matrix and both counters bit
  * for bit.
  */
 struct ReferenceMinDist
@@ -298,39 +300,78 @@ closureTestLoops()
     return loops;
 }
 
-TEST(MinDistTest, GatheredClosureMatchesReferenceTripleLoop)
+/** What checkClosureAgainstReference saw besides the comparisons. */
+struct ClosureCheck
 {
-    // At the achieved II and at the infeasible II - 1 and 1 (positive
-    // diagonal), over the whole graph and over every SCC subset.
-    const auto machine = machine::cydra5();
+    /** Whole-graph matrices with a positive diagonal. */
     int infeasible = 0;
-    for (const ir::Loop& loop : closureTestLoops()) {
-        SCOPED_TRACE(loop.name());
-        const auto g = graph::buildDepGraph(loop, machine);
-        const auto sccs = graph::findSccs(g);
-        const int achieved =
-            sched::schedule(loop, machine, g, sccs).schedule.ii;
-        std::vector<graph::VertexId> all(g.numVertices());
-        std::iota(all.begin(), all.end(), 0);
-        for (const int ii : {achieved, achieved - 1, 1}) {
-            if (ii < 1)
-                continue;
-            support::Counters counters;
-            const mii::MinDistMatrix whole(g, ii, &counters);
-            ASSERT_TRUE(matchesReference(whole, counters,
-                                         referenceMinDist(g, all, ii)));
-            infeasible += !whole.feasible();
-            for (const auto& component : sccs.components()) {
-                support::Counters scc_counters;
-                const mii::MinDistMatrix subset(g, component, ii,
-                                                &scc_counters);
-                ASSERT_TRUE(matchesReference(
-                    subset, scc_counters, referenceMinDist(g, component, ii)));
+    /** Share of finite cells in the whole-graph matrix at the achieved II. */
+    double finiteShare = 0.0;
+};
+
+/**
+ * Compare the closure with the reference at the achieved II and at the
+ * infeasible II - 1 and 1 (positive diagonal), over the whole graph and
+ * over every SCC subset.
+ */
+ClosureCheck
+checkClosureAgainstReference(const ir::Loop& loop,
+                             const machine::MachineModel& machine)
+{
+    SCOPED_TRACE(loop.name());
+    const auto g = graph::buildDepGraph(loop, machine);
+    const auto sccs = graph::findSccs(g);
+    const int achieved = sched::schedule(loop, machine, g, sccs).schedule.ii;
+    std::vector<graph::VertexId> all(g.numVertices());
+    std::iota(all.begin(), all.end(), 0);
+    ClosureCheck check;
+    for (const int ii : {achieved, achieved - 1, 1}) {
+        if (ii < 1)
+            continue;
+        support::Counters counters;
+        const mii::MinDistMatrix whole(g, ii, &counters);
+        EXPECT_TRUE(matchesReference(whole, counters,
+                                     referenceMinDist(g, all, ii)));
+        check.infeasible += !whole.feasible();
+        if (ii == achieved) {
+            int finite = 0;
+            for (int i = 0; i < whole.size(); ++i) {
+                for (int j = 0; j < whole.size(); ++j)
+                    finite += whole.at(i, j) != mii::MinDistMatrix::kMinusInf;
             }
+            check.finiteShare = static_cast<double>(finite) /
+                                (whole.size() * whole.size());
+        }
+        for (const auto& component : sccs.components()) {
+            support::Counters scc_counters;
+            const mii::MinDistMatrix subset(g, component, ii, &scc_counters);
+            EXPECT_TRUE(matchesReference(subset, scc_counters,
+                                         referenceMinDist(g, component, ii)));
         }
     }
+    return check;
+}
+
+TEST(MinDistTest, GatheredClosureMatchesReferenceTripleLoop)
+{
+    const auto machine = machine::cydra5();
+    int infeasible = 0;
+    for (const ir::Loop& loop : closureTestLoops())
+        infeasible += checkClosureAgainstReference(loop, machine).infeasible;
     // Dozens of the infeasible IIs really close a positive diagonal.
     EXPECT_GE(infeasible, 50);
+}
+
+TEST(MinDistTest, GatheredClosureMatchesReferenceOnRecurrenceDenseLoops)
+{
+    // Dense matrices, where a pivot's finite rows come from many earlier
+    // pivots: the cells whose finiteness the bitsets must carry forward.
+    const auto machine = machine::scalarToy();
+    for (const ir::Loop& loop : test_loops::hardIiLoops(3)) {
+        EXPECT_GE(checkClosureAgainstReference(loop, machine).finiteShare,
+                  0.3)
+            << loop.name();
+    }
 }
 
 TEST(MinDistTest, RecomputeWalkingIiUpAndDownMatchesReference)

@@ -2,10 +2,13 @@
 
 #include "core/pipeliner.hpp"
 #include "core/report.hpp"
+#include "graph/graph_builder.hpp"
 #include "support/error.hpp"
 #include "ir/parser.hpp"
 #include "machine/cydra5.hpp"
+#include "machine/machine_io.hpp"
 #include "machine/machines.hpp"
+#include "sched/list_scheduler.hpp"
 #include "workloads/kernels.hpp"
 
 namespace {
@@ -169,6 +172,54 @@ TEST(PipelinerTest, IiExhaustionSurfacesStructuredDiagnosticCode)
     ASSERT_FALSE(result.diagnostics.empty());
     EXPECT_EQ(result.diagnostics[0].code, "sched.ii_exhausted");
     EXPECT_NE(result.firstError().find("daxpy"), std::string::npos);
+}
+
+/**
+ * A registered machine whose one opcode takes 2e9 cycles. A
+ * self-recurrence needs a RecMII above the MII search's INT32_MAX / 2
+ * range and answers mii.too_large (it used to answer error.mii_bounds
+ * with a false zero-distance message). A chain of three such ops needs
+ * schedule times beyond an int and answers sched.too_large before any
+ * attempt runs (the attempt used to overflow `int` in Estart, which
+ * UBSan reports, and then fail verification). Every backend and the
+ * list schedule on its own answer so.
+ */
+TEST(PipelinerTest, HostileLatenciesAnswerTooLarge)
+{
+    const machine::MachineModel big = machine::parseMachine(
+        "machine big\nresource r\nopcode asub 2000000000\nalt a 0:r\n");
+    const ir::Loop recurrence =
+        ir::parseLoop("loop rec1\nrecurrence n\nn = asub n[1], #3\n");
+    const ir::Loop chain = ir::parseLoop("loop chain3\nlivein a\n"
+                                         "b = asub a, #1\n"
+                                         "c = asub b, #1\n"
+                                         "d = asub c, #1\n");
+    for (const auto strategy :
+         {sched::SchedulerStrategy::kIterative,
+          sched::SchedulerStrategy::kSlack,
+          sched::SchedulerStrategy::kExact}) {
+        const core::SoftwarePipeliner pipeliner(
+            big, core::PipelinerOptions{}.withScheduler(strategy));
+        const auto rec = pipeliner.pipeline(core::PipelineRequest(recurrence));
+        ASSERT_EQ(rec.diagnostics.size(), 1u);
+        EXPECT_EQ(rec.diagnostics[0].code, "mii.too_large");
+        EXPECT_EQ(rec.firstError().find("zero iteration distance"),
+                  std::string::npos)
+            << rec.firstError();
+
+        const auto chained = pipeliner.pipeline(core::PipelineRequest(chain));
+        ASSERT_EQ(chained.diagnostics.size(), 1u);
+        EXPECT_EQ(chained.diagnostics[0].code, "sched.too_large")
+            << chained.firstError();
+    }
+
+    const graph::DepGraph graph = graph::buildDepGraph(chain, big);
+    try {
+        sched::listSchedule(chain, big, graph);
+        FAIL() << "the list schedule ran past INT32_MAX";
+    } catch (const support::CodedError& error) {
+        EXPECT_EQ(error.code(), "sched.too_large");
+    }
 }
 
 TEST(PipelinerTest, MachineSweepAllKernels)

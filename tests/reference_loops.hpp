@@ -3,15 +3,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "ir/loop.hpp"
 #include "machine/cydra5.hpp"
 #include "machine/machines.hpp"
+#include "sched/schedule.hpp"
+#include "support/error.hpp"
+#include "support/rng.hpp"
 #include "transform/unroll.hpp"
 #include "workloads/corpus.hpp"
 #include "workloads/kernels.hpp"
+#include "workloads/random_loops.hpp"
 
 namespace ims::test_loops {
 
@@ -34,6 +39,33 @@ unrollLadder()
         }
     }
     return ladder;
+}
+
+/**
+ * Recurrence-dense loops: the first `want` fuzz-profile loops (seed 1)
+ * whose II walk on scalar-toy needs at least five attempts, unrolled x8,
+ * as perfbench's hard_ii workload builds them. 30-70% of their MinDist
+ * cells are finite, against a few percent on the kernels and the ladder.
+ */
+inline std::vector<ir::Loop>
+hardIiLoops(int want)
+{
+    const machine::MachineModel machine = machine::scalarToy();
+    const auto profile = workloads::fuzzProfile();
+    support::Rng rng(1);
+    std::vector<ir::Loop> hard;
+    for (int i = 0; static_cast<int>(hard.size()) < want; ++i) {
+        const ir::Loop loop = workloads::generateLoop(
+            rng, "hard_" + std::to_string(i), profile);
+        try {
+            if (sched::schedule(loop, machine).attempts < 5)
+                continue;
+        } catch (const support::Error&) {
+            continue;
+        }
+        hard.push_back(transform::unrollLoop(loop, 8));
+    }
+    return hard;
 }
 
 /** Every kernel-library loop. */

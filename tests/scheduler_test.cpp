@@ -252,8 +252,9 @@ TEST(TraceTest, TraceRecordsEveryStepInOrder)
         prev_step = event.step;
         EXPECT_GE(event.slot, event.estart);
         EXPECT_EQ(event.maxTime, event.minTime + ctx.mii.mii - 1);
-        if (!event.forced)
+        if (!event.forced) {
             EXPECT_LE(event.slot, event.maxTime);
+        }
     }
 }
 

@@ -45,8 +45,9 @@ TEST(KernelLibraryTest, MakeSimSpecCoversAllArraysAndLiveIns)
     for (const auto& array : w.loop.arrays())
         EXPECT_TRUE(spec.arrays.count(array.name)) << array.name;
     for (const auto& reg : w.loop.registers()) {
-        if (reg.isLiveIn)
+        if (reg.isLiveIn) {
             EXPECT_TRUE(spec.liveIn.count(reg.name)) << reg.name;
+        }
     }
     // Margin must cover the z[i+11] access.
     EXPECT_GE(spec.margin, 11);
