@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <utility>
@@ -15,8 +16,10 @@
 #include "mii/mii.hpp"
 #include "reference_loops.hpp"
 #include "sched/schedule.hpp"
+#include "sched/verifier.hpp"
 #include "service/schedule_cache.hpp"
 #include "support/hash.hpp"
+#include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "workloads/corpus.hpp"
 #include "workloads/kernels.hpp"
@@ -349,6 +352,86 @@ TEST(GoldenTest, PipelineCountersArePinned)
         }
         EXPECT_EQ(digest.digest(), want[m])
             << machines[m].name() << ": 0x" << std::hex << digest.digest();
+    }
+}
+
+/**
+ * Cross-commit identity of the structural verifier: one FNV digest per
+ * stock machine over every violation verifySchedule reports on seeded
+ * corruptions of each kernel-library schedule. Each case moves 1-6 ops
+ * to a random alternative and a random time from two cycles below zero
+ * to the schedule length, and every tenth case also halves the II, so
+ * that block reservations collide with themselves. The values were
+ * recorded while the verifier still rebuilt the schedulers' modulo
+ * reservation table; a change here means a violation, its order or one
+ * of its fields changed.
+ */
+TEST(GoldenTest, VerifierViolationsArePinned)
+{
+    constexpr int kCasesPerLoop = 90;
+    const std::vector<ir::Loop> loops = test_loops::kernelLoops();
+
+    // One digest per test_loops::stockMachines() entry, in its order.
+    const std::uint64_t want[] = {
+        0x7631b199cd0589fdULL, // cydra5
+        0x489415350db71e12ULL, // clean64
+        0xf4f72f368eb1c58cULL, // wide-vliw
+        0x2428224f3c424b38ULL, // scalar-toy
+    };
+    const auto machines = test_loops::stockMachines();
+    ASSERT_EQ(machines.size(), std::size(want));
+    int seen[static_cast<int>(sched::ViolationKind::kResourceConflict) + 1] =
+        {};
+    for (std::size_t m = 0; m < machines.size(); ++m) {
+        const core::SoftwarePipeliner pipeliner(machines[m]);
+        support::Rng rng(20261019 + m);
+        support::Fnv1a digest;
+        for (const auto& loop : loops) {
+            const core::PipelineResult result =
+                pipeliner.pipeline(core::PipelineRequest(loop));
+            if (!result.ok())
+                continue;
+            const graph::DepGraph& graph = result.artifacts->depGraph;
+            const sched::ScheduleResult& base =
+                result.artifacts->outcome.schedule;
+            for (int c = 0; c < kCasesPerLoop; ++c) {
+                sched::ScheduleResult bad = base;
+                if (c % 10 == 9)
+                    bad.ii = std::max(1, bad.ii / 2);
+                const int moves = rng.uniformInt(1, 6);
+                for (int k = 0; k < moves; ++k) {
+                    const int op = rng.uniformInt(0, loop.size() - 1);
+                    const int alternatives = static_cast<int>(
+                        machines[m]
+                            .info(loop.operation(op).opcode)
+                            .alternatives.size());
+                    bad.alternatives[op] =
+                        rng.uniformInt(0, alternatives - 1);
+                    bad.times[op] = rng.uniformInt(-2, bad.scheduleLength);
+                }
+                for (const sched::Violation& v :
+                     sched::verifySchedule(loop, machines[m], graph, bad)) {
+                    ++seen[static_cast<int>(v.kind)];
+                    for (const std::int64_t field :
+                         {static_cast<std::int64_t>(v.kind),
+                          static_cast<std::int64_t>(v.op),
+                          static_cast<std::int64_t>(v.other),
+                          static_cast<std::int64_t>(v.edge),
+                          static_cast<std::int64_t>(v.time),
+                          static_cast<std::int64_t>(v.required)})
+                        digest.update(static_cast<std::uint64_t>(field));
+                }
+            }
+        }
+        EXPECT_EQ(digest.digest(), want[m])
+            << machines[m].name() << ": 0x" << std::hex << digest.digest();
+    }
+    for (const auto kind :
+         {sched::ViolationKind::kNegativeTime, sched::ViolationKind::kDependence,
+          sched::ViolationKind::kSelfConflict,
+          sched::ViolationKind::kResourceConflict}) {
+        EXPECT_GT(seen[static_cast<int>(kind)], 0)
+            << sched::violationKindName(kind);
     }
 }
 
