@@ -330,11 +330,10 @@ struct MrtSample
 };
 
 /**
- * Microbenchmark of the three MRT conflict kernels against one
- * realistically loaded table: the owner-cell use-list walk (the old hot
- * path, kept as the displacement oracle), the compiled-mask single-time
- * probe, and the word-parallel whole-window slot scan. One slot scan
- * answers the same question as II single-time probes.
+ * Microbenchmark of the two MRT conflict kernels against one
+ * realistically loaded table: the compiled single-time probe and the
+ * word-parallel whole-window slot scan. One slot scan answers the same
+ * question as II single-time probes.
  */
 std::vector<MrtSample>
 measureMrtKernels(const machine::MachineModel& machine, bool quick)
@@ -342,7 +341,7 @@ measureMrtKernels(const machine::MachineModel& machine, bool quick)
     const int num_resources = machine.numResources();
     const int ii = 16;
     constexpr int kNumOps = 64;
-    sched::ModuloReservationTable mrt(ii, num_resources, kNumOps);
+    sched::ModuloReservationTable mrt(ii, num_resources);
 
     // Deterministically fill roughly half the table with random ops so
     // probes see a realistic mix of hits and misses.
@@ -357,27 +356,26 @@ measureMrtKernels(const machine::MachineModel& machine, bool quick)
             table.addUse(use_time(rng), resource(rng));
         return table;
     };
+    const auto random_compiled = [&] {
+        return machine::CompiledReservationTable(random_table(), ii,
+                                                 num_resources);
+    };
     for (int op = 0; op < kNumOps; ++op) {
-        const auto table = random_table();
-        if (sched::ModuloReservationTable::selfConflicts(table, ii))
+        const auto table = random_compiled();
+        if (table.selfConflicts())
             continue;
-        for (int t = 0; t < ii; ++t) {
-            if (!mrt.conflicts(table, t)) {
-                mrt.reserve(op, table, t);
-                break;
-            }
-        }
+        const int t = mrt.firstFreeSlot(table, 0);
+        if (t >= 0)
+            mrt.reserve(op, table, t);
     }
 
     constexpr int kNumProbes = 16;
-    std::vector<machine::ReservationTable> probes;
     std::vector<machine::CompiledReservationTable> compiled;
     for (int i = 0; i < kNumProbes; ++i) {
-        auto table = random_table();
-        while (sched::ModuloReservationTable::selfConflicts(table, ii))
-            table = random_table();
-        compiled.emplace_back(table, ii, num_resources);
-        probes.push_back(std::move(table));
+        auto table = random_compiled();
+        while (table.selfConflicts())
+            table = random_compiled();
+        compiled.push_back(std::move(table));
     }
 
     const long long iterations = quick ? 100'000 : 4'000'000;
@@ -397,9 +395,6 @@ measureMrtKernels(const machine::MachineModel& machine, bool quick)
                            std::max(sample.wallSeconds, 1e-12);
         samples.push_back(std::move(sample));
     };
-    run("cell_probe", 1, [&](int p, int t) {
-        return mrt.conflicts(probes[p], t) ? 1 : 0;
-    });
     run("mask_probe", 1, [&](int p, int t) {
         return mrt.conflicts(compiled[p], t) ? 1 : 0;
     });
@@ -595,8 +590,8 @@ main(int argc, char** argv)
     const auto mrt_samples = measureMrtKernels(machine, quick);
     support::TextTable mrt_table("MRT probe kernels (ii=16, half full)");
     mrt_table.addHeader({"kernel", "calls", "wall s", "calls/s",
-                         "candidates/s", "vs cell_probe"});
-    const double cell_rate = mrt_samples.front().perSecond;
+                         "candidates/s", "vs mask_probe"});
+    const double mask_rate = mrt_samples.front().perSecond;
     for (const auto& s : mrt_samples) {
         const double candidate_rate = s.perSecond * s.coverage;
         mrt_table.addRow(
@@ -604,7 +599,7 @@ main(int argc, char** argv)
              support::formatDouble(s.wallSeconds, 3),
              support::formatDouble(s.perSecond, 0),
              support::formatDouble(candidate_rate, 0),
-             support::formatDouble(candidate_rate / cell_rate, 2) + "x"});
+             support::formatDouble(candidate_rate / mask_rate, 2) + "x"});
     }
     mrt_table.print(std::cout);
 

@@ -85,8 +85,11 @@ PY
 if [ "${IMS_CI_SKIP_ASAN:-0}" != "1" ]; then
     echo "==== stage 2/7: AddressSanitizer + UBSan ===="
     # Only the test binaries ctest runs; any sanitizer report (an
-    # out-of-range index, signed overflow, ...) aborts its test.
-    cmake -B build-asan -S . -DIMS_SANITIZE=address >/dev/null
+    # out-of-range index, signed overflow, ...) aborts its test. A Debug
+    # build, so this stage also runs every assert in src/ (the default
+    # RelWithDebInfo build defines NDEBUG).
+    cmake -B build-asan -S . -DIMS_SANITIZE=address \
+        -DCMAKE_BUILD_TYPE=Debug >/dev/null
     cmake --build build-asan -j --target ims_tests
     (cd build-asan &&
         UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \

@@ -42,22 +42,4 @@ CompiledReservationTable::CompiledReservationTable(
     data_.erase(first_dup, data_.end());
 }
 
-const std::vector<CompiledReservationTable>&
-CompiledTableCache::get(const std::vector<Alternative>& alternatives,
-                        int ii, int num_resources)
-{
-    const void* key = &alternatives;
-    for (const auto& entry : entries_) {
-        if (entry.alternatives == key && entry.ii == ii)
-            return entry.compiled;
-    }
-
-    Entry entry{key, ii, {}};
-    entry.compiled.reserve(alternatives.size());
-    for (const auto& alternative : alternatives)
-        entry.compiled.emplace_back(alternative.table, ii, num_resources);
-    entries_.push_back(std::move(entry));
-    return entries_.back().compiled;
-}
-
 } // namespace ims::machine

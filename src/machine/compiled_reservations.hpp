@@ -2,10 +2,8 @@
 #define IMS_MACHINE_COMPILED_RESERVATIONS_HPP
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
-#include "machine/machine_model.hpp"
 #include "machine/reservation_table.hpp"
 
 namespace ims::machine {
@@ -32,8 +30,8 @@ namespace ims::machine {
  * merged) is still well-formed for conflict queries.
  *
  * The uses live in one flat word buffer, one packed word each — the
- * compile step runs once per (opcode, II) but for *every* scheduler
- * instance, so small loops feel its constant factor.
+ * compile step runs once per used opcode in *every* II attempt, so small
+ * loops feel its constant factor.
  */
 class CompiledReservationTable
 {
@@ -54,7 +52,7 @@ class CompiledReservationTable
     /** True when the source table reserved no resources (pseudo-ops). */
     bool empty() const { return data_.empty(); }
 
-    /** Cached ModuloReservationTable::selfConflicts(table, ii). */
+    /** True when two uses of one resource fall in congruent rows. */
     bool selfConflicts() const { return selfConflicts_; }
 
     /** Merged (rotation, resource) uses, sorted, unique. */
@@ -79,46 +77,6 @@ class CompiledReservationTable
     int ii_ = 1;
     bool selfConflicts_ = false;
     std::vector<std::uint64_t> data_;
-};
-
-/**
- * Cache of compiled alternative lists keyed by (alternative list, II).
- *
- * Every vertex with the same opcode shares one `Alternative` vector
- * inside the (immutable) MachineModel, so the key is that vector's
- * address. The scheduler probes the same few opcodes millions of times
- * per II attempt and revisits IIs across the MII search, hence a cache
- * rather than a per-attempt recompile of every vertex.
- *
- * Not thread-safe: each scheduler (and therefore each BatchPipeliner
- * worker) owns its own cache. Entries borrow the alternative vector, so
- * the machine model must outlive the cache.
- *
- * A machine has a handful of opcodes and the II search visits a handful
- * of candidates, so the cache is a flat sequence scanned linearly —
- * cheaper than a tree or hash map at these sizes, and `get` sits on the
- * per-attempt setup path of every vertex. A deque keeps the returned
- * references stable as entries are appended.
- */
-class CompiledTableCache
-{
-  public:
-    const std::vector<CompiledReservationTable>&
-    get(const std::vector<Alternative>& alternatives, int ii,
-        int num_resources);
-
-    /** Number of distinct (alternative list, II) entries compiled. */
-    std::size_t size() const { return entries_.size(); }
-
-  private:
-    struct Entry
-    {
-        const void* alternatives;
-        int ii;
-        std::vector<CompiledReservationTable> compiled;
-    };
-
-    std::deque<Entry> entries_;
 };
 
 } // namespace ims::machine

@@ -240,7 +240,7 @@ ExactScheduler::trySchedule(int ii, std::int64_t node_budget)
     if (!dist_->feasible())
         return out;
 
-    PartialSchedule schedule(graph_, loop_, machine_, ii, &compiledCache_);
+    PartialSchedule schedule(graph_, loop_, machine_, ii);
     if (!schedule.allVerticesPlaceable())
         return out;
 
@@ -364,7 +364,7 @@ exactBackend(const ir::Loop& loop, const machine::MachineModel& machine,
     const std::int64_t budget = options.exactNodeBudget;
 
     // One scheduler for the whole walk: trySchedule reuses the MinDist
-    // matrix and compiled-table cache across candidate IIs.
+    // matrix and HeightR buffers across candidate IIs.
     ExactScheduler scheduler(loop, machine, graph, sccs);
     const IiAttemptFn attempt = [&](int ii) {
         IiAttemptOutcome out = scheduler.trySchedule(ii, budget);

@@ -7,7 +7,6 @@
 #include "graph/dep_graph.hpp"
 #include "graph/scc.hpp"
 #include "ir/loop.hpp"
-#include "machine/compiled_reservations.hpp"
 #include "machine/machine_model.hpp"
 #include "mii/min_dist.hpp"
 #include "sched/attempt.hpp"
@@ -66,8 +65,8 @@ inline constexpr std::int64_t kDefaultExactNodeBudget = 4'000'000;
  * AttemptStatus::kBudgetExhausted — *not* infeasibility.
  *
  * Like IterativeScheduler, an instance reuses buffers (MinDist matrix,
- * compiled-table cache) across candidate IIs and is not safe for
- * concurrent trySchedule calls.
+ * HeightR) across candidate IIs and is not safe for concurrent
+ * trySchedule calls.
  */
 class ExactScheduler
 {
@@ -92,8 +91,6 @@ class ExactScheduler
     const graph::SccResult& sccs_;
     /** HeightR buffers reused across candidate IIs (branch order). */
     PriorityWorkspace priorityWorkspace_;
-    /** Compiled reservation tables shared across attempts and IIs. */
-    machine::CompiledTableCache compiledCache_;
     /** Whole-graph MinDist, recomputed (not rebuilt) per candidate II. */
     std::optional<mii::MinDistMatrix> dist_;
 };

@@ -1,6 +1,9 @@
 #include "sched/ii_search.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -52,16 +55,22 @@ runIiSearch(const IiSearchOptions& options, int res_mii, int mii,
     support::Counters walked;
     std::optional<ScheduleResult> winner;
 
+    // The last candidate in 64 bits: an increase near INT_MAX would
+    // overflow `mii + maxIiIncrease` in int.
+    const std::int64_t last = std::min<std::int64_t>(
+        std::int64_t{mii} + options.maxIiIncrease,
+        std::numeric_limits<int>::max());
     const auto search_start = std::chrono::steady_clock::now();
-    for (int ii = mii; ii <= mii + options.maxIiIncrease; ++ii) {
+    for (std::int64_t ii = mii; ii <= last; ++ii) {
         const auto attempt_start = std::chrono::steady_clock::now();
-        IiAttemptOutcome out = attempt(ii);
+        IiAttemptOutcome out = attempt(static_cast<int>(ii));
         const double seconds = secondsSince(attempt_start);
         walked += out.counters;
         if (out.status == AttemptStatus::kInfeasible)
             ++search.attemptsProvenInfeasible;
         search.records.push_back(
-            {ii, out.schedule.has_value(), out.status, seconds});
+            {static_cast<int>(ii), out.schedule.has_value(), out.status,
+             seconds});
         if (out.schedule.has_value()) {
             winner = std::move(out.schedule);
             break;

@@ -114,8 +114,8 @@ struct ModuloScheduleOutcome
 
 /**
  * The shared Figure-2 outer loop: walk the candidate IIs mii, mii+1, ...,
- * mii + options.maxIiIncrease, calling `attempt` on each until one
- * succeeds.
+ * mii + options.maxIiIncrease (at most INT_MAX), calling `attempt` on
+ * each until one succeeds.
  *
  * When the walk ends — on success or on exhaustion — the attempts'
  * counter deltas are flushed into `counters`, one Phase::kIiAttempt

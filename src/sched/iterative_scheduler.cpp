@@ -33,13 +33,12 @@ class Attempt
     Attempt(const ir::Loop& loop, const machine::MachineModel& machine,
             const graph::DepGraph& graph,
             const std::vector<std::int64_t>& priority,
-            const IterativeScheduleOptions& options, int ii,
-            machine::CompiledTableCache* cache)
+            const IterativeScheduleOptions& options, int ii)
         : graph_(graph),
           priority_(priority),
           options_(options),
           ii_(ii),
-          schedule_(graph, loop, machine, ii, cache),
+          schedule_(graph, loop, machine, ii),
           estart_(graph, schedule_, stats_),
           ready_(priority)
     {
@@ -190,15 +189,12 @@ class Attempt
             }
             assert(alternative >= 0 &&
                    "allVerticesPlaceable guarantees a usable alternative");
-            schedule_.mrt().conflictingOps(
-                schedule_.alternativesOf(op)[alternative].table, slot,
-                conflictScratch_);
+            schedule_.mrt().conflictingOps(compiled[alternative], slot,
+                                           conflictScratch_);
             if (options_.trace != nullptr)
                 resourceDisplacedThisStep_ = conflictScratch_;
             for (int victim : conflictScratch_)
                 displace(victim);
-            assert(schedule_.fittingAlternative(op, slot) == alternative &&
-                   "displacing the chosen alternative's victims frees it");
         }
         schedule_.place(op, slot, alternative);
         estart_.onPlace(op, slot);
@@ -266,7 +262,7 @@ IterativeScheduler::trySchedule(int ii, std::int64_t budget)
                           priorityWorkspace_);
 
     Attempt attempt(loop_, machine_, graph_, priorityWorkspace_.priorities,
-                    options_, ii, &compiledCache_);
+                    options_, ii);
     const bool success = attempt.run(budget);
     out.status = attempt.status();
 
@@ -304,7 +300,7 @@ iterativeBackend(const ir::Loop& loop, const machine::MachineModel& machine,
     inner.trace = options.trace;
 
     // One scheduler for the whole walk: trySchedule reuses its priority
-    // and compiled-reservation buffers across candidate IIs.
+    // buffers across candidate IIs.
     IterativeScheduler scheduler(loop, machine, graph, sccs, inner);
     const IiAttemptFn attempt = [&](int ii) {
         return scheduler.trySchedule(ii, budget);

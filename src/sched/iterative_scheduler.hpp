@@ -7,7 +7,6 @@
 #include "graph/dep_graph.hpp"
 #include "graph/scc.hpp"
 #include "ir/loop.hpp"
-#include "machine/compiled_reservations.hpp"
 #include "machine/machine_model.hpp"
 #include "sched/attempt.hpp"
 #include "sched/priority.hpp"
@@ -41,9 +40,8 @@ struct IterativeScheduleOptions
  *
  * The dependence graph and SCCs must correspond to `loop` on `machine`.
  *
- * A scheduler instance reuses its priority/reservation-table buffers
- * across candidate IIs and is therefore NOT safe for concurrent
- * trySchedule calls.
+ * A scheduler instance reuses its priority buffers across candidate IIs
+ * and is therefore NOT safe for concurrent trySchedule calls.
  */
 class IterativeScheduler
 {
@@ -70,9 +68,6 @@ class IterativeScheduler
     /** Priority/HeightR buffers reused across candidate IIs, so a failed
      *  attempt does not reallocate (see PriorityWorkspace). */
     PriorityWorkspace priorityWorkspace_;
-    /** Reservation tables lowered to bitmasks, keyed by (alternative
-     *  list, II); shared across every attempt of this scheduler. */
-    machine::CompiledTableCache compiledCache_;
 };
 
 } // namespace ims::sched

@@ -6,8 +6,7 @@
 
 namespace ims::sched {
 
-ModuloReservationTable::ModuloReservationTable(int ii, int num_resources,
-                                               int num_ops)
+ModuloReservationTable::ModuloReservationTable(int ii, int num_resources)
     : ii_(ii),
       numResources_(num_resources),
       wordsPerColumn_((ii + 63) / 64),
@@ -15,10 +14,6 @@ ModuloReservationTable::ModuloReservationTable(int ii, int num_resources,
                               ? ~std::uint64_t{0}
                               : (std::uint64_t{1} << (ii % 64)) - 1),
       cells_(static_cast<std::size_t>(ii) * num_resources, kFree),
-      numOps_(num_ops),
-      heldStride_(4),
-      heldCells_(static_cast<std::size_t>(num_ops) * 4, 0),
-      heldCount_(num_ops, 0),
       resourceRows_(static_cast<std::size_t>(num_resources) *
                         wordsPerColumn_,
                     0),
@@ -52,30 +47,16 @@ ModuloReservationTable::clearCellBits(int row, machine::ResourceId resource)
 }
 
 bool
-ModuloReservationTable::conflicts(const machine::ReservationTable& table,
-                                  int time) const
-{
-    for (const auto& use : table.uses()) {
-        const int row = rowOf(time + use.time);
-        if (owner(row, use.resource) != kFree)
-            return true;
-    }
-    return false;
-}
-
-bool
 ModuloReservationTable::conflicts(
     const machine::CompiledReservationTable& table, int time) const
 {
     assert(table.ii() == ii_);
     ++maskProbes_;
-    const int tm = rowOf(time);
+    const int base_row = rowOf(time);
     const int num_uses = table.numUses();
     for (int i = 0; i < num_uses; ++i) {
         const auto use = table.use(i);
-        int row = use.rotation + tm;
-        if (row >= ii_)
-            row -= ii_;
+        const int row = useRow(use, base_row);
         if ((resourceRows(use.resource)[row >> 6] >> (row & 63) & 1) != 0)
             return true;
     }
@@ -168,23 +149,18 @@ ModuloReservationTable::firstFreeSlot(
     return min_time + delta;
 }
 
-std::vector<int>
-ModuloReservationTable::conflictingOps(const machine::ReservationTable& table,
-                                       int time) const
-{
-    std::vector<int> ops;
-    conflictingOps(table, time, ops);
-    return ops;
-}
-
 void
-ModuloReservationTable::conflictingOps(const machine::ReservationTable& table,
-                                       int time, std::vector<int>& out) const
+ModuloReservationTable::conflictingOps(
+    const machine::CompiledReservationTable& table, int time,
+    std::vector<int>& out) const
 {
+    assert(table.ii() == ii_);
     out.clear();
-    for (const auto& use : table.uses()) {
-        const int row = rowOf(time + use.time);
-        const int holder = owner(row, use.resource);
+    const int base_row = rowOf(time);
+    const int num_uses = table.numUses();
+    for (int i = 0; i < num_uses; ++i) {
+        const auto use = table.use(i);
+        const int holder = owner(useRow(use, base_row), use.resource);
         if (holder != kFree)
             out.push_back(holder);
     }
@@ -193,83 +169,43 @@ ModuloReservationTable::conflictingOps(const machine::ReservationTable& table,
 }
 
 void
-ModuloReservationTable::growHeldStride(int needed)
+ModuloReservationTable::reserve(
+    int op, const machine::CompiledReservationTable& table, int time)
 {
-    const int new_stride = std::max(heldStride_ * 2, needed);
-    std::vector<std::int32_t> grown(
-        static_cast<std::size_t>(numOps_) * new_stride, 0);
-    for (int op = 0; op < numOps_; ++op) {
-        std::copy_n(heldCells_.data() +
-                        static_cast<std::size_t>(op) * heldStride_,
-                    heldCount_[op],
-                    grown.data() +
-                        static_cast<std::size_t>(op) * new_stride);
-    }
-    heldCells_.swap(grown);
-    heldStride_ = new_stride;
-}
-
-void
-ModuloReservationTable::reserve(int op,
-                                const machine::ReservationTable& table,
-                                int time)
-{
-    assert(op >= 0 && op < numOps_);
-    assert(heldCount_[op] == 0 && "operation already holds reservations");
-    const int num_uses = static_cast<int>(table.uses().size());
-    if (num_uses > heldStride_)
-        growHeldStride(num_uses);
-    std::int32_t* held =
-        heldCells_.data() + static_cast<std::size_t>(op) * heldStride_;
-    int count = 0;
-    for (const auto& use : table.uses()) {
-        const int row = rowOf(time + use.time);
-        const std::size_t cell =
-            static_cast<std::size_t>(row) * numResources_ + use.resource;
-        assert(cells_[cell] == kFree && "double booking in MRT");
-        cells_[cell] = op;
+    assert(table.ii() == ii_);
+    assert(!table.selfConflicts() && "a self-conflicting table never fits");
+    const int base_row = rowOf(time);
+    const int num_uses = table.numUses();
+    for (int i = 0; i < num_uses; ++i) {
+        const auto use = table.use(i);
+        const int row = useRow(use, base_row);
+        int& cell =
+            cells_[static_cast<std::size_t>(row) * numResources_ +
+                   use.resource];
+        assert(cell == kFree && "double booking in MRT");
+        cell = op;
         setCellBits(row, use.resource);
-        held[count++] = static_cast<std::int32_t>(cell);
     }
-    heldCount_[op] = count;
-#ifdef IMS_EXPENSIVE_CHECKS
-    assert(masksConsistent());
-#endif
 }
 
 void
-ModuloReservationTable::release(int op)
+ModuloReservationTable::release(
+    [[maybe_unused]] int op, const machine::CompiledReservationTable& table,
+    int time)
 {
-    assert(op >= 0 && op < numOps_);
-    const std::int32_t* held =
-        heldCells_.data() + static_cast<std::size_t>(op) * heldStride_;
-    const int count = heldCount_[op];
-    for (int i = 0; i < count; ++i) {
-        const std::int32_t cell = held[i];
-        assert(cells_[cell] == op);
-        cells_[cell] = kFree;
-        clearCellBits(cell / numResources_, cell % numResources_);
+    assert(table.ii() == ii_);
+    const int base_row = rowOf(time);
+    const int num_uses = table.numUses();
+    for (int i = 0; i < num_uses; ++i) {
+        const auto use = table.use(i);
+        const int row = useRow(use, base_row);
+        int& cell =
+            cells_[static_cast<std::size_t>(row) * numResources_ +
+                   use.resource];
+        assert(cell == op && "released a cell the op does not hold");
+        cell = kFree;
+        clearCellBits(row, use.resource);
     }
-    heldCount_[op] = 0;
-#ifdef IMS_EXPENSIVE_CHECKS
-    assert(masksConsistent());
-#endif
-}
-
-bool
-ModuloReservationTable::selfConflicts(const machine::ReservationTable& table,
-                                      int ii)
-{
-    const auto& uses = table.uses();
-    for (std::size_t i = 0; i < uses.size(); ++i) {
-        for (std::size_t j = i + 1; j < uses.size(); ++j) {
-            if (uses[i].resource == uses[j].resource &&
-                (uses[j].time - uses[i].time) % ii == 0) {
-                return true;
-            }
-        }
-    }
-    return false;
 }
 
 int

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "machine/compiled_reservations.hpp"
-#include "machine/reservation_table.hpp"
 
 namespace ims::sched {
 
@@ -16,21 +15,21 @@ namespace ims::sched {
  * (T + t) mod II, so "a conflict at time T implies conflicts at all
  * times T + k*II".
  *
- * Each cell remembers which operation owns it, so the scheduler can both
- * test for conflicts and determine the set of operations to displace
- * (§3.4). The owner grid stays authoritative for displacement; alongside
- * it the table keeps one redundant bitset view, a per-resource bitset
- * over rows, that makes conflict queries word-parallel (see
- * docs/ALGORITHM.md, "Compiled reservation tables"). Its rotations drive
- * `firstFreeSlot`: one pass over an alternative's compiled uses yields
- * the conflict set of *all* II candidate issue times at once, 64
- * candidates per machine word. A single-time conflict test reads one bit
- * per compiled use.
+ * Every query takes an alternative's table compiled for this II
+ * (machine::CompiledReservationTable, the modulo use list). Each cell
+ * remembers which operation owns it, so the scheduler can both test for
+ * conflicts and determine the set of operations to displace (§3.4). The
+ * owner grid stays authoritative for displacement; alongside it the
+ * table keeps one redundant bitset view, a per-resource bitset over rows,
+ * that makes conflict queries word-parallel (see docs/ALGORITHM.md,
+ * "Compiled reservation tables"). Its rotations drive `firstFreeSlot`:
+ * one pass over an alternative's compiled uses yields the conflict set
+ * of *all* II candidate issue times at once, 64 candidates per machine
+ * word. A single-time conflict test reads one bit per compiled use.
  *
  * In debug builds every reserve/release asserts that the bitsets agree
  * with the owner cells it touched; `masksConsistent()` checks the whole
- * grid (the randomized property test calls it after every mutation, and
- * IMS_EXPENSIVE_CHECKS builds assert it on each one).
+ * grid (the randomized property test calls it after every mutation).
  */
 class ModuloReservationTable
 {
@@ -38,20 +37,14 @@ class ModuloReservationTable
     /** Sentinel owner for a free cell. */
     static constexpr int kFree = -1;
 
-    ModuloReservationTable(int ii, int num_resources, int num_ops);
+    ModuloReservationTable(int ii, int num_resources);
 
     int ii() const { return ii_; }
 
     /**
-     * True if placing `table` at issue time `time` collides with any
-     * existing reservation. (Reference implementation over the owner
-     * cells; the scheduler hot path uses the compiled overload.)
-     */
-    bool conflicts(const machine::ReservationTable& table, int time) const;
-
-    /**
-     * Bitset conflict test: for each of `table`'s compiled uses, one bit
-     * of the used resource's row bitset.
+     * Bitset conflict test: true if placing `table` at issue time `time`
+     * collides with any existing reservation. Reads, for each compiled
+     * use, one bit of the used resource's row bitset.
      */
     bool conflicts(const machine::CompiledReservationTable& table,
                    int time) const;
@@ -60,37 +53,35 @@ class ModuloReservationTable
      * Word-parallel slot scan (the Figure 4 FindTimeSlot window): the
      * earliest conflict-free issue time for `table` in
      * [min_time, min_time + II - 1], or -1 when every candidate
-     * conflicts. `table` must have been compiled for this II and must
-     * not self-conflict. One pass over the compiled uses rotates each
-     * used resource's row bitset into a conflict mask over all II issue
-     * residues, then scans that mask for the first free slot.
+     * conflicts. `table` must not self-conflict. One pass over the
+     * compiled uses rotates each used resource's row bitset into a
+     * conflict mask over all II issue residues, then scans that mask for
+     * the first free slot.
      */
     int firstFreeSlot(const machine::CompiledReservationTable& table,
                       int min_time) const;
 
     /**
-     * Owners of all cells that placing `table` at `time` would collide
-     * with (each owner listed once, ascending).
+     * Fills `out` (cleared first, then sorted ascending and
+     * deduplicated) with the owners of all cells that placing `table` at
+     * `time` would collide with, reusing the caller's buffer capacity.
      */
-    std::vector<int> conflictingOps(const machine::ReservationTable& table,
-                                    int time) const;
-
-    /**
-     * Allocation-free variant for the scheduler's hot path: fills `out`
-     * (cleared first, then sorted ascending and deduplicated) with the
-     * conflicting owners, reusing the caller's buffer capacity.
-     */
-    void conflictingOps(const machine::ReservationTable& table, int time,
-                        std::vector<int>& out) const;
+    void conflictingOps(const machine::CompiledReservationTable& table,
+                        int time, std::vector<int>& out) const;
 
     /**
      * Record that `op` issued at `time` occupies `table`'s cells. All
      * cells must currently be free (checked).
      */
-    void reserve(int op, const machine::ReservationTable& table, int time);
+    void reserve(int op, const machine::CompiledReservationTable& table,
+                 int time);
 
-    /** Release every cell held by `op` (no-op if it holds none). */
-    void release(int op);
+    /**
+     * Free the cells `op` reserved with `table` at `time` (the arguments
+     * of its reserve call).
+     */
+    void release(int op, const machine::CompiledReservationTable& table,
+                 int time);
 
     /** Owner of (row, resource), or kFree. */
     int
@@ -116,16 +107,6 @@ class ModuloReservationTable
     /** Word-parallel slot scans performed (telemetry: mrt_slot_scans). */
     std::uint64_t slotScans() const { return slotScans_; }
 
-    /**
-     * True if `table` collides with itself under modulo `ii` wrap-around
-     * (two uses of one resource in congruent rows): such an alternative
-     * can never be scheduled at this II, at any time slot. The scheduler
-     * hot path reads the flag cached on CompiledReservationTable instead
-     * of re-deriving it here.
-     */
-    static bool selfConflicts(const machine::ReservationTable& table,
-                              int ii);
-
   private:
     int
     rowOf(int time) const
@@ -134,6 +115,15 @@ class ModuloReservationTable
         // modulo well-defined anyway.
         const int m = time % ii_;
         return m < 0 ? m + ii_ : m;
+    }
+
+    /** Row of `use` when its table starts in row `base_row`. */
+    int
+    useRow(machine::CompiledReservationTable::ModuloUse use,
+           int base_row) const
+    {
+        const int row = use.rotation + base_row;
+        return row >= ii_ ? row - ii_ : row;
     }
 
     const std::uint64_t*
@@ -155,9 +145,6 @@ class ModuloReservationTable
     void orRotatedInto(const std::uint64_t* src, int rotation,
                        std::uint64_t* dst) const;
 
-    /** Widen the per-op held-cell slices to at least `needed` entries. */
-    void growHeldStride(int needed);
-
     int ii_;
     int numResources_;
     /** Words per resource row bitset: ceil(ii / 64). */
@@ -165,17 +152,6 @@ class ModuloReservationTable
     /** Valid-bit mask for the last word of a row bitset. */
     std::uint64_t lastColumnWordMask_;
     std::vector<int> cells_;
-    /**
-     * Held-cell bookkeeping as one flat arena instead of a vector per
-     * op: op `i` holds heldCount_[i] linear cell indices at
-     * heldCells_[i * heldStride_ ...]. The stride starts small and the
-     * whole arena is repacked on the rare reservation wider than it —
-     * reserve/release never allocate on the steady-state hot path.
-     */
-    int numOps_;
-    int heldStride_;
-    std::vector<std::int32_t> heldCells_;
-    std::vector<std::int32_t> heldCount_;
     /** Occupancy: per resource, wordsPerColumn_ row words. */
     std::vector<std::uint64_t> resourceRows_;
     /** Scratch conflict mask for firstFreeSlot (no per-call alloc). */

@@ -4,28 +4,14 @@
 
 namespace ims::sched {
 
-namespace {
-
-/** Shared empty alternative list for pseudo vertices. */
-const std::vector<machine::Alternative>&
-pseudoAlternatives()
-{
-    static const std::vector<machine::Alternative> alternatives = {
-        machine::Alternative{"pseudo", machine::ReservationTable{}}};
-    return alternatives;
-}
-
-} // namespace
-
 PartialSchedule::PartialSchedule(const graph::DepGraph& graph,
                                  const ir::Loop& loop,
                                  const machine::MachineModel& machine,
-                                 int ii,
-                                 machine::CompiledTableCache* cache)
+                                 int ii)
     : graph_(graph),
       ii_(ii),
-      mrt_(ii, machine.numResources(), graph.numVertices()),
-      alternatives_(graph.numVertices()),
+      mrt_(ii, machine.numResources()),
+      compiledByOpcode_(ir::kNumOpcodes),
       compiled_(graph.numVertices()),
       arena_(static_cast<std::size_t>(graph.numVertices()) * 4, 0)
 {
@@ -36,26 +22,25 @@ PartialSchedule::PartialSchedule(const graph::DepGraph& graph,
     prevTime_ = arena_.data() + vertices;
     alternative_ = arena_.data() + 2 * vertices;
     flags_ = arena_.data() + 3 * vertices;
-    if (cache == nullptr) {
-        ownedCache_ = std::make_unique<machine::CompiledTableCache>();
-        cache = ownedCache_.get();
-    }
-    for (graph::VertexId v = 0; v < graph.numVertices(); ++v) {
-        if (graph.isPseudo(v)) {
-            alternatives_[v] = &pseudoAlternatives();
-        } else {
-            alternatives_[v] =
-                &machine.info(loop.operation(v).opcode).alternatives;
-        }
-        compiled_[v] =
-            &cache->get(*alternatives_[v], ii, machine.numResources());
-    }
-}
 
-bool
-PartialSchedule::resourceConflict(graph::VertexId v, int time) const
-{
-    return fittingAlternative(v, time) < 0;
+    // START and STOP reserve nothing: both take kStart's one empty table.
+    const int resources = machine.numResources();
+    compiledByOpcode_[static_cast<std::size_t>(ir::Opcode::kStart)]
+        .emplace_back(machine::ReservationTable{}, ii, resources);
+    for (graph::VertexId v = 0; v < graph.numVertices(); ++v) {
+        const ir::Opcode opcode = graph.isPseudo(v)
+                                      ? ir::Opcode::kStart
+                                      : loop.operation(v).opcode;
+        auto& compiled =
+            compiledByOpcode_[static_cast<std::size_t>(opcode)];
+        if (compiled.empty()) {
+            const auto& alternatives = machine.info(opcode).alternatives;
+            compiled.reserve(alternatives.size());
+            for (const auto& alternative : alternatives)
+                compiled.emplace_back(alternative.table, ii, resources);
+        }
+        compiled_[v] = &compiled;
+    }
 }
 
 int
@@ -75,8 +60,7 @@ void
 PartialSchedule::place(graph::VertexId v, int time, int alternative)
 {
     assert(!isScheduled(v));
-    const auto& table = (*alternatives_[v])[alternative].table;
-    mrt_.reserve(v, table, time);
+    mrt_.reserve(v, (*compiled_[v])[alternative], time);
     flags_[v] = kScheduled | kEverScheduled;
     time_[v] = time;
     prevTime_[v] = time;
@@ -88,7 +72,7 @@ void
 PartialSchedule::remove(graph::VertexId v)
 {
     assert(isScheduled(v));
-    mrt_.release(v);
+    mrt_.release(v, (*compiled_[v])[alternative_[v]], time_[v]);
     flags_[v] &= ~kScheduled;
     --numScheduled_;
 }

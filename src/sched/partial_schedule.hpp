@@ -2,7 +2,6 @@
 #define IMS_SCHED_PARTIAL_SCHEDULE_HPP
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "graph/dep_graph.hpp"
@@ -26,22 +25,22 @@ namespace ims::sched {
  * struct-of-arrays planes (time, prevTime, alternative, flags), so a
  * scheduling step touches a handful of adjacent cache lines instead of
  * five separately allocated vectors (two of them bit-packed
- * vector<bool>s). The alternative/compiled lookup tables are separate
- * pointer arrays because they alias machine-model data.
+ * vector<bool>s).
  *
- * Construction lowers every vertex's reservation tables into
- * bitmask-compiled form (machine::CompiledReservationTable) via a
- * CompiledTableCache, so conflict probes and slot scans run on masks
- * instead of walking use lists. Pass a caller-owned cache to share the
- * compiled tables across attempts and IIs (the IterativeScheduler does);
- * with none, the schedule owns a private cache.
+ * Construction compiles the alternatives of each opcode the loop uses
+ * for this II (machine::CompiledReservationTable), once per attempt,
+ * into a list indexed by opcode; START and STOP share one empty
+ * alternative. The II walk tries each II once, so no compiled list is
+ * ever wanted by a later attempt.
  */
 class PartialSchedule
 {
   public:
     PartialSchedule(const graph::DepGraph& graph, const ir::Loop& loop,
-                    const machine::MachineModel& machine, int ii,
-                    machine::CompiledTableCache* cache = nullptr);
+                    const machine::MachineModel& machine, int ii);
+    /** Not copyable: compiled_ points into this object's own lists. */
+    PartialSchedule(const PartialSchedule&) = delete;
+    PartialSchedule& operator=(const PartialSchedule&) = delete;
 
     int ii() const { return ii_; }
 
@@ -69,14 +68,7 @@ class PartialSchedule
     /** Number of currently scheduled vertices. */
     int numScheduled() const { return numScheduled_; }
 
-    /** Alternatives available to vertex `v` on this machine. */
-    const std::vector<machine::Alternative>&
-    alternativesOf(graph::VertexId v) const
-    {
-        return *alternatives_[v];
-    }
-
-    /** Bitmask-compiled form of `v`'s alternatives at this II. */
+    /** `v`'s alternatives compiled for this II, in machine order. */
     const std::vector<machine::CompiledReservationTable>&
     compiledAlternativesOf(graph::VertexId v) const
     {
@@ -84,12 +76,6 @@ class PartialSchedule
     }
 
     const ModuloReservationTable& mrt() const { return mrt_; }
-
-    /**
-     * True if scheduling `v` at `time` has a resource conflict for every
-     * alternative (the ResourceConflict predicate of Figure 4).
-     */
-    bool resourceConflict(graph::VertexId v, int time) const;
 
     /**
      * First alternative of `v` that fits conflict-free at `time`, or -1.
@@ -119,9 +105,10 @@ class PartialSchedule
     const graph::DepGraph& graph_;
     int ii_;
     ModuloReservationTable mrt_;
-    /** Fallback cache when the caller did not supply one. */
-    std::unique_ptr<machine::CompiledTableCache> ownedCache_;
-    std::vector<const std::vector<machine::Alternative>*> alternatives_;
+    /** Compiled alternatives per opcode; empty for opcodes not used. */
+    std::vector<std::vector<machine::CompiledReservationTable>>
+        compiledByOpcode_;
+    /** Per vertex, its opcode's entry of compiledByOpcode_. */
     std::vector<const std::vector<machine::CompiledReservationTable>*>
         compiled_;
     /** The arena: four numVertices()-sized int32 planes, one allocation. */

@@ -58,17 +58,6 @@ prioritySchemeByName(std::string_view name)
     return std::nullopt;
 }
 
-std::vector<std::int64_t>
-computePriorities(const graph::DepGraph& graph, const graph::SccResult& sccs,
-                  int ii, PriorityScheme scheme, std::uint64_t seed,
-                  support::Counters* counters)
-{
-    PriorityWorkspace workspace;
-    computePrioritiesInto(graph, sccs, ii, scheme, seed, counters,
-                          workspace);
-    return std::move(workspace.priorities);
-}
-
 void
 computePrioritiesInto(const graph::DepGraph& graph,
                       const graph::SccResult& sccs, int ii,

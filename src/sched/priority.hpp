@@ -56,17 +56,10 @@ struct PriorityWorkspace
 };
 
 /**
- * Compute per-vertex priorities (larger = scheduled earlier) for the given
- * candidate II. Ties are broken by vertex id in the scheduler.
- */
-std::vector<std::int64_t>
-computePriorities(const graph::DepGraph& graph, const graph::SccResult& sccs,
-                  int ii, PriorityScheme scheme, std::uint64_t seed = 1,
-                  support::Counters* counters = nullptr);
-
-/**
- * Buffer-reusing variant: fills `workspace.priorities` for the candidate
- * II without reallocating anything the workspace already holds.
+ * Compute per-vertex priorities (larger = scheduled earlier) for the
+ * candidate II into `workspace.priorities`, without reallocating anything
+ * the workspace already holds. Ties are broken by vertex id in the
+ * scheduler.
  */
 void computePrioritiesInto(const graph::DepGraph& graph,
                            const graph::SccResult& sccs, int ii,

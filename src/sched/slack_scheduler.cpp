@@ -242,13 +242,11 @@ class SlackAttempt
     void
     forceEject(graph::VertexId op, int slot, std::int64_t& unschedules)
     {
-        const auto& alternatives = schedule_.alternativesOf(op);
-        const auto& compiled = schedule_.compiledAlternativesOf(op);
-        for (std::size_t alt = 0; alt < alternatives.size(); ++alt) {
-            if (compiled[alt].selfConflicts())
+        for (const auto& compiled : schedule_.compiledAlternativesOf(op)) {
+            if (compiled.selfConflicts())
                 continue;
-            for (int victim : schedule_.mrt().conflictingOps(
-                     alternatives[alt].table, slot))
+            schedule_.mrt().conflictingOps(compiled, slot, conflictScratch_);
+            for (int victim : conflictScratch_)
                 eject(victim, unschedules);
         }
     }
@@ -258,6 +256,8 @@ class SlackAttempt
     bool infeasible_ = false;
     mii::MinDistMatrix dist_;
     PartialSchedule schedule_;
+    /** Scratch for forceEject's conflict queries (no per-call alloc). */
+    std::vector<int> conflictScratch_;
     /** Batched instrumentation; `window` is const, hence mutable. */
     mutable AttemptCounters stats_;
 };

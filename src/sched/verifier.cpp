@@ -1,8 +1,8 @@
 #include "sched/verifier.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
-
-#include "sched/mrt.hpp"
 
 namespace ims::sched {
 
@@ -117,28 +117,51 @@ verifySchedule(const ir::Loop& loop, const machine::MachineModel& machine,
         }
     }
 
-    // Resource constraints: rebuild the MRT; reserve() asserts internally,
-    // so check conflicts first and report instead of crashing.
-    ModuloReservationTable mrt(schedule.ii, machine.numResources(),
-                               loop.size());
+    // Resource constraints, on an owner grid of II rows by resources
+    // that is built here from the raw tables, so that the check shares no
+    // reservation code with the schedulers it checks. An op whose uses
+    // land twice in one cell self-conflicts; one whose uses land on cells
+    // of earlier ops conflicts with each owner. Neither is entered in the
+    // grid.
+    const int resources = machine.numResources();
+    std::vector<int> owners(static_cast<std::size_t>(schedule.ii) * resources,
+                            -1);
+    std::vector<std::size_t> cells;
+    std::vector<int> others;
     for (int op = 0; op < loop.size(); ++op) {
-        const auto& table = machine.info(loop.operation(op).opcode)
-                                .alternatives[schedule.alternatives[op]]
-                                .table;
-        if (ModuloReservationTable::selfConflicts(table, schedule.ii)) {
-            violations.push_back({ViolationKind::kSelfConflict, op, -1, -1,
-                                  schedule.times[op]});
+        const int time = schedule.times[op];
+        cells.clear();
+        for (const auto& use : machine.info(loop.operation(op).opcode)
+                                   .alternatives[schedule.alternatives[op]]
+                                   .table.uses()) {
+            std::int64_t row =
+                (static_cast<std::int64_t>(time) + use.time) % schedule.ii;
+            if (row < 0)
+                row += schedule.ii;
+            cells.push_back(static_cast<std::size_t>(row) * resources +
+                            use.resource);
+        }
+        std::sort(cells.begin(), cells.end());
+        if (std::adjacent_find(cells.begin(), cells.end()) != cells.end()) {
+            violations.push_back(
+                {ViolationKind::kSelfConflict, op, -1, -1, time});
             continue;
         }
-        if (mrt.conflicts(table, schedule.times[op])) {
-            for (int other :
-                 mrt.conflictingOps(table, schedule.times[op])) {
-                violations.push_back({ViolationKind::kResourceConflict, op,
-                                      other, -1, schedule.times[op]});
-            }
-            continue;
+        others.clear();
+        for (const std::size_t cell : cells) {
+            if (owners[cell] >= 0)
+                others.push_back(owners[cell]);
         }
-        mrt.reserve(op, table, schedule.times[op]);
+        std::sort(others.begin(), others.end());
+        others.erase(std::unique(others.begin(), others.end()), others.end());
+        for (const int other : others) {
+            violations.push_back(
+                {ViolationKind::kResourceConflict, op, other, -1, time});
+        }
+        if (!others.empty())
+            continue;
+        for (const std::size_t cell : cells)
+            owners[cell] = op;
     }
 
     return violations;

@@ -67,8 +67,9 @@ struct Violation
  *
  *  - every dependence edge e: P -> Q satisfies
  *      t(Q) >= t(P) + Delay(e) - II * Distance(e);
- *  - rebuilding the modulo reservation table from the chosen alternatives
- *    produces no double booking;
+ *  - placing every chosen alternative's reservation table on an II-row
+ *    owner grid books no cell twice (the grid is the verifier's own, not
+ *    the schedulers' modulo reservation table);
  *  - every time is >= 0 and every alternative index is valid.
  *
  * Returns the structured violations; empty means legal. Every schedule

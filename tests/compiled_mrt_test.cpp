@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
 #include "machine/compiled_reservations.hpp"
-#include "machine/machine_model.hpp"
 #include "machine/reservation_table.hpp"
 #include "sched/mrt.hpp"
 
@@ -12,21 +12,105 @@ namespace {
 
 using namespace ims;
 using machine::CompiledReservationTable;
-using machine::CompiledTableCache;
 using machine::ReservationTable;
 using sched::ModuloReservationTable;
 
-/** Reference slot scan: probe every candidate against the owner cells. */
-int
-referenceFirstFreeSlot(const ModuloReservationTable& mrt,
-                       const ReservationTable& table, int min_time)
+/**
+ * Test-local reference: an owner grid over raw reservation tables, which
+ * answers every question cell by cell from the use list. It shares no
+ * code with the MRT, whose queries all take compiled tables.
+ */
+class ReferenceGrid
 {
-    for (int t = min_time; t < min_time + mrt.ii(); ++t) {
-        if (!mrt.conflicts(table, t))
-            return t;
+  public:
+    ReferenceGrid(int ii, int num_resources)
+        : ii_(ii), numResources_(num_resources),
+          owners_(static_cast<std::size_t>(ii) * num_resources, -1)
+    {
     }
-    return -1;
-}
+
+    int
+    owner(int row, int resource) const
+    {
+        return owners_[static_cast<std::size_t>(row) * numResources_ +
+                       resource];
+    }
+
+    bool
+    conflicts(const ReservationTable& table, int time) const
+    {
+        return !conflictingOps(table, time).empty();
+    }
+
+    std::vector<int>
+    conflictingOps(const ReservationTable& table, int time) const
+    {
+        std::vector<int> ops;
+        for (const auto& use : table.uses()) {
+            const int holder = owners_[cell(time + use.time, use.resource)];
+            if (holder >= 0)
+                ops.push_back(holder);
+        }
+        std::sort(ops.begin(), ops.end());
+        ops.erase(std::unique(ops.begin(), ops.end()), ops.end());
+        return ops;
+    }
+
+    /** Probe every candidate of the window, earliest first. */
+    int
+    firstFreeSlot(const ReservationTable& table, int min_time) const
+    {
+        for (int t = min_time; t < min_time + ii_; ++t) {
+            if (!conflicts(table, t))
+                return t;
+        }
+        return -1;
+    }
+
+    void
+    reserve(int op, const ReservationTable& table, int time)
+    {
+        for (const auto& use : table.uses()) {
+            int& holder = owners_[cell(time + use.time, use.resource)];
+            EXPECT_EQ(holder, -1) << "double booking";
+            holder = op;
+        }
+    }
+
+    void
+    release(const ReservationTable& table, int time)
+    {
+        for (const auto& use : table.uses())
+            owners_[cell(time + use.time, use.resource)] = -1;
+    }
+
+    /** Two uses of one resource in congruent rows. */
+    static bool
+    selfConflicts(const ReservationTable& table, int ii)
+    {
+        const auto& uses = table.uses();
+        for (std::size_t i = 0; i < uses.size(); ++i) {
+            for (std::size_t j = i + 1; j < uses.size(); ++j) {
+                if (uses[i].resource == uses[j].resource &&
+                    (uses[j].time - uses[i].time) % ii == 0)
+                    return true;
+            }
+        }
+        return false;
+    }
+
+  private:
+    std::size_t
+    cell(int time, int resource) const
+    {
+        const int row = (time % ii_ + ii_) % ii_;
+        return static_cast<std::size_t>(row) * numResources_ + resource;
+    }
+
+    int ii_;
+    int numResources_;
+    std::vector<int> owners_;
+};
 
 ReservationTable
 randomTable(std::mt19937& rng, int ii, int num_resources)
@@ -42,12 +126,13 @@ randomTable(std::mt19937& rng, int ii, int num_resources)
 }
 
 /**
- * Drives a random reserve/release sequence and checks, after every
- * mutation, that (a) the per-resource row bitsets still agree with the
- * owner-cell grid and (b) the compiled conflict test and the
- * word-parallel slot scan give exactly the answers of the owner-cell
- * reference implementation, for every probe table at several probe
- * times.
+ * Drives one random reserve/release sequence through the MRT (compiled
+ * tables) and the reference grid (raw tables), and checks after every
+ * mutation that (a) the MRT's per-resource row bitsets agree with its
+ * owner cells, (b) both grids hold the same owner in every cell and
+ * (c) the compiled conflict test, word-parallel slot scan and
+ * displacement query give exactly the reference's answers, for every
+ * probe table at several probe times.
  */
 void
 fuzzAgainstReference(unsigned seed, int ii, int num_resources)
@@ -63,8 +148,11 @@ fuzzAgainstReference(unsigned seed, int ii, int num_resources)
     // One fixed table per op (as in the scheduler, where an op's
     // alternative tables are immutable) plus standalone probe tables.
     std::vector<ReservationTable> opTables;
-    for (int op = 0; op < kNumOps; ++op)
+    std::vector<CompiledReservationTable> compiledOps;
+    for (int op = 0; op < kNumOps; ++op) {
         opTables.push_back(randomTable(rng, ii, num_resources));
+        compiledOps.emplace_back(opTables.back(), ii, num_resources);
+    }
     std::vector<ReservationTable> probes;
     std::vector<CompiledReservationTable> compiledProbes;
     for (int i = 0; i < kNumProbes; ++i) {
@@ -72,27 +160,40 @@ fuzzAgainstReference(unsigned seed, int ii, int num_resources)
         compiledProbes.emplace_back(probes.back(), ii, num_resources);
     }
 
-    ModuloReservationTable mrt(ii, num_resources, kNumOps);
+    ModuloReservationTable mrt(ii, num_resources);
+    ReferenceGrid reference(ii, num_resources);
     std::vector<bool> held(kNumOps, false);
+    std::vector<int> heldAt(kNumOps, 0);
 
     std::uniform_int_distribution<int> pick_op(0, kNumOps - 1);
     std::uniform_int_distribution<int> pick_time(0, 4 * ii);
     std::uniform_int_distribution<int> coin(0, 99);
+    std::vector<int> owners;
 
     const auto checkProbes = [&] {
         ASSERT_TRUE(mrt.masksConsistent());
+        for (int row = 0; row < ii; ++row) {
+            for (int resource = 0; resource < num_resources; ++resource) {
+                ASSERT_EQ(mrt.owner(row, resource),
+                          reference.owner(row, resource))
+                    << "row " << row << " resource " << resource;
+            }
+        }
         for (int i = 0; i < kNumProbes; ++i) {
             EXPECT_EQ(compiledProbes[i].selfConflicts(),
-                      ModuloReservationTable::selfConflicts(probes[i], ii))
+                      ReferenceGrid::selfConflicts(probes[i], ii))
                 << "probe " << i;
             for (int trial = 0; trial < 4; ++trial) {
                 const int t = pick_time(rng);
                 EXPECT_EQ(mrt.conflicts(compiledProbes[i], t),
-                          mrt.conflicts(probes[i], t))
+                          reference.conflicts(probes[i], t))
+                    << "probe " << i << " time " << t;
+                mrt.conflictingOps(compiledProbes[i], t, owners);
+                EXPECT_EQ(owners, reference.conflictingOps(probes[i], t))
                     << "probe " << i << " time " << t;
                 if (!compiledProbes[i].selfConflicts()) {
                     EXPECT_EQ(mrt.firstFreeSlot(compiledProbes[i], t),
-                              referenceFirstFreeSlot(mrt, probes[i], t))
+                              reference.firstFreeSlot(probes[i], t))
                         << "probe " << i << " min_time " << t;
                 }
             }
@@ -102,19 +203,22 @@ fuzzAgainstReference(unsigned seed, int ii, int num_resources)
     for (int step = 0; step < kSteps; ++step) {
         const int op = pick_op(rng);
         if (held[op]) {
-            mrt.release(op);
+            mrt.release(op, compiledOps[op], heldAt[op]);
+            reference.release(opTables[op], heldAt[op]);
             held[op] = false;
         } else if (coin(rng) < 70) {
             // Reserve at a conflict-free slot when one exists (reserve
             // requires free cells, like the scheduler after displacement).
-            if (ModuloReservationTable::selfConflicts(opTables[op], ii))
+            if (ReferenceGrid::selfConflicts(opTables[op], ii))
                 continue;
             const int slot =
-                referenceFirstFreeSlot(mrt, opTables[op], pick_time(rng));
+                reference.firstFreeSlot(opTables[op], pick_time(rng));
             if (slot < 0)
                 continue;
-            mrt.reserve(op, opTables[op], slot);
+            mrt.reserve(op, compiledOps[op], slot);
+            reference.reserve(op, opTables[op], slot);
             held[op] = true;
+            heldAt[op] = slot;
         }
         checkProbes();
         if (::testing::Test::HasFatalFailure())
@@ -180,35 +284,10 @@ TEST(CompiledMrtTest, SelfConflictMergedButDetected)
 
 TEST(CompiledMrtTest, EmptyTableScansToMinTime)
 {
-    ModuloReservationTable mrt(5, 2, 2);
+    ModuloReservationTable mrt(5, 2);
     const CompiledReservationTable pseudo(ReservationTable{}, 5, 2);
     EXPECT_TRUE(pseudo.empty());
     EXPECT_EQ(mrt.firstFreeSlot(pseudo, 7), 7);
-}
-
-TEST(CompiledMrtTest, CacheReusesPerAlternativeListAndIi)
-{
-    std::vector<machine::Alternative> alts(2);
-    alts[0].table.addUse(0, 0);
-    alts[1].table.addUse(1, 1);
-
-    CompiledTableCache cache;
-    const auto& first = cache.get(alts, 4, 2);
-    EXPECT_EQ(cache.size(), 1u);
-    ASSERT_EQ(first.size(), 2u);
-    EXPECT_EQ(first[0].ii(), 4);
-
-    // Same key: same entry, same storage.
-    const auto& again = cache.get(alts, 4, 2);
-    EXPECT_EQ(&again, &first);
-    EXPECT_EQ(cache.size(), 1u);
-
-    // A different II is a distinct compilation; earlier references
-    // stay valid (deque storage).
-    const auto& other = cache.get(alts, 5, 2);
-    EXPECT_EQ(other[0].ii(), 5);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(&cache.get(alts, 4, 2), &first);
 }
 
 } // namespace

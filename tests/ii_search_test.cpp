@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -109,6 +110,36 @@ TEST(IiSearchTest, LinearWalkStopsAtTheWinner)
         EXPECT_EQ(recorder.record().phases[i].detail, 2 + i);
         EXPECT_EQ(recorder.record().phases[i].succeeded, i == 3);
     }
+}
+
+TEST(IiSearchTest, LargestIncreaseWalksWithoutOverflow)
+{
+    // mii + maxIiIncrease does not fit int: the walk computes its last
+    // candidate in 64 bits, so it still visits MII, MII+1, MII+2...
+    constexpr int kMax = std::numeric_limits<int>::max();
+    const auto options = sched::IiSearchOptions{}.withMaxIiIncrease(kMax);
+    std::vector<int> visited;
+    const auto outcome = sched::runIiSearch(
+        options, 2, 2, 10,
+        [&](int ii) {
+            visited.push_back(ii);
+            return fakeAttempt(ii, /*first_feasible=*/4);
+        },
+        nullptr, nullptr, noLuck);
+    EXPECT_EQ(visited, (std::vector<int>{2, 3, 4}));
+    EXPECT_EQ(outcome.schedule.ii, 4);
+
+    // ...and stops after INT_MAX instead of wrapping around.
+    visited.clear();
+    EXPECT_THROW(sched::runIiSearch(
+                     options, kMax - 1, kMax - 1, 10,
+                     [&](int ii) {
+                         visited.push_back(ii);
+                         return sched::IiAttemptOutcome{};
+                     },
+                     nullptr, nullptr, noLuck),
+                 support::CodedError);
+    EXPECT_EQ(visited, (std::vector<int>{kMax - 1, kMax}));
 }
 
 TEST(IiSearchTest, ExhaustedSearchThrowsCodedError)

@@ -2,6 +2,7 @@
 
 #include "graph/graph_builder.hpp"
 #include "graph/scc.hpp"
+#include "machine/compiled_reservations.hpp"
 #include "machine/cydra5.hpp"
 #include "mii/mii.hpp"
 #include "mii/min_dist.hpp"
@@ -94,14 +95,14 @@ TEST(MrtInvariants, RandomReserveReleaseRoundTrip)
     const int ii = 5;
     const int resources = 4;
     const int ops = 12;
-    sched::ModuloReservationTable mrt(ii, resources, ops);
+    sched::ModuloReservationTable mrt(ii, resources);
 
     // One random single-use table per op.
-    std::vector<machine::ReservationTable> tables;
+    std::vector<machine::CompiledReservationTable> tables;
     for (int op = 0; op < ops; ++op) {
         machine::ReservationTable table;
         table.addUse(rng.uniformInt(0, 3), rng.uniformInt(0, resources - 1));
-        tables.push_back(table);
+        tables.emplace_back(table, ii, resources);
     }
 
     std::vector<bool> held(ops, false);
@@ -109,7 +110,7 @@ TEST(MrtInvariants, RandomReserveReleaseRoundTrip)
     for (int step = 0; step < 2000; ++step) {
         const int op = rng.uniformInt(0, ops - 1);
         if (held[op]) {
-            mrt.release(op);
+            mrt.release(op, tables[op], at[op]);
             held[op] = false;
         } else {
             const int time = rng.uniformInt(0, 20);
@@ -127,9 +128,10 @@ TEST(MrtInvariants, RandomReserveReleaseRoundTrip)
     }
     for (int op = 0; op < ops; ++op) {
         if (held[op])
-            mrt.release(op);
+            mrt.release(op, tables[op], at[op]);
     }
     EXPECT_EQ(mrt.reservedCellCount(), 0);
+    EXPECT_TRUE(mrt.masksConsistent());
 }
 
 /**

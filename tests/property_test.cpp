@@ -9,6 +9,7 @@
 #include "sched/mrt.hpp"
 #include "graph/graph_builder.hpp"
 #include "graph/scc.hpp"
+#include "machine/compiled_reservations.hpp"
 #include "machine/cydra5.hpp"
 #include "machine/machines.hpp"
 #include "mii/mii.hpp"
@@ -155,21 +156,32 @@ replayTrace(const ir::Loop& loop, const machine::MachineModel& machine,
 {
     // START and STOP are graph vertices beyond the loop's operations;
     // they reserve nothing (empty table) but do appear in the trace.
-    sched::ModuloReservationTable mrt(ii, machine.numResources(),
-                                      graph.numVertices());
+    const int resources = machine.numResources();
+    const machine::CompiledReservationTable empty_table(
+        machine::ReservationTable{}, ii, resources);
+    sched::ModuloReservationTable mrt(ii, resources);
+    // The table and time each placed vertex reserved, for its release.
+    std::vector<machine::CompiledReservationTable> held(
+        static_cast<std::size_t>(graph.numVertices()), empty_table);
+    std::vector<int> held_at(static_cast<std::size_t>(graph.numVertices()),
+                             0);
     std::vector<bool> placed(static_cast<std::size_t>(graph.numVertices()),
                              false);
     placed[static_cast<std::size_t>(graph.start())] = true; // empty table
     int forced = 0;
-    const machine::ReservationTable empty_table;
+    std::vector<int> holders;
 
     const auto contains = [](const std::vector<graph::VertexId>& ops,
                              graph::VertexId op) {
         return std::find(ops.begin(), ops.end(), op) != ops.end();
     };
+    const auto release = [&](graph::VertexId victim) {
+        mrt.release(victim, held[victim], held_at[victim]);
+        placed[victim] = false;
+    };
 
     for (const auto& event : trace) {
-        const machine::ReservationTable* chosen = &empty_table;
+        machine::CompiledReservationTable table = empty_table;
         if (!graph.isPseudo(event.op)) {
             const auto& alternatives =
                 machine.info(loop.operation(event.op).opcode).alternatives;
@@ -177,9 +189,12 @@ replayTrace(const ir::Loop& loop, const machine::MachineModel& machine,
             ASSERT_LT(event.alternative,
                       static_cast<int>(alternatives.size()))
                 << loop.name();
-            chosen = &alternatives[event.alternative].table;
+            table = machine::CompiledReservationTable(
+                alternatives[event.alternative].table, ii, resources);
         }
-        const auto& table = *chosen;
+        // Two uses of the chosen alternative in one cell would double-book
+        // it on their own.
+        ASSERT_FALSE(table.selfConflicts()) << loop.name();
 
         if (event.forced) {
             ++forced;
@@ -188,15 +203,13 @@ replayTrace(const ir::Loop& loop, const machine::MachineModel& machine,
                     << loop.name();
                 ASSERT_TRUE(placed[victim]) << loop.name();
                 // (a) The victim holds a cell the chosen alternative needs.
-                const auto holders =
-                    mrt.conflictingOps(table, event.slot);
+                mrt.conflictingOps(table, event.slot, holders);
                 EXPECT_TRUE(std::find(holders.begin(), holders.end(),
                                       victim) != holders.end())
                     << loop.name() << ": op " << victim
                     << " displaced without conflicting at slot "
                     << event.slot;
-                mrt.release(victim);
-                placed[victim] = false;
+                release(victim);
             }
             // (b) Evicting exactly those victims freed the alternative.
             EXPECT_FALSE(mrt.conflicts(table, event.slot))
@@ -207,6 +220,8 @@ replayTrace(const ir::Loop& loop, const machine::MachineModel& machine,
         // a conflict would double-book a cell.
         ASSERT_FALSE(mrt.conflicts(table, event.slot)) << loop.name();
         mrt.reserve(event.op, table, event.slot);
+        held[event.op] = std::move(table);
+        held_at[event.op] = event.slot;
         placed[event.op] = true;
 
         // Dependence-displaced successors leave the table after the
@@ -215,8 +230,7 @@ replayTrace(const ir::Loop& loop, const machine::MachineModel& machine,
             if (contains(event.resourceDisplaced, victim))
                 continue;
             ASSERT_TRUE(placed[victim]) << loop.name();
-            mrt.release(victim);
-            placed[victim] = false;
+            release(victim);
         }
     }
     forced_out += forced;

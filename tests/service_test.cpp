@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "machine/cydra5.hpp"
+#include "machine/machine_io.hpp"
 #include "service/options_codec.hpp"
 #include "service/schedule_cache.hpp"
 #include "service/schedule_service.hpp"
@@ -202,6 +204,30 @@ TEST(ScheduleCacheTest, HostileEntryCountsAreRejected)
             << text;
         EXPECT_THROW(server.loadCacheText(text), support::Error) << text;
     }
+}
+
+TEST(ScheduleCacheTest, LoadsAnEntryWithTheLargestIiIncrease)
+{
+    // The II walk computes its last candidate, mii + max_ii_increase, in
+    // 64 bits: an options text may say any int, and INT_MAX used to
+    // overflow int there (a UBSan report in the sanitizer build).
+    core::PipelinerOptions options;
+    options.schedule.search.maxIiIncrease = std::numeric_limits<int>::max();
+    const std::string options_text = service::canonicalOptionsText(options);
+    ASSERT_NE(options_text.find("max_ii_increase 2147483647\n"),
+              std::string::npos);
+    const std::string loop_text =
+        ir::printLoop(workloads::kernelByName("daxpy").loop);
+    const std::string machine_text = machine::printMachine(machine::cydra5());
+    const std::string text =
+        "ims-schedule-cache v1\nentry " + std::to_string(loop_text.size()) +
+        " " + std::to_string(machine_text.size()) + " " +
+        std::to_string(options_text.size()) + "\n" + loop_text +
+        machine_text + options_text;
+
+    service::ScheduleService server(service::ServiceOptions{}.withThreads(1));
+    EXPECT_EQ(server.loadCacheText(text), 1u);
+    EXPECT_EQ(server.saveCacheText(), text);
 }
 
 TEST(ScheduleCacheTest, HashCollisionsNeverShareAnEntry)
