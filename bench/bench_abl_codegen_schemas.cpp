@@ -18,7 +18,6 @@
 #include <iostream>
 
 #include "codegen/code_generator.hpp"
-#include "codegen/kernel_only.hpp"
 #include "common.hpp"
 
 int
@@ -46,8 +45,6 @@ main()
             sched::schedule(w.loop, machine, g, sccs, options);
         const auto code =
             codegen::generateCode(w.loop, machine, outcome.schedule);
-        const auto kernel_only =
-            codegen::generateKernelOnly(w.loop, outcome.schedule);
 
         const int ramp = code.prologue.numCycles();
         const int mve_size =
@@ -56,7 +53,8 @@ main()
         const int rot_size =
             ramp + code.kernelSection.numCycles() +
             code.epilogue.numCycles();
-        const int ko_size = kernel_only.codeCycles();
+        // Kernel-only code is the kernel section alone, II instructions.
+        const int ko_size = code.kernelSection.numCycles();
         const int sl = outcome.schedule.scheduleLength;
 
         sum_mve += mve_size;

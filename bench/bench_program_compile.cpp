@@ -106,8 +106,8 @@ main(int argc, char** argv)
         const auto& compiled = *result.compiled;
         ProgramRow row;
         row.name = entry.program.name;
-        row.ii = compiled.loop.kernel.ii;
-        row.stages = compiled.loop.kernel.stageCount;
+        row.ii = compiled.loop.code.kernel.ii;
+        row.stages = compiled.loop.code.kernel.stageCount;
         row.prologueOverlap = compiled.prologueOverlap;
         row.epilogueOverlap = compiled.epilogueOverlap;
         row.naiveCycles = compiled.naiveCycles(trip);

@@ -22,7 +22,12 @@
 #  8. on a registered machine whose `asub` takes 2e9 cycles, a
 #     self-recurrence answers `code=mii.too_large` and a chain of three
 #     `asub`s answers `code=sched.too_large`,
-#  9. the `stats` line parses with Python's json module.
+#  9. a loop with memory offsets at the int limits answers a `result`
+#     line,
+# 10. `load` of a cache entry whose options ask for sim verification at
+#     100000 iterations answers `error service.bad_cache_file` (the same
+#     entry at 17 iterations loads),
+# 11. the `stats` line parses with Python's json module.
 #
 # Usage: scripts/check_service.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -237,12 +242,48 @@ for case in rec1:mii chain3:sched; do
         "result $loop failed code=${case#*:}\\.too_large "
 done
 
+echo "== memory offsets at the int limits (a result line) =="
+printf 'loop extreme\nlivein t\nrecurrence ax\nax = aadd ax[1], #8\nxv = load ax @ X -2147483648\n_ = store ax, t @ X 2147483647\n' \
+    > "$SMOKE_DIR/extreme.ir"
+{
+    printf 'schedule %s client=ci machine=cydra5\n' \
+        "$(wc -c < "$SMOKE_DIR/extreme.ir")"
+    cat "$SMOKE_DIR/extreme.ir"
+} > "$SMOKE_DIR/extreme.req"
+expect_answer "$SMOKE_DIR/extreme.req" 'result extreme '
+
 echo "== hostile cache file (structured error, clean exit) =="
 for count in 18446744073709551615 -1; do
     printf 'ims-schedule-cache v1\nentry %s 0 0\n' "$count" \
         > "$SMOKE_DIR/hostile.cache"
     printf 'load %s\n' "$SMOKE_DIR/hostile.cache" > "$SMOKE_DIR/load.req"
     expect_answer "$SMOKE_DIR/load.req" 'error service\.bad_cache_file '
+done
+
+# A saved daxpy entry, its options rewritten to sim-verify at `trips`.
+{
+    printf 'schedule %s client=ci machine=cydra5\n' \
+        "$(wc -c < "$SMOKE_DIR/daxpy.ir")"
+    cat "$SMOKE_DIR/daxpy.ir"
+    printf 'save %s\n' "$SMOKE_DIR/daxpy.cache"
+} | "$SERVE" --threads 1 > /dev/null
+for trips in 17:'ok loaded 1' 100000:'error service\.bad_cache_file .*verify_sim_trips'; do
+    python3 - "$SMOKE_DIR/daxpy.cache" "${trips%%:*}" \
+        > "$SMOKE_DIR/trips.cache" <<'PY'
+import re
+import sys
+
+header, entry, body = open(sys.argv[1]).read().split("\n", 2)
+loop, machine, options = (int(n) for n in entry.split()[1:])
+text = body[loop + machine:loop + machine + options]
+text = text.replace("verify_sim 0\n", "verify_sim 1\n")
+text = re.sub(r"verify_sim_trips [^\n]*", "verify_sim_trips " + sys.argv[2],
+              text)
+sys.stdout.write(f"{header}\nentry {loop} {machine} {len(text)}\n"
+                 + body[:loop + machine] + text)
+PY
+    printf 'load %s\n' "$SMOKE_DIR/trips.cache" > "$SMOKE_DIR/trips.req"
+    expect_answer "$SMOKE_DIR/trips.req" "${trips#*:}"
 done
 
 echo "== stats line is JSON =="

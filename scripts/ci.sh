@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full local CI: tier-1 tests, the tier-1 tests again under
-# AddressSanitizer + UBSan, ThreadSanitizer concurrency checks, the
+# Full local CI: tier-1 tests, the tier-1 tests and the service smoke
+# again under AddressSanitizer + UBSan, ThreadSanitizer concurrency checks, the
 # scheduler hot-path performance gate, a differential-fuzz smoke run,
 # a whole-program equivalence smoke, and a schedule-service replay
 # smoke.
@@ -84,16 +84,19 @@ PY
 
 if [ "${IMS_CI_SKIP_ASAN:-0}" != "1" ]; then
     echo "==== stage 2/7: AddressSanitizer + UBSan ===="
-    # Only the test binaries ctest runs; any sanitizer report (an
-    # out-of-range index, signed overflow, ...) aborts its test. A Debug
-    # build, so this stage also runs every assert in src/ (the default
-    # RelWithDebInfo build defines NDEBUG).
+    # The test binaries ctest runs and ims-serve; any sanitizer report (an
+    # out-of-range index, signed overflow, ...) aborts its test or the
+    # service smoke, whose hostile requests then run under the
+    # sanitizers too. A Debug build, so this stage also runs every assert
+    # in src/ (the default RelWithDebInfo build defines NDEBUG).
     cmake -B build-asan -S . -DIMS_SANITIZE=address \
         -DCMAKE_BUILD_TYPE=Debug >/dev/null
-    cmake --build build-asan -j --target ims_tests
+    cmake --build build-asan -j --target ims_tests ims-serve
     (cd build-asan &&
         UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
         ctest --output-on-failure -j)
+    UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+        scripts/check_service.sh build-asan
 else
     echo "==== stage 2/7: AddressSanitizer + UBSan (skipped) ===="
 fi

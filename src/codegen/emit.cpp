@@ -135,4 +135,29 @@ emitKernel(const ir::Loop& loop, const GeneratedCode& code)
     return out.str();
 }
 
+std::string
+emitKernelOnly(const ir::Loop& loop, const GeneratedCode& code)
+{
+    const int ii = code.kernelSection.numCycles();
+    std::ostringstream out;
+    out << "; kernel-only schema [36]: II=" << ii << ", "
+        << code.kernel.stageCount << " stage predicates, code size " << ii
+        << " instruction(s)\n";
+    for (int cycle = 0; cycle < ii; ++cycle) {
+        out << "  " << cycle << ":";
+        bool first = true;
+        for (const auto& instance : code.kernelSection.cycle(cycle)) {
+            out << (first ? "  " : " || ")
+                << loop.operationToString(loop.operation(instance.op))
+                << " if sp[" << -instance.iterationOffset << "]";
+            first = false;
+        }
+        if (first)
+            out << "  (nop)";
+        out << "\n";
+    }
+    out << "  brtop 0\n";
+    return out.str();
+}
+
 } // namespace ims::codegen

@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "codegen/kernel_only.hpp"
 #include "graph/scc.hpp"
 #include "mii/min_dist.hpp"
 #include "sched/verifier.hpp"
@@ -69,9 +68,7 @@ simEquivalenceDiagnostics(const ir::Loop& loop,
                           std::uint64_t seed)
 {
     std::vector<Diagnostic> out;
-    bool has_exit = false;
-    for (const auto& op : loop.operations())
-        has_exit = has_exit || op.opcode == ir::Opcode::kExitIf;
+    const bool has_exit = loop.hasEarlyExit();
 
     for (const int trip : trips) {
         if (trip < 0)
@@ -124,10 +121,7 @@ simEquivalenceDiagnostics(const ir::Loop& loop,
             // No trip floor: the stage predicates make the kernel-only
             // schema valid at every trip count, including 0.
             compare("kernel_only", [&] {
-                const codegen::KernelOnlyCode kernel_only =
-                    codegen::generateKernelOnly(loop,
-                                                artifacts.outcome.schedule);
-                return sim::runKernelOnly(loop, kernel_only, spec);
+                return sim::runKernelOnly(loop, artifacts.code, spec);
             });
         }
     }

@@ -161,15 +161,6 @@ struct PipelinerOptions
     }
 
     PipelinerOptions&
-    withSimVerification(std::vector<int> trips, std::uint64_t seed)
-    {
-        verifySim = true;
-        verifySimTrips = std::move(trips);
-        verifySimSeed = seed;
-        return *this;
-    }
-
-    PipelinerOptions&
     withTelemetry(support::TelemetrySink* sink)
     {
         telemetry = sink;
@@ -271,7 +262,11 @@ struct PipelineResult
  * Engine applicability: the flat-schedule simulator runs at every trip
  * (including 0); the prologue/kernel/epilogue executor needs
  * trip >= stageCount and a DO-loop (no early exits); kernel-only needs a
- * DO-loop and trip >= 1. An empty return means all engines agreed.
+ * DO-loop. An empty return means all engines agreed.
+ *
+ * @throws support::CodedError "sim.too_large" before allocating anything
+ *         when a simulated array would span more cells than an int
+ *         indexes (memory offsets near the int limits).
  */
 std::vector<Diagnostic>
 simEquivalenceDiagnostics(const ir::Loop& loop,

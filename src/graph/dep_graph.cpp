@@ -1,27 +1,8 @@
 #include "graph/dep_graph.hpp"
 
 #include <cassert>
-#include <sstream>
 
 namespace ims::graph {
-
-std::string
-depKindName(DepKind kind)
-{
-    switch (kind) {
-      case DepKind::kFlow:
-        return "flow";
-      case DepKind::kAnti:
-        return "anti";
-      case DepKind::kOutput:
-        return "output";
-      case DepKind::kControl:
-        return "control";
-      case DepKind::kPseudo:
-        return "pseudo";
-    }
-    return "?";
-}
 
 DepGraph::DepGraph(int num_ops) : numOps_(num_ops)
 {
@@ -88,28 +69,6 @@ DepGraph::numRealEdges() const
             ++count;
     }
     return count;
-}
-
-std::string
-DepGraph::toString() const
-{
-    std::ostringstream out;
-    out << "dep graph: " << numOps_ << " ops, " << numEdges() << " edges ("
-        << numRealEdges() << " real)\n";
-    auto vertex_name = [this](VertexId v) {
-        if (v == start())
-            return std::string("START");
-        if (v == stop())
-            return std::string("STOP");
-        return std::to_string(v);
-    };
-    for (const auto& edge : edges_) {
-        out << "  " << vertex_name(edge.from) << " -> "
-            << vertex_name(edge.to) << "  [" << depKindName(edge.kind)
-            << (edge.throughMemory ? "/mem" : "") << " delay "
-            << edge.delay << " dist " << edge.distance << "]\n";
-    }
-    return out.str();
 }
 
 } // namespace ims::graph

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace ims::graph {
@@ -27,9 +26,6 @@ enum class DepKind
     kControl,
     kPseudo,
 };
-
-/** Name of a DepKind ("flow", "anti", ...). */
-std::string depKindName(DepKind kind);
 
 /**
  * A dependence edge: the successor may not start earlier than
@@ -159,9 +155,6 @@ class DepGraph
      * which is measured on the loop's dependence graph proper).
      */
     int numRealEdges() const;
-
-    /** Multi-line dump for debugging. */
-    std::string toString() const;
 
   private:
     void rebuildAdjacency() const;

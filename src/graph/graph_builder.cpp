@@ -1,5 +1,7 @@
 #include "graph/graph_builder.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "support/error.hpp"
@@ -149,16 +151,23 @@ buildDepGraph(const ir::Loop& loop, const machine::MachineModel& machine,
                 kind = DepKind::kOutput;
 
             if (a.memRef->stride == b.memRef->stride) {
-                const int diff = a.memRef->offset - b.memRef->offset;
+                // In 64 bits, as offsets near the int limits overflow int.
+                // A distance beyond int is never reached within an int
+                // trip count, so it adds no edge.
+                const std::int64_t diff =
+                    std::int64_t{a.memRef->offset} - b.memRef->offset;
                 const int stride = a.memRef->stride;
                 if (diff % stride != 0)
                     continue; // access sequences never meet
-                const int distance = diff / stride;
+                const std::int64_t distance = diff / stride;
                 const bool valid =
-                    distance > 0 ||
+                    (distance > 0 &&
+                     distance <= std::numeric_limits<int>::max()) ||
                     (distance == 0 && !same_op && a.id < b.id);
-                if (valid)
-                    add_dep(a.id, b.id, kind, distance, true);
+                if (valid) {
+                    add_dep(a.id, b.id, kind, static_cast<int>(distance),
+                            true);
+                }
             } else {
                 // Conservative: serialise within the iteration (program
                 // order) and across consecutive iterations.

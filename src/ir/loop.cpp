@@ -62,6 +62,27 @@ Loop::maxDistance() const
     return max_distance;
 }
 
+int
+Loop::maxStride() const
+{
+    int max_stride = 1;
+    for (const auto& op : operations_) {
+        if (op.memRef)
+            max_stride = std::max(max_stride, op.memRef->stride);
+    }
+    return max_stride;
+}
+
+bool
+Loop::hasEarlyExit() const
+{
+    for (const auto& op : operations_) {
+        if (op.opcode == Opcode::kExitIf)
+            return true;
+    }
+    return false;
+}
+
 void
 Loop::validate() const
 {

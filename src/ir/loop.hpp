@@ -75,6 +75,12 @@ class Loop
     /** Largest operand distance appearing anywhere in the body. */
     int maxDistance() const;
 
+    /** Largest memory stride of any access (1 when there is none). */
+    int maxStride() const;
+
+    /** True if the body contains a kExitIf (WHILE-loop / early exit). */
+    bool hasEarlyExit() const;
+
     /** Throw support::Error describing the first structural violation. */
     void validate() const;
 

@@ -1,7 +1,7 @@
 #include "program/program.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <cstdlib>
 
 #include "support/error.hpp"
 
@@ -90,16 +90,6 @@ validateStatement(const Block& block, const Statement& statement,
 
 } // namespace
 
-bool
-LoopSection::hasEarlyExit() const
-{
-    for (const auto& op : body.operations()) {
-        if (op.opcode == ir::Opcode::kExitIf)
-            return true;
-    }
-    return false;
-}
-
 void
 Program::validate() const
 {
@@ -157,7 +147,7 @@ Program::validate() const
             });
         }
     }
-    const bool early_exit = loop.hasEarlyExit();
+    const bool early_exit = loop.body.hasEarlyExit();
     require(!early_exit || loop.outputs.empty(),
             "WHILE-loops cannot bind register outputs (post-exit state is "
             "speculative)");
@@ -180,57 +170,6 @@ Program::validate() const
                     loop.outputs.find(loop.itersVar) == loop.outputs.end(),
                 "iteration-count variable collides with another binding");
     }
-}
-
-std::string
-Program::toString() const
-{
-    std::ostringstream out;
-    out << "program " << name << "\n";
-    const auto renderBlock = [&](const Block& block) {
-        out << "  block " << block.name << "\n";
-        for (const auto& s : block.statements) {
-            out << "    ";
-            if (s.opcode == ir::Opcode::kLoad) {
-                out << s.dest << " = " << s.array << "[" << s.index << "]";
-            } else if (s.opcode == ir::Opcode::kStore) {
-                out << s.array << "[" << s.index << "] = "
-                    << (s.sources[0].isVariable()
-                            ? s.sources[0].var
-                            : std::to_string(s.sources[0].immediate));
-            } else {
-                out << s.dest << " = " << ir::opcodeName(s.opcode) << "(";
-                for (std::size_t k = 0; k < s.sources.size(); ++k) {
-                    if (k)
-                        out << ", ";
-                    if (s.sources[k].isVariable())
-                        out << s.sources[k].var;
-                    else
-                        out << s.sources[k].immediate;
-                }
-                out << ")";
-            }
-            if (!s.comment.empty())
-                out << "  ; " << s.comment;
-            out << "\n";
-        }
-    };
-    for (const auto& block : preBlocks)
-        renderBlock(block);
-    out << "  loop (trip = " << loop.tripVar;
-    if (loop.hasEarlyExit())
-        out << ", early exit";
-    if (!loop.itersVar.empty())
-        out << ", iterations -> " << loop.itersVar;
-    out << ")\n";
-    std::istringstream body(loop.body.toString());
-    for (std::string line; std::getline(body, line);)
-        out << "    " << line << "\n";
-    for (const auto& [var, reg] : loop.outputs)
-        out << "    output " << var << " <- " << reg << "\n";
-    for (const auto& block : postBlocks)
-        renderBlock(block);
-    return out.str();
 }
 
 std::vector<std::string>
@@ -309,17 +248,6 @@ Program::loopAccessedArrays() const
             names.insert(loop.body.arrays()[op.memRef->array].name);
     }
     return {names.begin(), names.end()};
-}
-
-int
-Program::maxStride() const
-{
-    int stride = 1;
-    for (const auto& op : loop.body.operations()) {
-        if (op.memRef)
-            stride = std::max(stride, op.memRef->stride);
-    }
-    return stride;
 }
 
 int

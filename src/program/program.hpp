@@ -178,9 +178,6 @@ struct LoopSection
         const auto it = liveInBindings.find(reg);
         return it == liveInBindings.end() ? reg : it->second;
     }
-
-    /** True if the body contains a kExitIf (WHILE-loop / early exit). */
-    bool hasEarlyExit() const;
 };
 
 /**
@@ -209,9 +206,6 @@ struct Program
     /** Throw support::Error describing the first structural violation. */
     void validate() const;
 
-    /** Human-readable multi-line listing of all sections. */
-    std::string toString() const;
-
     /**
      * Program variables that must be supplied by the initial state: every
      * variable read before any definition, in sorted order. The trip
@@ -229,9 +223,6 @@ struct Program
 
     /** Names of arrays the loop body loads or stores, sorted. */
     std::vector<std::string> loopAccessedArrays() const;
-
-    /** Largest memory stride appearing in any section (>= 1). */
-    int maxStride() const;
 
     /** Largest |logical index| accessed by any block statement. */
     int maxBlockIndex() const;

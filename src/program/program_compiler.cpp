@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 
+#include "codegen/emit.hpp"
 #include "graph/graph_builder.hpp"
 #include "ir/loop_builder.hpp"
 #include "sched/list_scheduler.hpp"
@@ -223,7 +224,7 @@ prologueOverlapDepth(const CompiledProgram& cp,
     if (cp.pre.empty())
         return 0;
     const CompiledBlock& block = cp.pre.back();
-    const auto& kernel = cp.loop.kernel;
+    const auto& kernel = cp.loop.code.kernel;
     const int ii = kernel.ii;
     const int ramp = cp.rampCycles();
     const int n = block.cycleCount;
@@ -313,7 +314,7 @@ epilogueOverlapDepth(const CompiledProgram& cp,
     if (cp.post.empty())
         return 0;
     const CompiledBlock& block = cp.post.front();
-    const auto& kernel = cp.loop.kernel;
+    const auto& kernel = cp.loop.code.kernel;
     const int ii = kernel.ii;
     const int ramp = cp.rampCycles();
     const int n = block.cycleCount;
@@ -440,7 +441,7 @@ errorDiagnostic(const std::string& phase, const std::exception& error)
 int
 CompiledProgram::rampCycles() const
 {
-    return (loop.kernel.stageCount - 1) * loop.kernel.ii;
+    return (loop.code.kernel.stageCount - 1) * loop.code.kernel.ii;
 }
 
 long long
@@ -455,14 +456,15 @@ CompiledProgram::naiveCycles(int trip) const
         // Flat-schedule model (PipelineResult::cycles) at the trip bound.
         const long long loop_cycles =
             trip <= 0 ? 0
-                      : static_cast<long long>(trip - 1) * loop.kernel.ii +
+                      : static_cast<long long>(trip - 1) *
+                                loop.code.kernel.ii +
                             loop.schedule.scheduleLength;
         return blocks + loop_cycles;
     }
-    const int sc = loop.kernel.stageCount;
+    const int sc = loop.code.kernel.stageCount;
     const long long lc = std::max(0, trip - (sc - 1));
     const long long ec = std::min(trip, sc - 1);
-    return blocks + (sc - 1 + lc + ec) * loop.kernel.ii;
+    return blocks + (sc - 1 + lc + ec) * loop.code.kernel.ii;
 }
 
 long long
@@ -471,9 +473,10 @@ CompiledProgram::compiledCycles(int trip) const
     long long total = naiveCycles(trip);
     if (loop.isWhile)
         return total;
-    const long long ec = std::min(trip, loop.kernel.stageCount - 1);
+    const long long ec = std::min(trip, loop.code.kernel.stageCount - 1);
     total -= prologueOverlap;
-    total -= std::min<long long>(epilogueOverlap, ec * loop.kernel.ii);
+    total -= std::min<long long>(epilogueOverlap,
+                                 ec * loop.code.kernel.ii);
     return total;
 }
 
@@ -504,9 +507,9 @@ ProgramCompileResult::toJson() const
             post_cycles += block.cycleCount;
         out << ",\"scheduler\":"
             << support::jsonString(compiled->loop.scheduler)
-            << ",\"ii\":" << compiled->loop.kernel.ii
+            << ",\"ii\":" << compiled->loop.code.kernel.ii
             << ",\"mii\":" << compiled->loop.mii
-            << ",\"stages\":" << compiled->loop.kernel.stageCount
+            << ",\"stages\":" << compiled->loop.code.kernel.stageCount
             << ",\"while\":" << (compiled->loop.isWhile ? "true" : "false")
             << ",\"pre_cycles\":" << pre_cycles
             << ",\"post_cycles\":" << post_cycles
@@ -543,7 +546,7 @@ ProgramCompiler::compile(const Program& program) const
         return result;
     }
 
-    const bool is_while = program.loop.hasEarlyExit();
+    const bool is_while = program.loop.body.hasEarlyExit();
 
     // (b) The loop section through the full pipeliner: the selected
     // SchedulerStrategy under the Figure-2 II walk.
@@ -565,16 +568,14 @@ ProgramCompiler::compile(const Program& program) const
     if (ok) {
         const auto& artifacts = *loop_result.artifacts;
         cp.loop.schedule = artifacts.outcome.schedule;
-        cp.loop.kernel = artifacts.code.kernel;
-        cp.loop.body = codegen::generateKernelOnly(
-            program.loop.body, artifacts.outcome.schedule);
+        cp.loop.code = artifacts.code;
         cp.loop.isWhile = is_while;
         cp.loop.scheduler = artifacts.outcome.scheduler;
         cp.loop.mii = artifacts.outcome.mii;
         cp.loop.resMii = artifacts.outcome.resMii;
-        loop_report.ii = cp.loop.kernel.ii;
-        loop_report.stageCount = cp.loop.kernel.stageCount;
-        loop_report.cycles = cp.loop.kernel.ii;
+        loop_report.ii = cp.loop.code.kernel.ii;
+        loop_report.stageCount = cp.loop.code.kernel.stageCount;
+        loop_report.cycles = cp.loop.code.kernel.ii;
     }
 
     // (a) Straight-line sections, with (c) the EC/LC loop-control
@@ -584,7 +585,7 @@ ProgramCompiler::compile(const Program& program) const
         if (pre_blocks.empty())
             pre_blocks.emplace_back("loop.control");
         appendControlStatements(pre_blocks.back(), program.loop.tripVar,
-                                cp.control, cp.loop.kernel.stageCount);
+                                cp.control, cp.loop.code.kernel.stageCount);
     }
 
     std::vector<SectionReport> pre_reports;
@@ -667,12 +668,12 @@ emitProgram(const CompiledProgram& compiled)
                 << " cycles overlap the ramp-up (compressed)\n";
         }
     }
-    out << "loop  ; II " << compiled.loop.kernel.ii << ", "
-        << compiled.loop.kernel.stageCount << " stages"
+    out << "loop  ; II " << compiled.loop.code.kernel.ii << ", "
+        << compiled.loop.code.kernel.stageCount << " stages"
         << (compiled.loop.isWhile ? ", early exit (ESC schema)" : "")
         << "\n";
     out << codegen::emitKernelOnly(compiled.source.loop.body,
-                                   compiled.loop.body);
+                                   compiled.loop.code);
     for (std::size_t i = 0; i < compiled.post.size(); ++i) {
         if (i == 0 && compiled.epilogueOverlap > 0) {
             out << "  ; first " << compiled.epilogueOverlap

@@ -5,8 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "codegen/kernel.hpp"
-#include "codegen/kernel_only.hpp"
+#include "codegen/code_generator.hpp"
 #include "core/pipeliner.hpp"
 #include "ir/loop.hpp"
 #include "machine/machine_model.hpp"
@@ -43,18 +42,17 @@ struct CompiledBlock
 };
 
 /**
- * The compiled loop section: the modulo-schedule outcome, the kernel
- * structure, and the kernel-only (stage-predicated) body that the EC/LC
- * execution schema repeats. WHILE-loops keep the flat schedule and are
- * executed by the pipeline simulator (counted loop control does not
- * apply; see docs/PROGRAM.md).
+ * The compiled loop section: the modulo-schedule outcome and the code
+ * pipeline() generated for it, whose kernel section, each instance under
+ * its stage predicate, is the body the EC/LC execution schema repeats
+ * (the [36] schema). WHILE-loops keep the flat schedule and are executed
+ * by the pipeline simulator (counted loop control does not apply; see
+ * docs/PROGRAM.md).
  */
 struct CompiledLoop
 {
     sched::ScheduleResult schedule;
-    codegen::Kernel kernel;
-    /** Stage-predicated kernel rows (the [36] schema). */
-    codegen::KernelOnlyCode body;
+    codegen::GeneratedCode code;
     bool isWhile = false;
     /** Scheduler backend identity and MII statistics. */
     std::string scheduler;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
-#include <sstream>
 
 #include "sim/pipeline_simulator.hpp"
 #include "sim/section_executor.hpp"
@@ -57,29 +57,6 @@ arrayIdByName(const ir::Loop& loop, const std::string& name)
     return -1;
 }
 
-/** Loop-local simulation margin, identical to workloads::makeSimSpec. */
-int
-loopMargin(const ir::Loop& loop)
-{
-    int max_offset = 0;
-    for (const auto& op : loop.operations()) {
-        if (op.memRef)
-            max_offset = std::max(max_offset, std::abs(op.memRef->offset));
-    }
-    return std::max(8, max_offset + loop.maxDistance() + 2);
-}
-
-int
-loopStride(const ir::Loop& loop)
-{
-    int stride = 1;
-    for (const auto& op : loop.operations()) {
-        if (op.memRef)
-            stride = std::max(stride, op.memRef->stride);
-    }
-    return stride;
-}
-
 /**
  * Marshal program state into a loop SimSpec: live-in and seed bindings
  * from the variables, shared arrays clipped to the loop's simulated
@@ -92,7 +69,9 @@ makeLoopSpec(const LoopSection& loop, int trip, const Variables& variables,
 {
     sim::SimSpec spec;
     spec.tripCount = trip;
-    spec.margin = loopMargin(loop.body);
+    const std::int64_t margin = sim::defaultMargin(loop.body);
+    const int cells = sim::simulatedCells(loop.body, trip, margin);
+    spec.margin = static_cast<int>(margin);
 
     for (const auto& reg : loop.body.registers()) {
         if (!reg.isLiveIn)
@@ -115,7 +94,6 @@ makeLoopSpec(const LoopSection& loop, int trip, const Variables& variables,
         spec.seeds[reg] = std::move(seeds);
     }
 
-    const int cells = loopStride(loop.body) * trip + 2 * spec.margin;
     for (const auto& array : loop.body.arrays()) {
         std::vector<sim::Value> contents;
         contents.reserve(cells);
@@ -129,11 +107,12 @@ makeLoopSpec(const LoopSection& loop, int trip, const Variables& variables,
 
 /** Copy the loop's written arrays back into the program store. */
 void
-copyBackArrays(const LoopSection& loop, const sim::Memory& memory,
-               int trip, ArrayStore& store)
+copyBackArrays(const LoopSection& loop, const sim::SimSpec& spec,
+               const sim::Memory& memory, ArrayStore& store)
 {
-    const int margin = loopMargin(loop.body);
-    const int cells = loopStride(loop.body) * trip + 2 * margin;
+    const int margin = spec.margin;
+    const int cells =
+        sim::simulatedCells(loop.body, spec.tripCount, spec.margin);
     std::set<std::string> written;
     for (const auto& op : loop.body.operations()) {
         if (op.isStore() && op.memRef)
@@ -154,7 +133,7 @@ applyLoopOutputs(const LoopSection& loop,
                  const std::map<std::string, sim::Value>& final_registers,
                  int executed, int trip, Variables& variables)
 {
-    if (trip >= 1 && !loop.hasEarlyExit()) {
+    if (trip >= 1 && !loop.body.hasEarlyExit()) {
         for (const auto& [var, reg] : loop.outputs) {
             const auto it = final_registers.find(reg);
             support::check(it != final_registers.end(), [&] {
@@ -386,7 +365,7 @@ runProgramSequential(const Program& program, const ProgramSpec& spec)
         makeLoopSpec(program.loop, spec.trip, variables, store);
     const sim::SimResult result =
         sim::runSequential(program.loop.body, loop_spec);
-    copyBackArrays(program.loop, result.memory, spec.trip, store);
+    copyBackArrays(program.loop, loop_spec, result.memory, store);
     applyLoopOutputs(program.loop, result.finalRegisters,
                      result.executedIterations, spec.trip, variables);
 
@@ -429,7 +408,7 @@ runProgramCompiled(const CompiledProgram& compiled,
             makeLoopSpec(source.loop, trip, variables, store);
         const sim::PipelineResult result = sim::runPipelined(
             source.loop.body, compiled.loop.schedule, loop_spec);
-        copyBackArrays(source.loop, result.state.memory, trip, store);
+        copyBackArrays(source.loop, loop_spec, result.state.memory, store);
         applyLoopOutputs(source.loop, result.state.finalRegisters,
                          result.state.executedIterations, trip, variables);
         for (const auto& block : compiled.post)
@@ -441,33 +420,21 @@ runProgramCompiled(const CompiledProgram& compiled,
 
     // EC/LC-controlled kernel-only execution of the counted loop.
     const ir::Loop& body = source.loop.body;
-    const auto& kernel = compiled.loop.body;
-    const int ii = kernel.ii;
-    const int sc = kernel.stageCount;
+    const codegen::GeneratedCode& code = compiled.loop.code;
+    const int ii = code.kernel.ii;
+    const int sc = code.kernel.stageCount;
 
     const sim::SimSpec loop_spec =
         makeLoopSpec(source.loop, trip, variables, store);
-    sim::Memory memory(body, trip, loop_spec.margin);
-    for (const auto& [name, init] : loop_spec.arrays) {
-        const ir::ArrayId id = arrayIdByName(body, name);
-        if (id >= 0)
-            memory.init(id, init.first, init.second);
-    }
+    sim::Memory memory = sim::initialMemory(body, loop_spec);
     sim::RegisterFile registers(body, loop_spec, trip);
 
     // One kernel row under the stage predicates: repetition `rep`'s
     // instance at stage s runs iteration rep - s when that iteration is
     // live (0 <= rep - s < trip).
     const auto runKernelRow = [&](int rep, int row) {
-        for (const bool store_phase : {false, true}) {
-            for (const auto& placement : kernel.cycles[row]) {
-                const int iter = rep - placement.stage;
-                if (iter < 0 || iter >= trip)
-                    continue;
-                sim::executeOpInstance(body.operation(placement.op), iter,
-                                       registers, memory, store_phase);
-            }
-        }
+        sim::executeCycle(body, code.kernelSection, row, rep, trip,
+                          registers, memory);
     };
 
     // Ramp-up: SC-1 repetitions, interleaved with the held-back overlap
@@ -528,16 +495,9 @@ runProgramCompiled(const CompiledProgram& compiled,
     }
 
     // Marshal out: written arrays, outputs, iteration count.
-    copyBackArrays(source.loop, memory, trip, store);
-    std::map<std::string, sim::Value> final_registers;
-    if (trip >= 1) {
-        for (ir::RegId reg = 0; reg < body.numRegisters(); ++reg) {
-            if (body.definingOp(reg) >= 0)
-                final_registers[body.reg(reg).name] =
-                    registers.read(reg, trip - 1);
-        }
-    }
-    applyLoopOutputs(source.loop, final_registers, trip, trip, variables);
+    copyBackArrays(source.loop, loop_spec, memory, store);
+    applyLoopOutputs(source.loop, sim::finalRegisters(body, registers, trip),
+                     trip, trip, variables);
 
     // The post block's overlap cycles could not touch the marshaled
     // variables (compression eligibility), so refreshing their live-in
@@ -573,25 +533,21 @@ makeProgramSpec(const Program& program, int trip, std::uint64_t seed)
                                   : rng.uniformReal() * 4.0 - 2.0;
     }
 
-    const int margin = loopMargin(program.loop.body);
-    const int stride = loopStride(program.loop.body);
+    // The loop's simulated range, widened to every block index.
+    const std::int64_t margin = sim::defaultMargin(program.loop.body);
+    const int loop_cells =
+        sim::simulatedCells(program.loop.body, trip, margin);
+    const int first = -static_cast<int>(margin);
     const int cells =
-        std::max(stride * trip + margin, program.maxBlockIndex() + 1) +
-        margin;
+        std::max(loop_cells, program.maxBlockIndex() + 1 - first);
     for (const auto& name : program.arrayNames()) {
         std::vector<sim::Value> contents;
         contents.reserve(cells);
         for (int k = 0; k < cells; ++k)
             contents.push_back(rng.uniformReal() * 4.0 - 2.0);
-        spec.arrays[name] = {-margin, std::move(contents)};
+        spec.arrays[name] = {first, std::move(contents)};
     }
     return spec;
-}
-
-bool
-equivalentState(const ProgramState& a, const ProgramState& b)
-{
-    return describeStateDifference(a, b).empty();
 }
 
 std::string

@@ -74,10 +74,10 @@ ProgramState runProgramCompiled(const CompiledProgram& compiled,
 ProgramSpec makeProgramSpec(const Program& program, int trip,
                             std::uint64_t seed);
 
-/** NaN-tolerant equality of two final states (absent cells = 0.0). */
-bool equivalentState(const ProgramState& a, const ProgramState& b);
-
-/** First difference between two final states, "" when equivalent. */
+/**
+ * First difference between two final states, "" when equivalent
+ * (NaN-tolerant; absent cells read as 0.0).
+ */
 std::string describeStateDifference(const ProgramState& a,
                                     const ProgramState& b);
 

@@ -65,6 +65,8 @@ parseTrips(const std::string& text)
     for (const char c : text + ",") {
         if (c == ',') {
             trips.push_back(wholeNumber<int>(item));
+            if (trips.back() > kMaxVerifySimTrip)
+                throw std::invalid_argument(item);
             item.clear();
         } else {
             item += c;

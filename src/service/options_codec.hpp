@@ -26,9 +26,17 @@ namespace ims::service {
 std::string canonicalOptionsText(const core::PipelinerOptions& options);
 
 /**
+ * Largest sim-verification trip count parseOptionsText accepts. A cache
+ * file's options text is untrusted, and each trip costs simulation time
+ * and memory linear in it; the default trips and the fuzzer's stop at 17.
+ */
+inline constexpr int kMaxVerifySimTrip = 1000;
+
+/**
  * Inverse of canonicalOptionsText, for cache persistence: rebuild a
  * PipelinerOptions (sinks null) from the canonical text.
- * @throws support::Error on unknown keys or malformed values.
+ * @throws support::Error on unknown keys or malformed values, including
+ *         a verify_sim_trips entry above kMaxVerifySimTrip.
  */
 core::PipelinerOptions parseOptionsText(const std::string& text);
 

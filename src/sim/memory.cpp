@@ -2,26 +2,48 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
+#include <limits>
 
 #include "support/error.hpp"
 
 namespace ims::sim {
 
+std::int64_t
+defaultMargin(const ir::Loop& loop)
+{
+    std::int64_t max_offset = 0;
+    for (const auto& op : loop.operations()) {
+        if (op.memRef)
+            max_offset = std::max(max_offset,
+                                  std::abs(std::int64_t{op.memRef->offset}));
+    }
+    return std::max<std::int64_t>(8, max_offset + loop.maxDistance() + 2);
+}
+
+int
+simulatedCells(const ir::Loop& loop, int trip, std::int64_t margin)
+{
+    assert(trip >= 0 && margin >= 0);
+    const std::int64_t cells =
+        std::int64_t{loop.maxStride()} * trip + 2 * margin;
+    if (cells > std::numeric_limits<int>::max()) {
+        throw support::CodedError(
+            "sim.too_large",
+            "simulating loop '" + loop.name() + "' for " +
+                std::to_string(trip) + " iterations needs " +
+                std::to_string(cells) +
+                " cells per array, more than an int indexes");
+    }
+    return static_cast<int>(cells);
+}
+
 Memory::Memory(const ir::Loop& loop, int trip_count, int margin)
     : tripCount_(trip_count), margin_(margin)
 {
-    assert(trip_count >= 0 && margin >= 0);
-    int max_stride = 1;
-    for (const auto& op : loop.operations()) {
-        if (op.memRef)
-            max_stride = std::max(max_stride, op.memRef->stride);
-    }
-    arrays_.assign(
-        loop.numArrays(),
-        std::vector<Value>(static_cast<std::size_t>(trip_count) *
-                                   max_stride +
-                               2 * margin,
-                           0.0));
+    arrays_.assign(loop.numArrays(),
+                   std::vector<Value>(
+                       simulatedCells(loop, trip_count, margin), 0.0));
 }
 
 std::size_t

@@ -1,7 +1,7 @@
 #ifndef IMS_SIM_MEMORY_HPP
 #define IMS_SIM_MEMORY_HPP
 
-#include <map>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -9,6 +9,21 @@
 #include "sim/value.hpp"
 
 namespace ims::sim {
+
+/**
+ * The margin every simulation input of `loop` uses:
+ * max(8, max |offset| + maxDistance + 2). In 64 bits, since an offset
+ * near the int limits overflows int.
+ */
+std::int64_t defaultMargin(const ir::Loop& loop);
+
+/**
+ * Cells each array of `loop` spans when simulated for `trip` iterations
+ * with `margin` on both sides: maxStride * trip + 2 * margin.
+ *
+ * @throws support::CodedError "sim.too_large" when that exceeds int.
+ */
+int simulatedCells(const ir::Loop& loop, int trip, std::int64_t margin);
 
 /**
  * Array storage for loop simulation. Accesses are to logical indices
@@ -23,6 +38,7 @@ class Memory
      * @param loop       declares the array symbols.
      * @param trip_count number of iterations to be simulated.
      * @param margin     extra elements on both sides of [0, trip_count).
+     * @throws support::CodedError "sim.too_large" (see simulatedCells).
      */
     Memory(const ir::Loop& loop, int trip_count, int margin);
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "sim/register_file.hpp"
+#include "sim/section_executor.hpp"
 #include "support/error.hpp"
 
 namespace ims::sim {
@@ -26,19 +26,10 @@ runPipelined(const ir::Loop& loop, const sched::ScheduleResult& schedule,
              const SimSpec& spec)
 {
     loop.validate();
-    support::check(spec.tripCount >= 0, "trip count must be non-negative");
     support::check(static_cast<int>(schedule.times.size()) == loop.size(),
                    "schedule does not match the loop");
 
-    Memory memory(loop, spec.tripCount, spec.margin);
-    for (const auto& [name, init] : spec.arrays) {
-        for (ir::ArrayId array = 0; array < loop.numArrays(); ++array) {
-            if (loop.arrays()[array].name == name)
-                memory.init(array, init.first, init.second);
-        }
-    }
-    if (spec.tripCount == 0)
-        return PipelineResult{SimResult{std::move(memory), {}, 0}, 0};
+    Memory memory = initialMemory(loop, spec);
     RegisterFile registers(loop, spec, spec.tripCount);
 
     // Enumerate all dynamic instances and order them by issue cycle.
@@ -71,10 +62,6 @@ runPipelined(const ir::Loop& loop, const sched::ScheduleResult& schedule,
                   return a.op < b.op;
               });
 
-    bool has_exit = false;
-    for (const auto& op : loop.operations())
-        has_exit = has_exit || op.opcode == ir::Opcode::kExitIf;
-
     // First exit that fired, as (iteration, op id); everything at or
     // beyond it (in original program order) is squashed. The exit->store
     // control dependences guarantee every store issues after the exits
@@ -92,13 +79,9 @@ runPipelined(const ir::Loop& loop, const sched::ScheduleResult& schedule,
     for (const Instance& instance : instances) {
         const ir::Operation& op = loop.operation(instance.op);
         const int iter = instance.iteration;
-        const bool active =
-            !op.guard || isTrue(registers.readOperand(*op.guard, iter));
-
-        if (op.opcode == ir::Opcode::kBranch)
-            continue;
-
         if (op.opcode == ir::Opcode::kExitIf) {
+            const bool active =
+                !op.guard || isTrue(registers.readOperand(*op.guard, iter));
             if (active && !squashed(iter, op.id) &&
                 registers.readOperand(op.sources[0], iter) > 0.0) {
                 if (exit_iter < 0 || iter < exit_iter ||
@@ -109,47 +92,22 @@ runPipelined(const ir::Loop& loop, const sched::ScheduleResult& schedule,
             }
             continue;
         }
-
-        if (op.isStore()) {
-            if (!active || squashed(iter, op.id))
-                continue;
-            memory.write(op.memRef->array, op.memRef->stride * iter + op.memRef->offset,
-                         registers.readOperand(op.sources[1], iter));
+        if (op.isStore() && squashed(iter, op.id))
             continue;
-        }
-        if (!op.hasDest())
-            continue;
-
-        Value result = 0.0;
-        if (active) {
-            if (op.isLoad()) {
-                result = memory.read(op.memRef->array,
-                                     op.memRef->stride * iter + op.memRef->offset);
-            } else {
-                std::vector<Value> sources;
-                sources.reserve(op.sources.size());
-                for (const auto& src : op.sources)
-                    sources.push_back(registers.readOperand(src, iter));
-                result = evaluate(op.opcode, sources);
-            }
-        }
-        registers.write(op.dest, iter, result);
+        executeOpInstance(op, iter, registers, memory);
     }
 
     const int executed = exit_iter >= 0
                              ? static_cast<int>(exit_iter) + 1
                              : spec.tripCount;
-    PipelineResult result{SimResult{std::move(memory), {}, executed}, 0};
-    if (!has_exit) {
-        for (ir::RegId reg = 0; reg < loop.numRegisters(); ++reg) {
-            if (loop.definingOp(reg) >= 0) {
-                result.state.finalRegisters[loop.reg(reg).name] =
-                    registers.read(reg, spec.tripCount - 1);
-            }
-        }
+    PipelineResult result{
+        SimResult{std::move(memory),
+                  finalRegisters(loop, registers, spec.tripCount), executed},
+        0};
+    if (executed > 0) {
+        result.cycles = static_cast<long long>(executed - 1) * schedule.ii +
+                        schedule.scheduleLength;
     }
-    result.cycles = static_cast<long long>(executed - 1) * schedule.ii +
-                    schedule.scheduleLength;
     return result;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cassert>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "ir/loop.hpp"
@@ -71,13 +72,6 @@ class RegisterFile
         return read(operand.reg, iter - operand.distance);
     }
 
-    /** True once `reg`'s instance for iteration `iter` was computed. */
-    bool
-    isWritten(ir::RegId reg, int iter) const
-    {
-        return iter >= 0 && iter < tripCount_ && written_[reg][iter];
-    }
-
     void
     write(ir::RegId reg, int iter, Value value)
     {
@@ -94,6 +88,16 @@ class RegisterFile
     std::vector<Value> liveIn_;
     std::map<ir::RegId, std::vector<Value>> seeds_;
 };
+
+/**
+ * Every in-loop register's value at the last iteration, `trip - 1`: the
+ * SimResult::finalRegisters of a run that entered all `trip` iterations.
+ * Empty for a zero trip (nothing executed) and for a loop with an early
+ * exit (post-exit values are speculative).
+ */
+std::map<std::string, Value> finalRegisters(const ir::Loop& loop,
+                                            const RegisterFile& registers,
+                                            int trip);
 
 } // namespace ims::sim
 

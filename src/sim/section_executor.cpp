@@ -1,19 +1,14 @@
 #include "sim/section_executor.hpp"
 
-#include <algorithm>
-
-#include "sim/register_file.hpp"
 #include "support/error.hpp"
 
 namespace ims::sim {
 
 void
 executeOpInstance(const ir::Operation& op, int iter,
-                  RegisterFile& registers, Memory& memory, bool store_phase)
+                  RegisterFile& registers, Memory& memory)
 {
     if (op.opcode == ir::Opcode::kBranch)
-        return;
-    if (op.isStore() != store_phase)
         return;
 
     const bool active =
@@ -47,26 +42,30 @@ executeOpInstance(const ir::Operation& op, int iter,
     registers.write(op.dest, iter, result);
 }
 
-namespace {
-
-/** Execute a section's cycles with a per-cycle iteration base mapping. */
 void
-executeSection(const ir::Loop& loop, const codegen::CodeSection& section,
-               int iteration_base, int trip, RegisterFile& registers,
-               Memory& memory)
+executeCycle(const ir::Loop& loop, const codegen::CodeSection& section,
+             int cycle, int base, int trip, RegisterFile& registers,
+             Memory& memory)
 {
-    for (int c = 0; c < section.numCycles(); ++c) {
-        // Loads and ALU ops first, then stores (same-cycle ordering).
-        for (const bool store_phase : {false, true}) {
-            for (const auto& instance : section.cycle(c)) {
-                const int iter = iteration_base + instance.iterationOffset;
-                if (iter < 0 || iter >= trip)
-                    continue;
-                executeOpInstance(loop.operation(instance.op), iter,
-                                  registers, memory, store_phase);
-            }
+    for (const bool stores : {false, true}) {
+        for (const auto& instance : section.cycle(cycle)) {
+            const ir::Operation& op = loop.operation(instance.op);
+            const int iter = base + instance.iterationOffset;
+            if (op.isStore() == stores && iter >= 0 && iter < trip)
+                executeOpInstance(op, iter, registers, memory);
         }
     }
+}
+
+namespace {
+
+/** Execute every cycle of `section` with iteration base `base`. */
+void
+executeSection(const ir::Loop& loop, const codegen::CodeSection& section,
+               int base, int trip, RegisterFile& registers, Memory& memory)
+{
+    for (int c = 0; c < section.numCycles(); ++c)
+        executeCycle(loop, section, c, base, trip, registers, memory);
 }
 
 } // namespace
@@ -76,24 +75,16 @@ runGeneratedCode(const ir::Loop& loop, const codegen::GeneratedCode& code,
                  const SimSpec& spec)
 {
     loop.validate();
-    for (const auto& op : loop.operations()) {
-        support::check(op.opcode != ir::Opcode::kExitIf,
-                       "the prologue/kernel/epilogue schema supports "
-                       "DO-loops only; early-exit loops need the "
-                       "kernel-only (ESC) schema");
-    }
+    support::check(!loop.hasEarlyExit(),
+                   "the prologue/kernel/epilogue schema supports "
+                   "DO-loops only; early-exit loops need the "
+                   "kernel-only (ESC) schema");
     const int trip = spec.tripCount;
     support::check(trip >= code.kernel.stageCount,
                    "trip count below the stage count: the pipelined loop "
                    "would be bypassed (preconditioning)");
 
-    Memory memory(loop, trip, spec.margin);
-    for (const auto& [name, init] : spec.arrays) {
-        for (ir::ArrayId array = 0; array < loop.numArrays(); ++array) {
-            if (loop.arrays()[array].name == name)
-                memory.init(array, init.first, init.second);
-        }
-    }
+    Memory memory = initialMemory(loop, spec);
     RegisterFile registers(loop, spec, trip);
 
     // Prologue: instances carry absolute iteration indices.
@@ -111,65 +102,29 @@ runGeneratedCode(const ir::Loop& loop, const codegen::GeneratedCode& code,
     // Epilogue: instances are tagged from the end (-1 = last iteration).
     executeSection(loop, code.epilogue, trip, trip, registers, memory);
 
-    SimResult result{std::move(memory), {}, trip};
-    for (ir::RegId reg = 0; reg < loop.numRegisters(); ++reg) {
-        if (loop.definingOp(reg) >= 0) {
-            result.finalRegisters[loop.reg(reg).name] =
-                registers.read(reg, trip - 1);
-        }
-    }
-    return result;
+    return SimResult{std::move(memory), finalRegisters(loop, registers, trip),
+                     trip};
 }
 
 SimResult
-runKernelOnly(const ir::Loop& loop, const codegen::KernelOnlyCode& code,
+runKernelOnly(const ir::Loop& loop, const codegen::GeneratedCode& code,
               const SimSpec& spec)
 {
     loop.validate();
-    for (const auto& op : loop.operations()) {
-        support::check(op.opcode != ir::Opcode::kExitIf,
-                       "early-exit kernel-only execution (ESC counting) "
-                       "is not implemented");
-    }
+    support::check(!loop.hasEarlyExit(),
+                   "early-exit kernel-only execution (ESC counting) "
+                   "is not implemented");
     const int trip = spec.tripCount;
 
-    Memory memory(loop, trip, spec.margin);
-    for (const auto& [name, init] : spec.arrays) {
-        for (ir::ArrayId array = 0; array < loop.numArrays(); ++array) {
-            if (loop.arrays()[array].name == name)
-                memory.init(array, init.first, init.second);
-        }
-    }
+    Memory memory = initialMemory(loop, spec);
     RegisterFile registers(loop, spec, trip);
 
-    for (int rep = 0; rep < code.repetitions(trip); ++rep) {
-        for (const auto& cycle : code.cycles) {
-            for (const bool store_phase : {false, true}) {
-                for (const auto& placement : cycle) {
-                    // Stage predicate: this stage's iteration is live.
-                    const int iter = rep - placement.stage;
-                    if (iter < 0 || iter >= trip)
-                        continue;
-                    executeOpInstance(loop.operation(placement.op), iter,
-                                      registers, memory, store_phase);
-                }
-            }
-        }
-    }
+    // Repetition r runs the stage-s instances for iteration r - s.
+    for (int r = 0; r < trip + code.kernel.stageCount - 1; ++r)
+        executeSection(loop, code.kernelSection, r, trip, registers, memory);
 
-    SimResult result{std::move(memory), {}, trip};
-    // A zero-trip loop executed nothing: the sequential reference leaves
-    // finalRegisters empty, and reading iteration -1 here would surface
-    // seed values instead.
-    if (trip >= 1) {
-        for (ir::RegId reg = 0; reg < loop.numRegisters(); ++reg) {
-            if (loop.definingOp(reg) >= 0) {
-                result.finalRegisters[loop.reg(reg).name] =
-                    registers.read(reg, trip - 1);
-            }
-        }
-    }
-    return result;
+    return SimResult{std::move(memory), finalRegisters(loop, registers, trip),
+                     trip};
 }
 
 } // namespace ims::sim

@@ -2,7 +2,6 @@
 #define IMS_SIM_SECTION_EXECUTOR_HPP
 
 #include "codegen/code_generator.hpp"
-#include "codegen/kernel_only.hpp"
 #include "sim/register_file.hpp"
 #include "sim/sequential_interpreter.hpp"
 
@@ -10,16 +9,24 @@ namespace ims::sim {
 
 /**
  * Execute one operation instance for a concrete iteration against the
- * shared register file and memory — the primitive every section-level
- * executor (and the program-level executor) is built on. Call once per
- * cycle with store_phase false (loads and ALU ops) and once with true
- * (stores), preserving the dependence model's same-cycle ordering.
- * Guarded instances whose predicate is false store nothing and write 0.0
- * to their destination, like both reference engines.
+ * shared register file and memory — the step every engine under test is
+ * built on. Guarded instances whose predicate is false store nothing and
+ * write 0.0 to their destination, like the sequential reference; branches
+ * and exits do nothing here (the engines that model exits decide them).
  */
 void executeOpInstance(const ir::Operation& op, int iter,
-                       RegisterFile& registers, Memory& memory,
-                       bool store_phase);
+                       RegisterFile& registers, Memory& memory);
+
+/**
+ * Execute cycle `cycle` of `section` with iteration base `base`: each
+ * instance runs iteration base + iterationOffset when that lies in
+ * [0, trip), which is its stage predicate. Loads and ALU ops run first,
+ * then stores (stores commit at the end of their issue cycle, matching
+ * the dependence model).
+ */
+void executeCycle(const ir::Loop& loop, const codegen::CodeSection& section,
+                  int cycle, int base, int trip, RegisterFile& registers,
+                  Memory& memory);
 
 /**
  * Execute the *generated code structure* — prologue once, the kernel
@@ -32,8 +39,7 @@ void executeOpInstance(const ir::Operation& op, int iter,
  *    (stageCount - 1 + r) + offset (offset is -stage);
  *  - epilogue instances run for iteration trip + offset (offset < 0).
  *
- * Within a cycle, loads execute before stores, matching the dependence
- * model. Comparing the result against runSequential() validates that the
+ * Comparing the result against runSequential() validates that the
  * prologue/kernel/epilogue decomposition (including its instance
  * bookkeeping) is semantically faithful — not just the flat schedule.
  *
@@ -45,15 +51,15 @@ SimResult runGeneratedCode(const ir::Loop& loop,
                            const SimSpec& spec);
 
 /**
- * Execute kernel-only code ([36]): the kernel runs trip + stageCount - 1
- * times; in repetition r, the instance of an operation at stage s is
- * enabled exactly when its stage predicate would be on, i.e. when
- * 0 <= r - s < trip. Validates the zero-code-expansion schema's
- * semantics against runSequential(). No precondition on the trip count —
- * the stage predicates handle short trips naturally.
+ * Execute the kernel-only schema ([36]) of `code`: the kernel section
+ * runs trip + stageCount - 1 times; in repetition r, the instance of an
+ * operation at stage s is enabled exactly when its stage predicate would
+ * be on, i.e. when 0 <= r - s < trip. Validates the zero-code-expansion
+ * schema's semantics against runSequential(). No precondition on the trip
+ * count — the stage predicates handle short trips naturally.
  */
 SimResult runKernelOnly(const ir::Loop& loop,
-                        const codegen::KernelOnlyCode& code,
+                        const codegen::GeneratedCode& code,
                         const SimSpec& spec);
 
 } // namespace ims::sim

@@ -5,6 +5,33 @@
 
 namespace ims::sim {
 
+Memory
+initialMemory(const ir::Loop& loop, const SimSpec& spec)
+{
+    support::check(spec.tripCount >= 0, "trip count must be non-negative");
+    Memory memory(loop, spec.tripCount, spec.margin);
+    for (const auto& [name, init] : spec.arrays) {
+        for (ir::ArrayId array = 0; array < loop.numArrays(); ++array) {
+            if (loop.arrays()[array].name == name)
+                memory.init(array, init.first, init.second);
+        }
+    }
+    return memory;
+}
+
+std::map<std::string, Value>
+finalRegisters(const ir::Loop& loop, const RegisterFile& registers, int trip)
+{
+    std::map<std::string, Value> values;
+    if (trip == 0 || loop.hasEarlyExit())
+        return values;
+    for (ir::RegId reg = 0; reg < loop.numRegisters(); ++reg) {
+        if (loop.definingOp(reg) >= 0)
+            values[loop.reg(reg).name] = registers.read(reg, trip - 1);
+    }
+    return values;
+}
+
 bool
 equivalent(const SimResult& a, const SimResult& b)
 {
@@ -51,23 +78,8 @@ SimResult
 runSequential(const ir::Loop& loop, const SimSpec& spec)
 {
     loop.validate();
-    support::check(spec.tripCount >= 0, "trip count must be non-negative");
-
-    Memory memory(loop, spec.tripCount, spec.margin);
-    for (const auto& [name, init] : spec.arrays) {
-        for (ir::ArrayId array = 0; array < loop.numArrays(); ++array) {
-            if (loop.arrays()[array].name == name)
-                memory.init(array, init.first, init.second);
-        }
-    }
-    if (spec.tripCount == 0)
-        return SimResult{std::move(memory), {}, 0};
-
+    Memory memory = initialMemory(loop, spec);
     RegisterFile registers(loop, spec, spec.tripCount);
-
-    bool has_exit = false;
-    for (const auto& op : loop.operations())
-        has_exit = has_exit || op.opcode == ir::Opcode::kExitIf;
 
     int executed = 0;
     bool exited = false;
@@ -117,16 +129,9 @@ runSequential(const ir::Loop& loop, const SimSpec& spec)
         }
     }
 
-    SimResult result{std::move(memory), {}, executed};
-    if (!has_exit) {
-        for (ir::RegId reg = 0; reg < loop.numRegisters(); ++reg) {
-            if (loop.definingOp(reg) >= 0) {
-                result.finalRegisters[loop.reg(reg).name] =
-                    registers.read(reg, spec.tripCount - 1);
-            }
-        }
-    }
-    return result;
+    return SimResult{std::move(memory),
+                     finalRegisters(loop, registers, spec.tripCount),
+                     executed};
 }
 
 } // namespace ims::sim

@@ -38,6 +38,15 @@ struct SimSpec
     std::map<std::string, std::pair<int, std::vector<Value>>> arrays;
 };
 
+/**
+ * The memory every engine starts from: `spec.arrays` written over zeroed
+ * arrays of simulatedCells(loop, spec.tripCount, spec.margin) cells.
+ *
+ * @throws support::Error for a negative trip count, and
+ *         support::CodedError "sim.too_large" before allocating.
+ */
+Memory initialMemory(const ir::Loop& loop, const SimSpec& spec);
+
 /** Final architectural state after simulating a loop. */
 struct SimResult
 {

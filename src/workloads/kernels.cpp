@@ -1,7 +1,6 @@
 #include "workloads/kernels.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <cstdint>
 
 #include "ir/loop_builder.hpp"
 #include "support/error.hpp"
@@ -737,17 +736,9 @@ makeSimSpec(const ir::Loop& loop, int trip_count, std::uint64_t seed)
     sim::SimSpec spec;
     spec.tripCount = trip_count;
 
-    int max_offset = 0;
-    int max_stride = 1;
-    for (const auto& op : loop.operations()) {
-        if (op.memRef) {
-            max_offset = std::max(max_offset, std::abs(op.memRef->offset));
-            max_stride = std::max(max_stride, op.memRef->stride);
-        }
-    }
-    spec.margin = std::max(8, max_offset + loop.maxDistance() + 2);
-
-    const int cells = max_stride * trip_count + 2 * spec.margin;
+    const std::int64_t margin = sim::defaultMargin(loop);
+    const int cells = sim::simulatedCells(loop, trip_count, margin);
+    spec.margin = static_cast<int>(margin);
     for (const auto& array : loop.arrays()) {
         std::vector<sim::Value> contents;
         contents.reserve(cells);

@@ -37,9 +37,12 @@ Workload kernelByName(const std::string& name);
 
 /**
  * Build a deterministic simulation input for `loop`: arrays filled with
- * seeded pseudo-random contents over the full margin range, live-in
- * registers given small random values, and recurrence seeds supplied up to
- * the loop's maximum operand distance.
+ * seeded pseudo-random contents over the full range with
+ * sim::defaultMargin, live-in registers given small random values, and
+ * recurrence seeds supplied up to the loop's maximum operand distance.
+ *
+ * @throws support::CodedError "sim.too_large" before allocating when
+ *         that range exceeds int (see sim::simulatedCells).
  */
 sim::SimSpec makeSimSpec(const ir::Loop& loop, int trip_count,
                          std::uint64_t seed);

@@ -319,7 +319,7 @@ wrapLoopAsProgram(ir::Loop loop, const std::string& name)
     post.store("wrap.out", 0, v("wrap.iters"));
     post.assign(Opcode::kMul, "wrap.chk", {v("wrap.bias"), c(2.0)});
     post.store("wrap.out", 1, v("wrap.chk"));
-    if (!p.loop.hasEarlyExit()) {
+    if (!p.loop.body.hasEarlyExit()) {
         int index = 2;
         const ir::Loop& body = p.loop.body;
         for (ir::RegId reg = 0; reg < body.numRegisters(); ++reg) {

@@ -359,13 +359,11 @@ TEST(KernelOnlyTest, MatchesSequentialSemantics)
           "mem_recurrence"}) {
         const auto w = workloads::kernelByName(name);
         const auto artifacts = pipeliner.pipeline(core::PipelineRequest(w.loop)).artifactsOrThrow();
-        const auto kernel_only = codegen::generateKernelOnly(
-            w.loop, artifacts.outcome.schedule);
         for (const int trip : {2, artifacts.code.kernel.stageCount, 40}) {
             const auto spec = workloads::makeSimSpec(w.loop, trip, 31);
             const auto seq = sim::runSequential(w.loop, spec);
             const auto ko =
-                sim::runKernelOnly(w.loop, kernel_only, spec);
+                sim::runKernelOnly(w.loop, artifacts.code, spec);
             EXPECT_TRUE(sim::equivalent(seq, ko))
                 << name << " trip " << trip;
         }
@@ -374,27 +372,29 @@ TEST(KernelOnlyTest, MatchesSequentialSemantics)
 
 TEST(KernelOnlyTest, CodeSizeIsExactlyTheIi)
 {
+    // The kernel-only code is the kernel section alone: II instructions
+    // holding every operation once, guarded by its stage's predicate.
     const auto artifacts = pipelineKernel("daxpy");
     const auto w = workloads::kernelByName("daxpy");
-    const auto kernel_only =
-        codegen::generateKernelOnly(w.loop, artifacts.outcome.schedule);
-    EXPECT_EQ(kernel_only.codeCycles(), artifacts.outcome.schedule.ii);
-    EXPECT_EQ(kernel_only.repetitions(100),
-              100 + kernel_only.stageCount - 1);
-    int placements = 0;
-    for (const auto& cycle : kernel_only.cycles)
-        placements += static_cast<int>(cycle.size());
-    EXPECT_EQ(placements, w.loop.size());
+    const auto& schedule = artifacts.outcome.schedule;
+    const codegen::CodeSection& kernel = artifacts.code.kernelSection;
+    EXPECT_EQ(kernel.numCycles(), schedule.ii);
+    EXPECT_EQ(kernel.numInstances(), w.loop.size());
+    for (int cycle = 0; cycle < kernel.numCycles(); ++cycle) {
+        for (const auto& instance : kernel.cycle(cycle)) {
+            EXPECT_EQ(schedule.times[instance.op] % schedule.ii, cycle);
+            EXPECT_EQ(-instance.iterationOffset,
+                      schedule.times[instance.op] / schedule.ii);
+        }
+    }
 }
 
 TEST(KernelOnlyTest, EmissionShowsStagePredicates)
 {
     const auto artifacts = pipelineKernel("daxpy");
     const auto w = workloads::kernelByName("daxpy");
-    const auto kernel_only =
-        codegen::generateKernelOnly(w.loop, artifacts.outcome.schedule);
     const std::string text =
-        codegen::emitKernelOnly(w.loop, kernel_only);
+        codegen::emitKernelOnly(w.loop, artifacts.code);
     EXPECT_NE(text.find("if sp["), std::string::npos);
     EXPECT_NE(text.find("brtop"), std::string::npos);
 }

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "codegen/kernel_only.hpp"
 #include "core/pipeliner.hpp"
 #include "graph/graph_builder.hpp"
 #include "ir/loop_builder.hpp"
@@ -143,9 +142,8 @@ TEST(EarlyExitTest, SectionSchemasRejectEarlyExitLoops)
     const auto spec = workloads::makeSimSpec(w.loop, 30, 2);
     EXPECT_THROW(sim::runGeneratedCode(w.loop, artifacts.code, spec),
                  support::Error);
-    const auto ko = codegen::generateKernelOnly(
-        w.loop, artifacts.outcome.schedule);
-    EXPECT_THROW(sim::runKernelOnly(w.loop, ko, spec), support::Error);
+    EXPECT_THROW(sim::runKernelOnly(w.loop, artifacts.code, spec),
+                 support::Error);
 }
 
 TEST(EarlyExitTest, GuardedExitOnlyFiresWhenActive)

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -8,6 +10,7 @@
 #include "graph/delay_model.hpp"
 #include "graph/graph_builder.hpp"
 #include "ir/loop_builder.hpp"
+#include "ir/parser.hpp"
 #include "machine/cydra5.hpp"
 #include "machine/machine_builder.hpp"
 #include "machine/machines.hpp"
@@ -284,12 +287,16 @@ referenceMemoryEdges(const ir::Loop& loop)
                                      : DepKind::kOutput;
             const bool before = a.id < b.id;
             if (a.memRef->stride == b.memRef->stride) {
-                const int diff = a.memRef->offset - b.memRef->offset;
+                const std::int64_t diff =
+                    std::int64_t{a.memRef->offset} - b.memRef->offset;
                 if (diff % a.memRef->stride != 0)
                     continue;
-                const int distance = diff / a.memRef->stride;
+                const std::int64_t distance = diff / a.memRef->stride;
+                if (distance > std::numeric_limits<int>::max())
+                    continue; // beyond any int trip count
                 if (distance > 0 || (distance == 0 && before))
-                    edges.emplace_back(a.id, b.id, kind, distance);
+                    edges.emplace_back(a.id, b.id, kind,
+                                       static_cast<int>(distance));
             } else {
                 if (before)
                     edges.emplace_back(a.id, b.id, kind, 0);
@@ -313,6 +320,13 @@ TEST_F(GraphBuilderTest, MemoryPairingMatchesTheAllPairsScan)
     b.store("X", 1, b.reg("ax"), b.reg("w"), "", 1);
     b.closeLoopBackSubstituted();
     loops.push_back(b.build());
+
+    // Offsets at the int limits: their difference overflows int.
+    loops.push_back(ir::parseLoop("loop extreme\nlivein t\n"
+                                  "recurrence ax\nax = aadd ax[1], #8\n"
+                                  "xv = load ax @ X -2147483648\n"
+                                  "_ = store ax, t @ X 2147483647\n"
+                                  "_ = store ax, t @ X -2147483647\n"));
 
     std::size_t total = 0;
     for (const auto& loop : loops) {

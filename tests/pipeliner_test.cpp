@@ -222,6 +222,35 @@ TEST(PipelinerTest, HostileLatenciesAnswerTooLarge)
     }
 }
 
+/**
+ * Memory offsets at the int limits: the margin the simulators give such
+ * a loop does not fit their int indices, so sim verification answers
+ * sim.too_large before allocating, and the schedule itself is unaffected.
+ */
+TEST(PipelinerTest, ExtremeMemoryOffsetsAnswerSimTooLarge)
+{
+    const char* body[] = {
+        "xv = load ax @ X -2147483648\n",
+        "_ = store ax, t @ X 2147483647\n",
+    };
+    const std::string head = "loop extreme\nlivein t\nrecurrence ax\n"
+                             "ax = aadd ax[1], #8\n";
+    const machine::MachineModel machine = machine::cydra5();
+    const core::SoftwarePipeliner plain(machine);
+    const core::SoftwarePipeliner verified(
+        machine, core::PipelinerOptions{}.withSimVerification(true));
+    for (const std::string& text :
+         {head + body[0], head + body[1], head + body[0] + body[1]}) {
+        const ir::Loop loop = ir::parseLoop(text);
+        EXPECT_TRUE(plain.pipeline(core::PipelineRequest(loop)).ok())
+            << text;
+        const auto result = verified.pipeline(core::PipelineRequest(loop));
+        ASSERT_EQ(result.diagnostics.size(), 1u) << text;
+        EXPECT_EQ(result.diagnostics[0].code, "sim.too_large")
+            << result.firstError();
+    }
+}
+
 TEST(PipelinerTest, MachineSweepAllKernels)
 {
     for (const auto& machine :

@@ -253,7 +253,7 @@ TEST(ProgramEquivalenceTest, TripsBelowStageCountMatchSequential)
     const auto program = workloads::programByName("prog.memrec");
     const auto result = ProgramCompiler(machine).compile(program);
     ASSERT_TRUE(result.ok()) << result.firstError();
-    const int stages = result.compiled->loop.body.stageCount;
+    const int stages = result.compiled->loop.code.kernel.stageCount;
     for (int trip = 0; trip <= stages + 2; ++trip) {
         const auto spec = program::makeProgramSpec(program, trip, 97);
         const auto expect = program::runProgramSequential(program, spec);

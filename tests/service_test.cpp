@@ -426,4 +426,23 @@ TEST(OptionsCodecTest, CanonicalTextRoundTripsAndNormalizes)
                  support::Error);
 }
 
+TEST(OptionsCodecTest, RejectsVerifySimTripsAboveTheBound)
+{
+    // Sim verification costs time and memory linear in each trip, so an
+    // untrusted cache file must not pick an unbounded one.
+    const std::string bound = std::to_string(service::kMaxVerifySimTrip);
+    EXPECT_EQ(service::parseOptionsText("verify_sim_trips 0," + bound +
+                                        "\n")
+                  .verifySimTrips,
+              (std::vector<int>{0, service::kMaxVerifySimTrip}));
+    for (const std::string& trips : std::vector<std::string>{
+             std::to_string(service::kMaxVerifySimTrip + 1), "100000",
+             "0,20000000", "2147483647"}) {
+        EXPECT_THROW(
+            service::parseOptionsText("verify_sim_trips " + trips + "\n"),
+            support::Error)
+            << trips;
+    }
+}
+
 } // namespace

@@ -3,7 +3,6 @@
 #include "core/pipeliner.hpp"
 #include "ir/loop_builder.hpp"
 #include "machine/cydra5.hpp"
-#include "codegen/kernel_only.hpp"
 #include "sim/memory.hpp"
 #include "sim/pipeline_simulator.hpp"
 #include "sim/section_executor.hpp"
@@ -235,12 +234,11 @@ TEST(PipelineSimTest, LowTripCountsMatchSequentialEverywhere)
         const auto artifacts =
             pipeliner.pipeline(core::PipelineRequest(w.loop))
                 .artifactsOrThrow();
-        const auto kernel_only = codegen::generateKernelOnly(
-            w.loop, artifacts.outcome.schedule);
-        for (int trip = 0; trip < kernel_only.stageCount; ++trip) {
+        for (int trip = 0; trip < artifacts.code.kernel.stageCount;
+             ++trip) {
             const auto spec = workloads::makeSimSpec(w.loop, trip, 23);
             const auto seq = sim::runSequential(w.loop, spec);
-            const auto ko = sim::runKernelOnly(w.loop, kernel_only, spec);
+            const auto ko = sim::runKernelOnly(w.loop, artifacts.code, spec);
             EXPECT_TRUE(sim::equivalent(seq, ko))
                 << name << " kernel-only trip " << trip;
             const auto pipe = sim::runPipelined(
@@ -259,10 +257,8 @@ TEST(PipelineSimTest, ZeroTripKernelOnlyLeavesRegistersEmpty)
     const auto artifacts =
         pipeliner.pipeline(core::PipelineRequest(w.loop))
             .artifactsOrThrow();
-    const auto kernel_only =
-        codegen::generateKernelOnly(w.loop, artifacts.outcome.schedule);
     const auto spec = workloads::makeSimSpec(w.loop, 0, 23);
-    const auto ko = sim::runKernelOnly(w.loop, kernel_only, spec);
+    const auto ko = sim::runKernelOnly(w.loop, artifacts.code, spec);
     EXPECT_TRUE(ko.finalRegisters.empty());
     EXPECT_TRUE(sim::runSequential(w.loop, spec).finalRegisters.empty());
 }

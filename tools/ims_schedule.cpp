@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "codegen/emit.hpp"
-#include "codegen/kernel_only.hpp"
 #include "core/pipeliner.hpp"
 #include "core/report.hpp"
 #include "ir/parser.hpp"
@@ -280,11 +279,8 @@ processLoop(const ir::Loop& loop, const CliOptions& options,
         std::cout << codegen::emitListing(loop, artifacts.code,
                                           artifacts.registers);
     }
-    if (options.kernelOnly) {
-        const auto ko = codegen::generateKernelOnly(
-            loop, artifacts.outcome.schedule);
-        std::cout << codegen::emitKernelOnly(loop, ko);
-    }
+    if (options.kernelOnly)
+        std::cout << codegen::emitKernelOnly(loop, artifacts.code);
     if (options.verify) {
         std::cout << "verification: structural check and sim-equivalence "
                      "oracle passed\n";
