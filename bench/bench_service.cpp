@@ -36,7 +36,6 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <future>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -164,7 +163,7 @@ main(int argc, char** argv)
             // The bench measures cache behavior, not admission control:
             // size the queue so a whole pass can be in flight at once.
             .withMaxQueuedRequests(static_cast<std::size_t>(requests))
-            .withCache(service::CacheOptions{corpus.size() * 2, 16}));
+            .withCache(service::CacheOptions{corpus.size() * 2}));
 
     int identity_violations = 0;
     std::vector<double> cold_ms;
@@ -174,16 +173,20 @@ main(int argc, char** argv)
     std::size_t replay_hits = 0;
 
     const auto run_pass = [&](int pass) {
-        std::vector<std::future<service::ServiceResponse>> futures;
-        futures.reserve(stream.size());
+        std::vector<service::ServiceResponse> responses(stream.size());
         for (std::size_t i = 0; i < stream.size(); ++i) {
             service::ServiceRequest request;
             request.client = kClients[i % 4];
             request.loopText = corpus[stream[i]];
-            futures.push_back(server.submit(std::move(request)));
+            server.submitAsync(
+                std::move(request),
+                [&responses, i](const service::ServiceResponse& response) {
+                    responses[i] = response;
+                });
         }
-        for (std::size_t i = 0; i < futures.size(); ++i) {
-            const service::ServiceResponse response = futures[i].get();
+        server.drain();
+        for (std::size_t i = 0; i < responses.size(); ++i) {
+            const service::ServiceResponse& response = responses[i];
             if (!response.ok()) {
                 std::cerr << "bench_service: request failed: "
                           << response.errorCode << " "

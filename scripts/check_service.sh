@@ -26,8 +26,15 @@
 #     line,
 # 10. `load` of a cache entry whose options ask for sim verification at
 #     100000 iterations answers `error service.bad_cache_file` (the same
-#     entry at 17 iterations loads),
-# 11. the `stats` line parses with Python's json module.
+#     entry at 17 iterations loads), and an entry storing `@ X 1000000000`
+#     with sim verification on loads at once (its arrays would pass
+#     sim::kMaxSimulatedValues, so verification answers sim.too_large
+#     before allocating),
+# 11. the `stats` line parses with Python's json module and counts every
+#     submitted request as completed,
+# 12. a lone request is answered before any further input: one daxpy
+#     request to `--threads 2` gets its `result` line within 10 s with
+#     stdin still open, and the server then exits 0 on EOF.
 #
 # Usage: scripts/check_service.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -260,15 +267,23 @@ for count in 18446744073709551615 -1; do
     expect_answer "$SMOKE_DIR/load.req" 'error service\.bad_cache_file '
 done
 
-# A saved daxpy entry, its options rewritten to sim-verify at `trips`.
-{
-    printf 'schedule %s client=ci machine=cydra5\n' \
-        "$(wc -c < "$SMOKE_DIR/daxpy.ir")"
-    cat "$SMOKE_DIR/daxpy.ir"
-    printf 'save %s\n' "$SMOKE_DIR/daxpy.cache"
-} | "$SERVE" --threads 1 > /dev/null
-for trips in 17:'ok loaded 1' 100000:'error service\.bad_cache_file .*verify_sim_trips'; do
-    python3 - "$SMOKE_DIR/daxpy.cache" "${trips%%:*}" \
+# Saved entries, their options rewritten to sim-verify at `trips`.
+printf 'loop far\nlivein t\nrecurrence ax\nax = aadd ax[1], #8\n_ = store ax, t @ X 1000000000\n' \
+    > "$SMOKE_DIR/far.ir"
+for loop in daxpy far; do
+    {
+        printf 'schedule %s client=ci machine=cydra5\n' \
+            "$(wc -c < "$SMOKE_DIR/$loop.ir")"
+        cat "$SMOKE_DIR/$loop.ir"
+        printf 'save %s\n' "$SMOKE_DIR/$loop.cache"
+    } | "$SERVE" --threads 1 > /dev/null
+done
+for case in daxpy:17:'ok loaded 1' \
+        daxpy:100000:'error service\.bad_cache_file .*verify_sim_trips' \
+        far:17:'ok loaded 1'; do
+    loop="${case%%:*}"
+    trips="${case#*:}"
+    python3 - "$SMOKE_DIR/$loop.cache" "${trips%%:*}" \
         > "$SMOKE_DIR/trips.cache" <<'PY'
 import re
 import sys
@@ -303,7 +318,47 @@ if len(lines) != 1:
 stats = json.loads(lines[0], parse_constant=reject)
 if stats.get("schema") != "ims.service_stats.v1":
     sys.exit("check_service: stats line has the wrong schema")
+if stats["svc_completed"] != stats["svc_submitted"]:
+    sys.exit("check_service: stats counts fewer completed than submitted")
 print("stats:", lines[0])
+PY
+
+echo "== liveness (a lone request is answered with stdin open) =="
+python3 - "$SERVE" "$SMOKE_DIR/daxpy.ir" <<'PY'
+import os
+import re
+import select
+import subprocess
+import sys
+import time
+
+serve, loop_path = sys.argv[1:3]
+with open(loop_path, "rb") as f:
+    payload = f.read()
+server = subprocess.Popen([serve, "--threads", "2"], stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE)
+server.stdin.write(b"schedule %d client=ci machine=cydra5\n" % len(payload)
+                   + payload)
+server.stdin.flush()
+received = b""
+deadline = time.monotonic() + 10
+while not re.search(rb"^result [^\n]*\n", received, re.M):
+    left = max(0.0, deadline - time.monotonic())
+    ready = select.select([server.stdout], [], [], left)[0]
+    chunk = os.read(server.stdout.fileno(), 4096) if ready else b""
+    if not chunk:
+        server.kill()
+        sys.exit("check_service: no result line for a lone request in 10 s")
+    received += chunk
+server.stdin.close()
+try:
+    status = server.wait(timeout=10)
+except subprocess.TimeoutExpired:
+    server.kill()
+    sys.exit("check_service: ims-serve did not exit within 10 s of EOF")
+if status != 0:
+    sys.exit(f"check_service: ims-serve exited {status} on EOF")
+print("lone request ->", received.decode().splitlines()[0])
 PY
 
 echo "service smoke: all checks passed"

@@ -8,6 +8,7 @@
 #include "graph/scc.hpp"
 #include "mii/min_dist.hpp"
 #include "sched/verifier.hpp"
+#include "sim/memory.hpp"
 #include "sim/pipeline_simulator.hpp"
 #include "sim/section_executor.hpp"
 #include "support/error.hpp"
@@ -69,6 +70,10 @@ simEquivalenceDiagnostics(const ir::Loop& loop,
 {
     std::vector<Diagnostic> out;
     const bool has_exit = loop.hasEarlyExit();
+    // Refuse before any trip runs when one of them would not fit.
+    for (const int trip : trips)
+        if (trip >= 0)
+            sim::simulatedCells(loop, trip, sim::defaultMargin(loop));
 
     for (const int trip : trips) {
         if (trip < 0)

@@ -1,5 +1,6 @@
 #include "machine/machines.hpp"
 
+#include "machine/cydra5.hpp"
 #include "machine/machine_builder.hpp"
 
 namespace ims::machine {
@@ -131,6 +132,20 @@ scalarToy()
     b.opcode(Opcode::kBranch, 1).simpleAlternative("instr", instr);
     b.opcode(Opcode::kExitIf, 1).simpleAlternative("instr", instr);
     return b.build();
+}
+
+std::optional<MachineModel>
+stockMachine(std::string_view name)
+{
+    if (name == "cydra5")
+        return cydra5();
+    if (name == "clean64")
+        return clean64();
+    if (name == "wide-vliw")
+        return wideVliw();
+    if (name == "scalar-toy")
+        return scalarToy();
+    return std::nullopt;
 }
 
 } // namespace ims::machine

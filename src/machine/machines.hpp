@@ -1,6 +1,9 @@
 #ifndef IMS_MACHINE_MACHINES_HPP
 #define IMS_MACHINE_MACHINES_HPP
 
+#include <optional>
+#include <string_view>
+
 #include "machine/machine_model.hpp"
 
 namespace ims::machine {
@@ -26,6 +29,15 @@ MachineModel wideVliw();
  * unit tests where hand-computed schedules must stay small.
  */
 MachineModel scalarToy();
+
+/** The stock machines' names, as the tools and the service take them;
+ *  each is also the name() of the machine it selects. */
+inline constexpr std::string_view kStockMachineNames[] = {
+    "cydra5", "clean64", "wide-vliw", "scalar-toy"};
+
+/** The stock machine (cydra5() or one of the three above) named `name`,
+ *  or nullopt for any other name. */
+std::optional<MachineModel> stockMachine(std::string_view name);
 
 } // namespace ims::machine
 

@@ -116,13 +116,6 @@ struct ScheduleOptions
     }
 
     ScheduleOptions&
-    withTrace(std::vector<TraceEvent>* sink)
-    {
-        trace = sink;
-        return *this;
-    }
-
-    ScheduleOptions&
     withTelemetry(support::TelemetrySink* sink)
     {
         telemetry = sink;

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "machine/cydra5.hpp"
 #include "machine/machine_io.hpp"
 #include "machine/machines.hpp"
 
@@ -10,10 +9,8 @@ namespace ims::service {
 
 ModelRegistry::ModelRegistry()
 {
-    registerModel("cydra5", machine::cydra5());
-    registerModel("clean64", machine::clean64());
-    registerModel("wide-vliw", machine::wideVliw());
-    registerModel("scalar-toy", machine::scalarToy());
+    for (const std::string_view name : machine::kStockMachineNames)
+        registerModel(std::string(name), *machine::stockMachine(name));
 }
 
 void

@@ -47,62 +47,41 @@ CacheKey::make(std::string loop_text, std::string machine_text,
 }
 
 ScheduleCache::ScheduleCache(CacheOptions options)
+    : capacity_(std::max<std::size_t>(1, options.capacity))
 {
-    const int shards = std::max(1, options.shards);
-    const std::size_t capacity = std::max<std::size_t>(1, options.capacity);
-    // Ceil division so the global capacity is never under-provisioned.
-    perShardCapacity_ =
-        (capacity + static_cast<std::size_t>(shards) - 1) / shards;
-    shards_.reserve(shards);
-    for (int i = 0; i < shards; ++i)
-        shards_.push_back(std::make_unique<Shard>());
-}
-
-ScheduleCache::Shard&
-ScheduleCache::shardFor(std::uint64_t hash)
-{
-    return *shards_[hash % shards_.size()];
-}
-
-const ScheduleCache::Shard&
-ScheduleCache::shardFor(std::uint64_t hash) const
-{
-    return *shards_[hash % shards_.size()];
 }
 
 std::shared_ptr<const core::PipelineResult>
 ScheduleCache::lookup(const CacheKey& key)
 {
-    Shard& shard = shardFor(key.hash);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto bucket = shard.byHash.find(key.hash);
-    if (bucket != shard.byHash.end()) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto bucket = byHash_.find(key.hash);
+    if (bucket != byHash_.end()) {
         for (const auto entry_it : bucket->second) {
             if (entry_it->key.loopText == key.loopText &&
                 entry_it->key.machineText == key.machineText &&
                 entry_it->key.optionsText == key.optionsText) {
-                ++shard.hits;
+                ++stats_.hits;
                 // Promote: splice to the front of the LRU list
-                // (iterators stay valid, byHash needs no update).
-                shard.lru.splice(shard.lru.begin(), shard.lru, entry_it);
+                // (iterators stay valid, byHash_ needs no update).
+                lru_.splice(lru_.begin(), lru_, entry_it);
                 return entry_it->result;
             }
-            ++shard.hashCollisions;
+            ++stats_.hashCollisions;
         }
     }
-    ++shard.misses;
+    ++stats_.misses;
     return nullptr;
 }
 
 std::shared_ptr<const core::PipelineResult>
 ScheduleCache::insert(const CacheKey& key, core::PipelineResult result)
 {
-    Shard& shard = shardFor(key.hash);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
+    const std::lock_guard<std::mutex> lock(mutex_);
     // First writer wins: a racing duplicate insert returns the existing
     // entry (deterministic pipeline => both results are identical).
-    const auto bucket = shard.byHash.find(key.hash);
-    if (bucket != shard.byHash.end()) {
+    const auto bucket = byHash_.find(key.hash);
+    if (bucket != byHash_.end()) {
         for (const auto entry_it : bucket->second) {
             if (entry_it->key.loopText == key.loopText &&
                 entry_it->key.machineText == key.machineText &&
@@ -111,39 +90,32 @@ ScheduleCache::insert(const CacheKey& key, core::PipelineResult result)
         }
     }
 
-    shard.lru.push_front(Entry{
+    lru_.push_front(Entry{
         key, std::make_shared<const core::PipelineResult>(
                  std::move(result))});
-    shard.byHash[key.hash].push_back(shard.lru.begin());
-    ++shard.insertions;
+    byHash_[key.hash].push_back(lru_.begin());
+    ++stats_.insertions;
 
-    while (shard.lru.size() > perShardCapacity_) {
-        const auto victim = std::prev(shard.lru.end());
-        auto& siblings = shard.byHash[victim->key.hash];
+    while (lru_.size() > capacity_) {
+        const auto victim = std::prev(lru_.end());
+        auto& siblings = byHash_[victim->key.hash];
         siblings.erase(
             std::remove(siblings.begin(), siblings.end(), victim),
             siblings.end());
         if (siblings.empty())
-            shard.byHash.erase(victim->key.hash);
-        shard.lru.erase(victim);
-        ++shard.evictions;
+            byHash_.erase(victim->key.hash);
+        lru_.erase(victim);
+        ++stats_.evictions;
     }
-    return shard.lru.front().result;
+    return lru_.front().result;
 }
 
 CacheStats
 ScheduleCache::stats() const
 {
-    CacheStats stats;
-    for (const auto& shard : shards_) {
-        const std::lock_guard<std::mutex> lock(shard->mutex);
-        stats.hits += shard->hits;
-        stats.misses += shard->misses;
-        stats.insertions += shard->insertions;
-        stats.evictions += shard->evictions;
-        stats.hashCollisions += shard->hashCollisions;
-        stats.entries += shard->lru.size();
-    }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    CacheStats stats = stats_;
+    stats.entries = lru_.size();
     return stats;
 }
 
@@ -152,17 +124,15 @@ ScheduleCache::saveText() const
 {
     std::ostringstream out;
     out << "ims-schedule-cache v1\n";
-    for (const auto& shard : shards_) {
-        const std::lock_guard<std::mutex> lock(shard->mutex);
-        // Least recent first so a loader replaying in order leaves the
-        // most recently used entries freshest.
-        for (auto it = shard->lru.rbegin(); it != shard->lru.rend(); ++it) {
-            const CacheKey& key = it->key;
-            out << "entry " << key.loopText.size() << " "
-                << key.machineText.size() << " " << key.optionsText.size()
-                << "\n"
-                << key.loopText << key.machineText << key.optionsText;
-        }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    // Least recent first so a loader replaying in order leaves the most
+    // recently used entries freshest.
+    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+        const CacheKey& key = it->key;
+        out << "entry " << key.loopText.size() << " "
+            << key.machineText.size() << " " << key.optionsText.size()
+            << "\n"
+            << key.loopText << key.machineText << key.optionsText;
     }
     return out.str();
 }

@@ -38,17 +38,11 @@ struct CacheKey
                          std::string options_text);
 };
 
-/** Cache sizing and sharding knobs. */
+/** Cache sizing. */
 struct CacheOptions
 {
-    /** Entries held across all shards before LRU eviction kicks in. */
+    /** Entries held before LRU eviction kicks in. */
     std::size_t capacity = 4096;
-    /**
-     * Lock shards. Keys are distributed by digest; each shard holds
-     * capacity/shards entries and runs its own LRU list, so eviction is
-     * approximate global LRU. Use 1 shard for strict LRU (tests).
-     */
-    int shards = 16;
 };
 
 /** Observability counters (monotonically increasing, save/load aside). */
@@ -64,8 +58,8 @@ struct CacheStats
 };
 
 /**
- * Content-addressed, sharded-LRU map from CacheKey to a memoized
- * PipelineResult. Results are held by shared_ptr-to-const: a hit hands
+ * Content-addressed LRU map from CacheKey to a memoized PipelineResult,
+ * behind one lock. Results are held by shared_ptr-to-const: a hit hands
  * out the same immutable object to any number of concurrent readers
  * while eviction merely drops the cache's reference.
  *
@@ -118,27 +112,14 @@ class ScheduleCache
         std::shared_ptr<const core::PipelineResult> result;
     };
 
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        /** Front = most recently used. */
-        std::list<Entry> lru;
-        /** Digest -> entries with that digest (usually exactly one). */
-        std::unordered_map<std::uint64_t,
-                           std::vector<std::list<Entry>::iterator>>
-            byHash;
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t insertions = 0;
-        std::uint64_t evictions = 0;
-        std::uint64_t hashCollisions = 0;
-    };
-
-    Shard& shardFor(std::uint64_t hash);
-    const Shard& shardFor(std::uint64_t hash) const;
-
-    std::size_t perShardCapacity_ = 0;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    std::size_t capacity_ = 1;
+    mutable std::mutex mutex_;
+    /** Front = most recently used. */
+    std::list<Entry> lru_;
+    /** Digest -> entries with that digest (usually exactly one). */
+    std::unordered_map<std::uint64_t, std::vector<std::list<Entry>::iterator>>
+        byHash_;
+    CacheStats stats_;
 };
 
 /**

@@ -182,17 +182,6 @@ ScheduleService::submitAsync(ServiceRequest request,
     workCv_.notify_one();
 }
 
-std::future<ServiceResponse>
-ScheduleService::submit(ServiceRequest request)
-{
-    auto promise = std::make_shared<std::promise<ServiceResponse>>();
-    std::future<ServiceResponse> future = promise->get_future();
-    submitAsync(std::move(request), [promise](const ServiceResponse& r) {
-        promise->set_value(r);
-    });
-    return future;
-}
-
 void
 ScheduleService::workerLoop()
 {
@@ -224,15 +213,20 @@ ScheduleService::workerLoop()
         ++activeWorkers_;
         lock.unlock();
 
-        ServiceResponse response =
+        const ServiceResponse response =
             handle(pending.request, secondsSince(pending.enqueued));
-        if (pending.done)
-            pending.done(response);
-
+        // Counted before `done` runs, so a stats() call that the answer
+        // precedes sees it; still active until `done` returns, so
+        // drain() waits for the callback too.
         lock.lock();
         ++completed_;
         if (response.status == ServiceResponse::Status::kError)
             ++errors_;
+        lock.unlock();
+        if (pending.done)
+            pending.done(response);
+
+        lock.lock();
         --activeWorkers_;
         if (totalQueued_ == 0 && activeWorkers_ == 0)
             idleCv_.notify_all();

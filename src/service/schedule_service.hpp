@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -27,7 +26,7 @@ struct ServiceOptions
      *  loaded cache file's entries keep the options they were saved
      *  with. */
     core::PipelinerOptions pipeline;
-    /** Cache capacity / sharding. */
+    /** Cache capacity. */
     CacheOptions cache;
     /**
      * Worker threads for the request queue; <= 0 means hardware
@@ -191,15 +190,14 @@ class ScheduleService
      * Enqueue a request; `done` runs exactly once on a worker thread
      * (or inline for admission rejections). Per-client round-robin
      * ordering: within one client requests complete in submission
-     * order.
+     * order. When `done` runs, stats() already counts the request as
+     * completed.
      */
     void submitAsync(ServiceRequest request,
                      std::function<void(const ServiceResponse&)> done);
 
-    /** Future-returning convenience over submitAsync. */
-    std::future<ServiceResponse> submit(ServiceRequest request);
-
-    /** Block until the queue is empty and all workers are idle. */
+    /** Block until the queue is empty, all workers are idle and every
+     *  `done` callback has returned. */
     void drain();
 
     ServiceStats stats() const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
-#include <limits>
 
 #include "support/error.hpp"
 
@@ -27,13 +26,15 @@ simulatedCells(const ir::Loop& loop, int trip, std::int64_t margin)
     assert(trip >= 0 && margin >= 0);
     const std::int64_t cells =
         std::int64_t{loop.maxStride()} * trip + 2 * margin;
-    if (cells > std::numeric_limits<int>::max()) {
+    const int arrays = std::max(1, loop.numArrays());
+    if (cells > kMaxSimulatedValues / arrays) {
         throw support::CodedError(
             "sim.too_large",
             "simulating loop '" + loop.name() + "' for " +
                 std::to_string(trip) + " iterations needs " +
-                std::to_string(cells) +
-                " cells per array, more than an int indexes");
+                std::to_string(arrays) + " x " + std::to_string(cells) +
+                " array cells, more than the " +
+                std::to_string(kMaxSimulatedValues) + " allowed");
     }
     return static_cast<int>(cells);
 }

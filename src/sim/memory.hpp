@@ -18,10 +18,21 @@ namespace ims::sim {
 std::int64_t defaultMargin(const ir::Loop& loop);
 
 /**
+ * Values a simulation may hold across all arrays: 2^22, 32 MiB. The
+ * largest one the tests, the kernels, the corpus, the fuzz campaigns,
+ * the corpus programs and perfbench's loops run holds 2,940 (three
+ * arrays of 980 cells), so this refuses only extents that a memory
+ * offset or a trip count from untrusted text asks for.
+ */
+constexpr std::int64_t kMaxSimulatedValues = std::int64_t{1} << 22;
+
+/**
  * Cells each array of `loop` spans when simulated for `trip` iterations
  * with `margin` on both sides: maxStride * trip + 2 * margin.
  *
- * @throws support::CodedError "sim.too_large" when that exceeds int.
+ * @throws support::CodedError "sim.too_large" before anything is
+ *         allocated when that times the number of arrays exceeds
+ *         kMaxSimulatedValues.
  */
 int simulatedCells(const ir::Loop& loop, int trip, std::int64_t margin);
 

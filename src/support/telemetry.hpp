@@ -89,9 +89,6 @@ class PhaseTimer
     PhaseTimer(const PhaseTimer&) = delete;
     PhaseTimer& operator=(const PhaseTimer&) = delete;
 
-    /** Mark the phase as failed (e.g. an II attempt that ran dry). */
-    void setSucceeded(bool succeeded) { sample_.succeeded = succeeded; }
-
   private:
     TelemetrySink* sink_;
     PhaseSample sample_;

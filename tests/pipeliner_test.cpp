@@ -9,6 +9,7 @@
 #include "machine/machine_io.hpp"
 #include "machine/machines.hpp"
 #include "sched/list_scheduler.hpp"
+#include "sim/memory.hpp"
 #include "workloads/kernels.hpp"
 
 namespace {
@@ -249,6 +250,33 @@ TEST(PipelinerTest, ExtremeMemoryOffsetsAnswerSimTooLarge)
         EXPECT_EQ(result.diagnostics[0].code, "sim.too_large")
             << result.firstError();
     }
+}
+
+TEST(PipelinerTest, SimVerificationRefusesArraysPastTheBound)
+{
+    // One array, stride 1, distance 1: at the largest default trip (17)
+    // the array spans 17 + 2 * (offset + 1 + 2) cells, so `offset` is the
+    // smallest store offset whose verification would pass the bound. It
+    // is refused before any trip runs and before anything is allocated.
+    const auto loop_at = [](std::int64_t store_offset) {
+        return ir::parseLoop("loop far\nlivein t\nrecurrence ax\n"
+                             "ax = aadd ax[1], #8\n_ = store ax, t @ X " +
+                             std::to_string(store_offset) + "\n");
+    };
+    const std::int64_t offset = (sim::kMaxSimulatedValues - 23) / 2 + 1;
+    const ir::Loop below = loop_at(offset - 1);
+    EXPECT_EQ(sim::simulatedCells(below, 17, sim::defaultMargin(below)),
+              sim::kMaxSimulatedValues - 1);
+    const ir::Loop loop = loop_at(offset);
+    EXPECT_THROW(sim::simulatedCells(loop, 17, sim::defaultMargin(loop)),
+                 support::CodedError);
+    EXPECT_NO_THROW(sim::simulatedCells(loop, 0, sim::defaultMargin(loop)));
+
+    const core::SoftwarePipeliner verified(
+        machine::cydra5(), core::PipelinerOptions{}.withSimVerification(true));
+    const auto result = verified.pipeline(core::PipelineRequest(loop));
+    ASSERT_EQ(result.diagnostics.size(), 1u) << result.firstError();
+    EXPECT_EQ(result.diagnostics[0].code, "sim.too_large");
 }
 
 TEST(PipelinerTest, MachineSweepAllKernels)

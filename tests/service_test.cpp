@@ -99,14 +99,16 @@ TEST(ScheduleCacheTest, ConcurrentSubmissionsStayIdentical)
     const core::SoftwarePipeliner oracle(machine::cydra5());
 
     const auto texts = corpusTexts(20);
-    std::vector<std::future<service::ServiceResponse>> futures;
-    for (int repeat = 0; repeat < 3; ++repeat)
-        for (std::size_t i = 0; i < texts.size(); ++i) {
-            service::ServiceRequest request;
-            request.client = "c" + std::to_string(i % 3);
-            request.loopText = texts[i];
-            futures.push_back(server.submit(std::move(request)));
-        }
+    std::vector<service::ServiceResponse> responses(3 * texts.size());
+    for (std::size_t r = 0; r < responses.size(); ++r) {
+        service::ServiceRequest request;
+        request.client = "c" + std::to_string(r % texts.size() % 3);
+        request.loopText = texts[r % texts.size()];
+        server.submitAsync(std::move(request),
+                           [&responses, r](const auto& response) {
+                               responses[r] = response;
+                           });
+    }
 
     std::vector<std::uint64_t> expected;
     for (const auto& text : texts) {
@@ -115,10 +117,10 @@ TEST(ScheduleCacheTest, ConcurrentSubmissionsStayIdentical)
             loop, oracle.machine(),
             oracle.pipeline(core::PipelineRequest(loop))));
     }
-    for (std::size_t f = 0; f < futures.size(); ++f) {
-        const auto response = futures[f].get();
-        ASSERT_TRUE(response.ok()) << response.errorMessage;
-        EXPECT_EQ(fingerprintOf(response), expected[f % texts.size()]);
+    server.drain();
+    for (std::size_t r = 0; r < responses.size(); ++r) {
+        ASSERT_TRUE(responses[r].ok()) << responses[r].errorMessage;
+        EXPECT_EQ(fingerprintOf(responses[r]), expected[r % texts.size()]);
     }
 }
 
@@ -127,8 +129,7 @@ TEST(ScheduleCacheTest, EvictsLeastRecentlyUsedUnderSmallCapacity)
     service::ScheduleService server(
         service::ServiceOptions{}
             .withThreads(1)
-            .withCache(service::CacheOptions{/*capacity=*/4,
-                                             /*shards=*/1}));
+            .withCache(service::CacheOptions{/*capacity=*/4}));
     const auto texts = corpusTexts(0);
     ASSERT_GE(texts.size(), 8u);
 
@@ -235,7 +236,7 @@ TEST(ScheduleCacheTest, HashCollisionsNeverShareAnEntry)
     // Forge two keys with identical digests but different material: the
     // full-material compare must keep them apart (lookup of the second
     // key misses; both can be resident simultaneously).
-    service::ScheduleCache cache(service::CacheOptions{16, 1});
+    service::ScheduleCache cache(service::CacheOptions{16});
     auto a = service::CacheKey::make("loop a\n", "machine m\n", "opts\n");
     auto b = service::CacheKey::make("loop b\n", "machine m\n", "opts\n");
     ASSERT_NE(a.material(), b.material());
@@ -274,24 +275,25 @@ TEST(ScheduleServiceTest, OverloadedQueueRejectsWithStructuredCode)
     while (server.stats().queued != 0)
         std::this_thread::yield();
 
-    service::ServiceRequest queued;
-    queued.client = "q";
-    queued.loopText = texts[1];
-    auto accepted = server.submit(queued);
-
-    service::ServiceRequest overflow;
-    overflow.client = "q";
-    overflow.loopText = texts[2];
-    auto rejected_future = server.submit(overflow);
+    // Slot 0 is the queued request, slot 1 the one past the bound.
+    std::vector<service::ServiceResponse> responses(2);
+    for (std::size_t r = 0; r < responses.size(); ++r) {
+        service::ServiceRequest request;
+        request.client = "q";
+        request.loopText = texts[1 + r];
+        server.submitAsync(request, [&responses, r](const auto& response) {
+            responses[r] = response;
+        });
+    }
     // The rejection is delivered inline, before the gate opens.
-    const auto rejected = rejected_future.get();
+    const auto& rejected = responses[1];
     EXPECT_EQ(rejected.status, service::ServiceResponse::Status::kRejected);
     EXPECT_EQ(rejected.errorCode, "service.overloaded");
     EXPECT_FALSE(rejected.ok());
 
     gate.set_value();
-    EXPECT_TRUE(accepted.get().ok());
     server.drain();
+    EXPECT_TRUE(responses[0].ok());
     EXPECT_EQ(server.stats().rejected, 1u);
 }
 
@@ -335,6 +337,26 @@ TEST(ScheduleServiceTest, DrainsClientsRoundRobin)
     const std::vector<std::string> expected = {"a", "b", "c", "a", "b",
                                                "c", "a", "b", "c"};
     EXPECT_EQ(order, expected);
+}
+
+TEST(ScheduleServiceTest, CallbackSeesItsOwnRequestCompleted)
+{
+    // A request is counted as completed before its callback runs, so a
+    // stats() read that the answer precedes (ims-serve's `stats` after
+    // every earlier answer is printed) never comes up one short.
+    service::ScheduleService server(
+        service::ServiceOptions{}.withThreads(1));
+    const auto texts = corpusTexts(0);
+    std::vector<std::uint64_t> seen(3, 0);
+    for (std::size_t r = 0; r < seen.size(); ++r) {
+        service::ServiceRequest request;
+        request.loopText = texts[r];
+        server.submitAsync(request, [&server, &seen, r](const auto&) {
+            seen[r] = server.stats().completed;
+        });
+    }
+    server.drain();
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
 TEST(ScheduleServiceTest, WorkerThreadsClampToAtLeastOne)

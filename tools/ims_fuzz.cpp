@@ -55,7 +55,6 @@
 #include "fuzz/reproducer.hpp"
 #include "graph/delay_model.hpp"
 #include "ir/parser.hpp"
-#include "machine/cydra5.hpp"
 #include "machine/machine_io.hpp"
 #include "machine/machines.hpp"
 #include "support/parse_number.hpp"
@@ -123,14 +122,8 @@ parseTrips(const std::string& text)
 std::string
 machineText(const std::string& name)
 {
-    if (name == "cydra5")
-        return machine::printMachine(machine::cydra5());
-    if (name == "clean64")
-        return machine::printMachine(machine::clean64());
-    if (name == "wide-vliw")
-        return machine::printMachine(machine::wideVliw());
-    if (name == "scalar-toy")
-        return machine::printMachine(machine::scalarToy());
+    if (const auto machine = machine::stockMachine(name))
+        return machine::printMachine(*machine);
     return fuzz::readTextFile(name);
 }
 

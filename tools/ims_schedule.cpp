@@ -22,7 +22,10 @@
  *   --kernel-only            print the [36] kernel-only schema instead
  *   --trace                  print the per-step scheduling trace
  *   --telemetry              print the per-loop telemetry record as JSON
- *   --simulate <trip>        validate against the sequential semantics
+ *   --simulate <trip>        validate against the sequential semantics;
+ *                            a trip whose simulated arrays would hold
+ *                            more than sim::kMaxSimulatedValues (2^22)
+ *                            values answers sim.too_large, exit 1
  *   --verify                 run the full verification stack (structural
  *                            schedule check + sim-equivalence oracle over
  *                            several trip counts) and report violations
@@ -50,11 +53,11 @@
 #include "core/pipeliner.hpp"
 #include "core/report.hpp"
 #include "ir/parser.hpp"
-#include "machine/cydra5.hpp"
 #include "machine/machines.hpp"
 #include "program/program_compiler.hpp"
 #include "program/program_executor.hpp"
 #include "sched/attempt.hpp"
+#include "sched/priority.hpp"
 #include "sim/pipeline_simulator.hpp"
 #include "sim/sequential_interpreter.hpp"
 #include "support/parse_number.hpp"
@@ -99,36 +102,6 @@ usage(int code)
            "  --listing  --kernel-only  --trace  --telemetry  "
            "--simulate <trip>  --verify  --quiet  --no-compress\n";
     std::exit(code);
-}
-
-machine::MachineModel
-machineByName(const std::string& name)
-{
-    if (name == "cydra5")
-        return machine::cydra5();
-    if (name == "clean64")
-        return machine::clean64();
-    if (name == "wide-vliw")
-        return machine::wideVliw();
-    if (name == "scalar-toy")
-        return machine::scalarToy();
-    std::cerr << "unknown machine '" << name << "'\n";
-    usage(2);
-}
-
-sched::PriorityScheme
-priorityByName(const std::string& name)
-{
-    if (name == "heightr")
-        return sched::PriorityScheme::kHeightR;
-    if (name == "slack")
-        return sched::PriorityScheme::kSlack;
-    if (name == "source-order")
-        return sched::PriorityScheme::kSourceOrder;
-    if (name == "random")
-        return sched::PriorityScheme::kRandom;
-    std::cerr << "unknown priority '" << name << "'\n";
-    usage(2);
 }
 
 CliOptions
@@ -226,7 +199,12 @@ pipelineOptions(const CliOptions& options)
     pipeline_options.schedule.search.budgetRatio = options.budgetRatio;
     pipeline_options.withScheduler(*strategy)
         .withExactNodeBudget(options.exactBudget);
-    pipeline_options.schedule.priority = priorityByName(options.priority);
+    const auto priority = sched::prioritySchemeByName(options.priority);
+    if (!priority) {
+        std::cerr << "unknown priority '" << options.priority << "'\n";
+        usage(2);
+    }
+    pipeline_options.schedule.priority = *priority;
     return pipeline_options;
 }
 
@@ -397,7 +375,12 @@ main(int argc, char** argv)
         options.programs.empty())
         usage(2);
 
-    const auto machine = machineByName(options.machine);
+    const auto stock = machine::stockMachine(options.machine);
+    if (!stock) {
+        std::cerr << "unknown machine '" << options.machine << "'\n";
+        usage(2);
+    }
+    const machine::MachineModel& machine = *stock;
     const core::PipelinerOptions pipeline_options = pipelineOptions(options);
     int status = 0;
     try {

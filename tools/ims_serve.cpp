@@ -9,7 +9,6 @@
  * Usage: ims-serve [options]
  *   --threads <n>         worker threads (0 = hardware concurrency)
  *   --cache-capacity <n>  cached schedules before LRU eviction (4096)
- *   --cache-shards <n>    cache lock shards (16)
  *   --max-queue <n>       queued requests before admission control
  *                         rejects with service.overloaded (1024)
  *   --machine <name>      default machine for schedule requests (cydra5)
@@ -34,21 +33,25 @@
  *   quit
  *   Failures answer: error <code> <message>
  *
- * Responses are printed in request order. The `result` line is a pure
- * function of (loop, machine, options) — timings and cache state live on
- * the `meta` line — so replaying a request stream must reproduce every
- * result line byte-for-byte (scripts/ci.sh gates on exactly that).
+ * Each answer is printed as soon as it and every earlier answer are
+ * done, so answers stay in request order and a client that sends one
+ * request and waits gets its answer. `register`, `stats`, `save` and
+ * `load` first wait until every earlier answer is printed; EOF and
+ * `quit` wait for every answer before --save-cache runs. The `result`
+ * line is a pure function of (loop, machine, options) — timings and
+ * cache state live on the `meta` line — so replaying a request stream
+ * must reproduce every result line byte-for-byte (scripts/ci.sh gates
+ * on exactly that).
  */
 #include <algorithm>
-#include <chrono>
-#include <cstring>
+#include <condition_variable>
 #include <deque>
 #include <fstream>
-#include <future>
 #include <iostream>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "sched/schedule.hpp"
 #include "service/schedule_service.hpp"
@@ -63,8 +66,8 @@ using namespace ims;
 usage(int code)
 {
     std::cerr << "usage: ims-serve [--threads n] [--cache-capacity n] "
-                 "[--cache-shards n]\n"
-                 "                 [--max-queue n] [--machine name] "
+                 "[--max-queue n]\n"
+                 "                 [--machine name] "
                  "[--scheduler iterative|slack|exact]\n"
                  "                 [--budget-ratio r] [--load-cache path] "
                  "[--save-cache path]\n";
@@ -119,16 +122,71 @@ resultLine(const service::ServiceResponse& response)
     return out.str();
 }
 
+/** The answer to one schedule request: its result line and, for a
+ *  processed request, its meta line. */
 std::string
-metaLine(const service::ServiceResponse& response)
+answerText(const service::ServiceResponse& response)
 {
     std::ostringstream out;
-    out << "meta hit=" << (response.cacheHit ? 1 : 0) << " key="
-        << hex(response.key)
-        << " queue_ms=" << milliseconds(response.queueSeconds)
-        << " service_ms=" << milliseconds(response.serviceSeconds);
+    out << resultLine(response) << "\n";
+    if (response.ok())
+        out << "meta hit=" << (response.cacheHit ? 1 : 0)
+            << " key=" << hex(response.key)
+            << " queue_ms=" << milliseconds(response.queueSeconds)
+            << " service_ms=" << milliseconds(response.serviceSeconds)
+            << "\n";
     return out.str();
 }
+
+/**
+ * Prints answers in request order, each as soon as it and every earlier
+ * answer are done. The reader thread reserves a slot per answer, in
+ * request order; any thread may fill a slot, and filling one prints
+ * every consecutive filled slot at the front.
+ */
+class InOrderWriter
+{
+  public:
+    std::size_t
+    reserve()
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        slots_.emplace_back();
+        return printed_ + slots_.size() - 1;
+    }
+
+    void
+    fill(std::size_t slot, std::string text)
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        slots_[slot - printed_] = std::move(text);
+        if (!slots_.front())
+            return;
+        for (; !slots_.empty() && slots_.front(); ++printed_) {
+            std::cout << *slots_.front();
+            slots_.pop_front();
+        }
+        std::cout.flush();
+        printedCv_.notify_all();
+    }
+
+    /** An answer ready now: printed after every earlier one. */
+    void print(std::string text) { fill(reserve(), std::move(text)); }
+
+    /** Blocks until every reserved slot is printed. */
+    void
+    waitAll()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        printedCv_.wait(lock, [this] { return slots_.empty(); });
+    }
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable printedCv_;
+    std::deque<std::optional<std::string>> slots_;
+    std::size_t printed_ = 0;
+};
 
 /**
  * Read exactly `bytes` bytes (the payload of a byte-counted request). The
@@ -174,8 +232,6 @@ main(int argc, char** argv)
         else if (arg == "--cache-capacity")
             options.cache.capacity =
                 support::numberArg<std::size_t>(arg, next());
-        else if (arg == "--cache-shards")
-            options.cache.shards = support::numberArg<int>(arg, next());
         else if (arg == "--max-queue")
             options.maxQueuedRequests =
                 support::numberArg<std::size_t>(arg, next());
@@ -199,6 +255,9 @@ main(int argc, char** argv)
             usage(2);
     }
 
+    // Declared before the service, so it outlives the workers' last
+    // callbacks.
+    InOrderWriter writer;
     service::ScheduleService server(options);
 
     if (!load_path.empty()) {
@@ -219,29 +278,6 @@ main(int argc, char** argv)
         }
     }
 
-    // Responses are printed strictly in request order: each schedule
-    // request's future is queued here, and the front is flushed as soon
-    // as it is ready (or force-flushed at EOF / before a sync command).
-    std::deque<std::future<service::ServiceResponse>> inflight;
-    const auto flush_front = [&]() {
-        const service::ServiceResponse response = inflight.front().get();
-        inflight.pop_front();
-        std::cout << resultLine(response) << "\n";
-        if (response.status == service::ServiceResponse::Status::kOk)
-            std::cout << metaLine(response) << "\n";
-        std::cout.flush();
-    };
-    const auto flush_all = [&]() {
-        while (!inflight.empty())
-            flush_front();
-    };
-    const auto flush_ready = [&]() {
-        while (!inflight.empty() &&
-               inflight.front().wait_for(std::chrono::seconds(0)) ==
-                   std::future_status::ready)
-            flush_front();
-    };
-
     std::string line;
     while (std::getline(std::cin, line)) {
         if (line.empty())
@@ -254,16 +290,12 @@ main(int argc, char** argv)
             std::string count;
             std::size_t bytes = 0;
             if (!(request >> count)) {
-                flush_all();
-                std::cout << "error service.bad_request missing byte count\n"
-                          << std::flush;
+                writer.print("error service.bad_request missing byte count\n");
                 continue;
             }
             // Payload byte counts are plain decimal digits, nothing else.
             if (!support::parseNumber(count, bytes)) {
-                flush_all();
-                std::cout << "error service.bad_request bad byte count\n"
-                          << std::flush;
+                writer.print("error service.bad_request bad byte count\n");
                 continue;
             }
             service::ServiceRequest item;
@@ -276,89 +308,81 @@ main(int argc, char** argv)
                     item.machine = attribute.substr(8);
             }
             if (!readPayload(std::cin, bytes, item.loopText)) {
-                flush_all();
-                std::cout << "error service.bad_request truncated payload\n"
-                          << std::flush;
+                writer.print("error service.bad_request truncated payload\n");
                 break;
             }
-            inflight.push_back(server.submit(std::move(item)));
-            flush_ready();
+            const std::size_t slot = writer.reserve();
+            server.submitAsync(std::move(item),
+                               [&writer, slot](const auto& response) {
+                                   writer.fill(slot, answerText(response));
+                               });
         } else if (command == "register") {
-            flush_all();
+            writer.waitAll();
             std::string name;
             std::string count;
             std::size_t bytes = 0;
             request >> name >> count;
             if (!request.fail() && !support::parseNumber(count, bytes)) {
-                std::cout << "error service.bad_request bad byte count\n"
-                          << std::flush;
+                writer.print("error service.bad_request bad byte count\n");
                 continue;
             }
             std::string text;
             if (request.fail() || !readPayload(std::cin, bytes, text)) {
-                std::cout << "error service.bad_request malformed register\n"
-                          << std::flush;
+                writer.print("error service.bad_request malformed register\n");
                 continue;
             }
             try {
                 server.models().registerText(name, text);
-                std::cout << "ok registered " << name << "\n" << std::flush;
+                writer.print("ok registered " + name + "\n");
             } catch (const support::Error& error) {
-                std::cout << "error service.bad_machine " << error.what()
-                          << "\n"
-                          << std::flush;
+                writer.print("error service.bad_machine " +
+                             std::string(error.what()) + "\n");
             }
         } else if (command == "machines") {
-            flush_all();
-            std::cout << "ok";
+            std::string reply = "ok";
             for (const auto& name : server.models().names())
-                std::cout << " " << name;
-            std::cout << "\n" << std::flush;
+                reply += " " + name;
+            writer.print(reply + "\n");
         } else if (command == "stats") {
-            flush_all();
-            std::cout << server.stats().toJson() << "\n" << std::flush;
+            writer.waitAll();
+            writer.print(server.stats().toJson() + "\n");
         } else if (command == "save") {
-            flush_all();
+            writer.waitAll();
             std::string path;
             request >> path;
             std::ofstream out(path, std::ios::binary);
             if (!out) {
-                std::cout << "error service.io cannot write " << path << "\n"
-                          << std::flush;
+                writer.print("error service.io cannot write " + path + "\n");
                 continue;
             }
             out << server.saveCacheText();
-            std::cout << "ok saved " << path << "\n" << std::flush;
+            writer.print("ok saved " + path + "\n");
         } else if (command == "load") {
-            flush_all();
+            writer.waitAll();
             std::string path;
             request >> path;
             std::ifstream in(path, std::ios::binary);
             if (!in) {
-                std::cout << "error service.io cannot read " << path << "\n"
-                          << std::flush;
+                writer.print("error service.io cannot read " + path + "\n");
                 continue;
             }
             std::ostringstream text;
             text << in.rdbuf();
             try {
                 const std::size_t loaded = server.loadCacheText(text.str());
-                std::cout << "ok loaded " << loaded << "\n" << std::flush;
+                writer.print("ok loaded " + std::to_string(loaded) + "\n");
             } catch (const support::Error& error) {
-                std::cout << "error service.bad_cache_file " << error.what()
-                          << "\n"
-                          << std::flush;
+                writer.print("error service.bad_cache_file " +
+                             std::string(error.what()) + "\n");
             }
         } else if (command == "quit") {
             break;
         } else {
-            flush_all();
-            std::cout << "error service.bad_request unknown command '"
-                      << command << "'\n"
-                      << std::flush;
+            writer.print("error service.bad_request unknown command '" +
+                         command + "'\n");
         }
     }
-    flush_all();
+    writer.waitAll();
 
     if (!save_path.empty()) {
         std::ofstream out(save_path, std::ios::binary);
